@@ -12,7 +12,6 @@ from .action import (
     ActionBreakdown,
     Multipliers,
     TemporalWeights,
-    action_gradient,
     cognitive_action,
     conditional_entropy,
     information_index,
@@ -40,7 +39,6 @@ from .optimizer import (
     TrainConfig,
     TrainTrace,
     evaluate_bank,
-    finite_diff_gradient,
     init_bank,
     run_gradient_check,
     train_deep,

@@ -310,49 +310,54 @@ def _constraint_penalty_act_gradient(act: np.ndarray, measure: np.ndarray) -> np
 
 # ---------------------------------------------------------------------------
 # Composite objective and its analytic tap gradient.
+#
+# One forward sweep (``_evaluate``) computes every term and keeps the arrays
+# the adjoints read.  The activation-space gradient of -I comes in a new array
+# the caller owns (adding it into a zeroed buffer instead costs a training
+# step an extra pass over the activations); the motion and penalty gradients
+# are added into such a buffer.  One convolution adjoint maps a buffer to the
+# taps.
 
-def _check_action_inputs(bank: FilterBank, bank_prev: FilterBank, grid: np.ndarray,
-                         flow: VelocityField, weights: TemporalWeights, dtau: float) -> None:
-    if bank_prev.taps.shape != bank.taps.shape:
-        raise ValueError(
-            f"previous bank shape {bank_prev.taps.shape} differs from {bank.taps.shape}"
-        )
-    if grid.shape[3] != bank.m_in:
-        raise ValueError(f"bank expects {bank.m_in} input channels, grid has {grid.shape[3]}")
-    if grid.shape[0] != weights.frames:
-        raise ValueError(
-            f"temporal weights cover {weights.frames} frames, grid has {grid.shape[0]}"
-        )
-    require_matching(flow, grid.shape[0], grid.shape[1], grid.shape[2])
-    if dtau <= 0.0:
-        raise ValueError(f"temporal-parsimony step must be > 0, got {dtau}")
+@dataclass(frozen=True)
+class _Forward:
+    """What one forward sweep keeps for the activation-space term gradients."""
 
+    grid: np.ndarray
+    act: np.ndarray
+    probs: np.ndarray
+    marginal: np.ndarray
+    frame_measure: np.ndarray
+    residual_measure: np.ndarray
+    plan: _WarpPlan
+    residual: np.ndarray
+    mode: str
 
-def cognitive_action(bank: FilterBank, bank_prev: FilterBank, data, flow: VelocityField,
-                     weights: TemporalWeights, lam: Multipliers, dtau: float) -> ActionBreakdown:
-    """Evaluate every objective term at the given bank."""
-    breakdown, _ = _evaluate(bank, bank_prev, data, flow, weights, lam, dtau, want_gradient=False)
-    return breakdown
+    def neg_index_gradient(self) -> np.ndarray:
+        return _neg_index_act_gradient(self.act, self.probs, self.marginal,
+                                       self.frame_measure, self.mode)
 
+    def add_motion_gradient(self, out: np.ndarray, scale: float = 1.0) -> None:
+        residual_grad = (2.0 * scale) * self.residual_measure[:, None, None, None] * self.residual
+        out[:-1] -= residual_grad
+        if np.any(residual_grad):
+            out[1:] += self.plan.scatter(residual_grad)
 
-def action_gradient(bank: FilterBank, bank_prev: FilterBank, data, flow: VelocityField,
-                    weights: TemporalWeights, lam: Multipliers, dtau: float) -> np.ndarray:
-    """Analytic gradient of the composite objective in the taps."""
-    _, grad = _evaluate(bank, bank_prev, data, flow, weights, lam, dtau, want_gradient=True)
-    return grad
-
-
-def action_value_and_gradient(bank: FilterBank, bank_prev: FilterBank, data,
-                              flow: VelocityField, weights: TemporalWeights,
-                              lam: Multipliers, dtau: float):
-    """One forward pass serving both the breakdown and the gradient."""
-    return _evaluate(bank, bank_prev, data, flow, weights, lam, dtau, want_gradient=True)
+    def add_penalty_gradient(self, out: np.ndarray, scale: float = 1.0) -> None:
+        out += scale * _constraint_penalty_act_gradient(self.act, self.frame_measure)
 
 
 def _evaluate(bank: FilterBank, bank_prev: FilterBank, data, flow: VelocityField,
-              weights: TemporalWeights, lam: Multipliers, dtau: float, want_gradient: bool):
+              weights: TemporalWeights, lam: Multipliers,
+              dtau: float) -> tuple[ActionBreakdown, _Forward]:
+    """The forward sweep shared by every entry point.
+
+    Only the flow is checked here.  The calls below reject the other bad
+    inputs where they first use them: the convolution a channel count that
+    differs from the bank's, the entropies weights for another frame count,
+    the temporal parsimony a previous bank of another shape and ``dtau <= 0``.
+    """
     grid = as_grid(data)
-    _check_action_inputs(bank, bank_prev, grid, flow, weights, dtau)
+    require_matching(flow, grid.shape[0], grid.shape[1], grid.shape[2])
     height, width = grid.shape[1], grid.shape[2]
     frame_measure = weights.frame_measure(height, width)
     residual_measure = weights.residual_measure(height, width)
@@ -376,21 +381,29 @@ def _evaluate(bank: FilterBank, bank_prev: FilterBank, data, flow: VelocityField
     total = (-info + lam.motion * motion + lam.spatial * spatial + lam.temporal * temporal
              + lam.constraint * penalty)
     breakdown = ActionBreakdown(s_marg, s_cond, info, motion, spatial, temporal, penalty, total)
-    if not want_gradient:
-        return breakdown, None
+    forward = _Forward(grid, act, probs, q, frame_measure, residual_measure, plan, residual,
+                       bank.mode)
+    return breakdown, forward
 
-    act_grad = _neg_index_act_gradient(act, probs, q, frame_measure, bank.mode)
 
+def cognitive_action(bank: FilterBank, bank_prev: FilterBank, data, flow: VelocityField,
+                     weights: TemporalWeights, lam: Multipliers, dtau: float) -> ActionBreakdown:
+    """Evaluate every objective term at the given bank."""
+    return _evaluate(bank, bank_prev, data, flow, weights, lam, dtau)[0]
+
+
+def action_value_and_gradient(bank: FilterBank, bank_prev: FilterBank, data,
+                              flow: VelocityField, weights: TemporalWeights,
+                              lam: Multipliers, dtau: float):
+    """One forward pass serving both the breakdown and the gradient in the taps."""
+    breakdown, forward = _evaluate(bank, bank_prev, data, flow, weights, lam, dtau)
+    act_grad = forward.neg_index_gradient()
     if lam.motion != 0.0:
-        residual_grad = (2.0 * lam.motion) * residual_measure[:, None, None, None] * residual
-        act_grad[:-1] -= residual_grad
-        if np.any(residual_grad):
-            act_grad[1:] += plan.scatter(residual_grad)
-
+        forward.add_motion_gradient(act_grad, lam.motion)
     if bank.mode == "linear-penalty" and lam.constraint != 0.0:
-        act_grad += lam.constraint * _constraint_penalty_act_gradient(act, frame_measure)
+        forward.add_penalty_gradient(act_grad, lam.constraint)
 
-    grad = convolution_tap_gradient(grid, act_grad, bank.kernel)
+    grad = convolution_tap_gradient(forward.grid, act_grad, bank.kernel)
     if lam.spatial != 0.0:
         grad += lam.spatial * spatial_parsimony_gradient(bank.taps)
     if lam.temporal != 0.0:
@@ -422,37 +435,19 @@ def term_gradients(bank: FilterBank, bank_prev: FilterBank, data, flow: Velocity
     Keys: info_index, motion, spatial, temporal, penalty.  Intended for
     oracle comparisons against finite differences of the breakdown fields.
     """
-    grid = as_grid(data)
-    _check_action_inputs(bank, bank_prev, grid, flow, weights, dtau)
-    height, width = grid.shape[1], grid.shape[2]
-    frame_measure = weights.frame_measure(height, width)
-    residual_measure = weights.residual_measure(height, width)
+    _, forward = _evaluate(bank, bank_prev, data, flow, weights, Multipliers(), dtau)
 
-    act = convolve_features(bank, grid)
-    probs = to_probabilities(act, bank.mode)
-    q = symbol_marginal(probs, weights)
-
-    info_grad = convolution_tap_gradient(
-        grid, -_neg_index_act_gradient(act, probs, q, frame_measure, bank.mode), bank.kernel)
-
-    plan = _WarpPlan(flow)
-    residual = plan.gather(act[1:]) - act[:-1]
-    residual_grad = 2.0 * residual_measure[:, None, None, None] * residual
-    motion_act_grad = np.zeros_like(act)
-    motion_act_grad[:-1] -= residual_grad
-    motion_act_grad[1:] += plan.scatter(residual_grad)
-    motion_grad = convolution_tap_gradient(grid, motion_act_grad, bank.kernel)
-
-    if bank.mode == "linear-penalty":
-        penalty_grad = convolution_tap_gradient(
-            grid, _constraint_penalty_act_gradient(act, frame_measure), bank.kernel)
-    else:
-        penalty_grad = np.zeros_like(bank.taps)
+    def tap_gradient(add_term) -> np.ndarray:
+        act_grad = np.zeros_like(forward.act)
+        add_term(act_grad)
+        return convolution_tap_gradient(forward.grid, act_grad, bank.kernel)
 
     return {
-        "info_index": info_grad,
-        "motion": motion_grad,
+        "info_index": -convolution_tap_gradient(forward.grid, forward.neg_index_gradient(),
+                                                bank.kernel),
+        "motion": tap_gradient(forward.add_motion_gradient),
         "spatial": spatial_parsimony_gradient(bank.taps),
         "temporal": (bank.taps - bank_prev.taps) / (dtau * dtau),
-        "penalty": penalty_grad,
+        "penalty": (tap_gradient(forward.add_penalty_gradient)
+                    if bank.mode == "linear-penalty" else np.zeros_like(bank.taps)),
     }

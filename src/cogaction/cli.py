@@ -22,15 +22,8 @@ from pathlib import Path
 from .action import BREAKDOWN_CSV_HEADER, ActionBreakdown
 from .config import ConfigError, ExperimentConfig, parse_config
 from .features import convolve_features, load_bank, save_bank, stack_layers, to_probabilities
-from .flow import VelocityField, save_flow
-from .optimizer import (
-    DivergenceError,
-    build_weights,
-    evaluate_bank,
-    init_bank,
-    run_gradient_check,
-    train_deep,
-)
+from .flow import save_flow
+from .optimizer import DivergenceError, _windowed, evaluate_bank, run_gradient_check, train_deep
 from .video import save_clip, save_feature_maps
 
 SUMMARY_HEADER = "layer,phase," + BREAKDOWN_CSV_HEADER.split(",", 1)[1]
@@ -63,10 +56,8 @@ def _summary_row(layer: int, phase: str, breakdown: ActionBreakdown) -> str:
 
 def _windowed_eval(bank, grid, flow, config):
     """Evaluate a standalone bank under a layer's window/weights/multipliers."""
-    window = grid.shape[0] if config.window is None else config.window
-    weights = build_weights(config.weighting, window)
-    return evaluate_bank(bank, grid[:window], VelocityField(flow.data[:window]),
-                         weights, config.lam, config.effective_dtau())
+    return evaluate_bank(bank, *_windowed(grid, flow, config), config.lam,
+                         config.effective_dtau())
 
 
 def cmd_synth(experiment: ExperimentConfig, out_dir: Path) -> int:
@@ -94,9 +85,7 @@ def cmd_train(experiment: ExperimentConfig, out_dir: Path) -> int:
             _write_rows(out_dir / f"layer{index}_trace.csv", BREAKDOWN_CSV_HEADER, rows)
             save_bank(bank, out_dir / f"layer{index}_bank.txt")
 
-            initial_bank = init_bank(plan.features, current.shape[3], plan.kernel,
-                                     config.mode, config.seed, config.init_scale, layer=index)
-            initial = _windowed_eval(initial_bank, current, flow, config)
+            initial = _windowed_eval(trace.initial_bank, current, flow, config)
             final = _windowed_eval(bank, current, flow, config)
             summary_rows.append(_summary_row(index, "initial", initial))
             summary_rows.append(_summary_row(index, "final", final))
@@ -114,16 +103,22 @@ def cmd_eval(experiment: ExperimentConfig, bank_paths: list[str], out_dir: Path)
     if not bank_paths:
         raise ConfigError("eval needs at least one --bank file")
     banks = [load_bank(p) for p in bank_paths]
+    plans = experiment.layers
+    for index, (path, bank) in enumerate(zip(bank_paths, banks), start=1):
+        if index > len(plans):
+            raise ConfigError(f"bank {index} ({path}) has no [layer{index}] section; "
+                              f"the config defines {len(plans)} layer(s)")
+        if bank.layer != index:
+            raise ConfigError(f"bank {index} ({path}) is a layer {bank.layer} bank, "
+                              f"given at layer position {index}")
     clip, truth = experiment.build_clip()
     flow = experiment.build_flow(clip, truth)
-    plans = experiment.layers
     with _locked_out_dir(out_dir):
         rows = []
         fields = stack_layers(banks, clip)
         current = clip.data
         for index, bank in enumerate(banks, start=1):
-            config = plans[min(index, len(plans)) - 1].config
-            breakdown = _windowed_eval(bank, current, flow, config)
+            breakdown = _windowed_eval(bank, current, flow, plans[index - 1].config)
             rows.append(_summary_row(index, "eval", breakdown))
             if experiment.save_features:
                 save_feature_maps(fields[index - 1], out_dir / "features" / f"layer{index}")

@@ -79,11 +79,12 @@ class LayerPlan:
 @dataclass
 class TrainTrace:
     """Per-step breakdowns (recorded before each update), gradient max-norms,
-    and the bank after the final update."""
+    the bank after the final update and the bank training started from."""
 
     breakdowns: list[ActionBreakdown]
     grad_norms: list[float]
     final_bank: FilterBank
+    initial_bank: FilterBank
 
 
 def _parse_weighting(spec: str):
@@ -161,7 +162,7 @@ def train_layer(bank: FilterBank, data, flow: VelocityField, config: TrainConfig
         grad_norms.append(float(np.abs(grad).max()))
         previous = current
         current = current.with_taps(current.taps - config.step_size * grad)
-    return TrainTrace(breakdowns, grad_norms, current)
+    return TrainTrace(breakdowns, grad_norms, current, bank)
 
 
 def train_deep(clip, flow: VelocityField, plans: list[LayerPlan]) -> list[TrainTrace]:
@@ -193,19 +194,11 @@ def evaluate_bank(bank: FilterBank, data, flow: VelocityField, weights: Temporal
 # ---------------------------------------------------------------------------
 # Finite-difference oracle.
 
-def finite_diff_gradient(bank: FilterBank, bank_prev: FilterBank, data,
-                         flow: VelocityField, weights: TemporalWeights,
-                         lam: Multipliers, dtau: float, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of the composite objective, one pair of
-    evaluations per tap.  O(#taps) action evaluations; meant for small banks."""
-    breakdowns = finite_diff_breakdowns(bank, bank_prev, data, flow, weights, lam, dtau, eps)
-    return breakdowns["total"]
-
-
 def finite_diff_breakdowns(bank: FilterBank, bank_prev: FilterBank, data,
                            flow: VelocityField, weights: TemporalWeights,
                            lam: Multipliers, dtau: float, eps: float = 1e-5) -> dict[str, np.ndarray]:
-    """Central-difference gradients of every breakdown field at once."""
+    """Central-difference gradients of every breakdown field at once, one pair
+    of evaluations per tap.  O(#taps) action evaluations; meant for small banks."""
     if eps <= 0.0:
         raise ValueError(f"finite-difference step must be > 0, got {eps}")
     grid = as_grid(data)
@@ -274,9 +267,11 @@ def run_gradient_check(count: int = 20, eps: float = 1e-5, tol: float = 1e-5) ->
     """Compare analytic and finite-difference gradients on the seeded suite.
 
     Returns one report per instance with the max relative error per term and
-    jointly; relative error is |g_a - g_fd| / (1 + |g_a|) per tap.  Instances
-    in linear-penalty mode are screened so no activation sits within 1e-4 of a
-    projection kink, which would invalidate the finite-difference oracle.
+    jointly; relative error is |g_a - g_fd| / (1 + |g_a|) per tap.  The joint
+    analytic gradient is the one training follows, from
+    ``action_value_and_gradient``.  Instances in linear-penalty mode are
+    screened so no activation sits within 1e-4 of a projection kink, which
+    would invalidate the finite-difference oracle.
     """
     from .action import term_gradients
 
@@ -289,10 +284,7 @@ def run_gradient_check(count: int = 20, eps: float = 1e-5, tol: float = 1e-5) ->
         lam, dtau = instance["lam"], instance["dtau"]
         fd = finite_diff_breakdowns(*args, lam, dtau, eps=eps)
         analytic = term_gradients(*args, dtau)
-        analytic["total"] = (-analytic["info_index"] + lam.motion * analytic["motion"]
-                             + lam.spatial * analytic["spatial"]
-                             + lam.temporal * analytic["temporal"]
-                             + lam.constraint * analytic["penalty"])
+        analytic["total"] = action_value_and_gradient(*args, lam, dtau)[1]
         report = {"instance": number, "mode": instance["mode"]}
         worst = 0.0
         terms = ["info_index", "motion", "spatial", "temporal", "total"]

@@ -22,7 +22,12 @@ from cogaction import (
     synth_translating_clip,
     temporal_parsimony,
 )
-from cogaction.action import BREAKDOWN_CSV_HEADER, spatial_parsimony_gradient
+from cogaction.action import (
+    BREAKDOWN_CSV_HEADER,
+    action_value_and_gradient,
+    spatial_parsimony_gradient,
+    term_gradients,
+)
 
 
 def motion_term_loop_oracle(act, flow, h):
@@ -336,3 +341,49 @@ class TestCompositeAction:
         assert len(parts) == len(BREAKDOWN_CSV_HEADER.split(","))
         for text, value in zip(parts[1:], values):
             assert float(text) == value  # 17 significant digits round-trip
+
+
+ENTRY_POINTS = {
+    "cognitive_action": cognitive_action,
+    "action_value_and_gradient": action_value_and_gradient,
+    "term_gradients": lambda bank, prev, data, flow, w, lam, dtau:
+        term_gradients(bank, prev, data, flow, w, dtau),
+}
+
+# bad input -> pattern its error message must match
+BAD_INPUTS = {
+    "channels": r"expects 2 input channels, grid has 1",
+    "frames": r"temporal weights cover 5 frames",
+    "flow": r"velocity field .* does not match",
+    "bank_prev": r"bank shapes? .*differ",
+    "dtau": r"step must be > 0",
+}
+
+
+def _inputs_with(bad):
+    pattern = PatternSpec("random-texture", 4, seed=3)
+    clip, flow = synth_translating_clip(pattern, (0.5, 0.25), 4, 8, 8)
+    bank = init_bank(3, 1, 3, "softmax", seed=4, scale=0.15)
+    args = {"bank": bank, "prev": bank, "data": clip, "flow": flow,
+            "w": TemporalWeights.uniform(4), "dtau": 0.5}
+    if bad == "channels":
+        # a previous bank of the bank's own shape, so only the channel count is wrong
+        args["bank"] = args["prev"] = init_bank(3, 2, 3, "softmax", seed=4, scale=0.15)
+    elif bad == "frames":
+        args["w"] = TemporalWeights.uniform(5)
+    elif bad == "flow":
+        args["flow"] = constant_flow((0.5, 0.25), 4, 8, 6)
+    elif bad == "bank_prev":
+        args["prev"] = init_bank(3, 1, 5, "softmax", seed=5, scale=0.15)
+    elif bad == "dtau":
+        args["dtau"] = 0.0
+    return args
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("bad", sorted(BAD_INPUTS))
+def test_bad_input_fails_loudly(entry, bad):
+    a = _inputs_with(bad)
+    with pytest.raises(ValueError, match=BAD_INPUTS[bad]):
+        ENTRY_POINTS[entry](a["bank"], a["prev"], a["data"], a["flow"], a["w"],
+                            Multipliers(motion=1.0, spatial=0.1, temporal=0.1), a["dtau"])

@@ -243,6 +243,46 @@ class TestEvalCommand:
                      "--out", str(tmp_path / "x")]) == 2
         assert "layer 1" in capsys.readouterr().err
 
+    def test_bank_beyond_last_layer_is_config_error(self, tmp_path, config_path, capsys):
+        from cogaction import init_bank, save_bank
+
+        paths = [tmp_path / "b1.txt", tmp_path / "b2.txt"]
+        save_bank(init_bank(4, 1, 3, "softmax", seed=0), paths[0])
+        save_bank(init_bank(3, 4, 3, "softmax", seed=0, layer=2), paths[1])
+        out = tmp_path / "x"
+        assert main(["eval", "--config", config_path, "--bank", str(paths[0]),
+                     "--bank", str(paths[1]), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "bank 2" in err and str(paths[1]) in err and "[layer2]" in err
+        assert not out.exists()
+
+    def test_bank_header_layer_must_match_position(self, tmp_path, config_path, capsys):
+        from cogaction import init_bank, save_bank
+
+        path = tmp_path / "b7.txt"
+        save_bank(init_bank(4, 1, 3, "softmax", seed=0, layer=7), path)
+        out = tmp_path / "x"
+        assert main(["eval", "--config", config_path, "--bank", str(path),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "bank 1" in err and str(path) in err and "layer 7" in err
+        assert not out.exists()
+
+    def test_window_beyond_clip_same_error_as_train(self, tmp_path, capsys):
+        from cogaction import init_bank, save_bank
+
+        body = BASE.format(steps=1, save_features="false").replace("[layer1]",
+                                                                   "window = 9\n\n[layer1]")
+        path = write_config(tmp_path / "window.ini", body)
+        bank = tmp_path / "b1.txt"
+        save_bank(init_bank(4, 1, 3, "softmax", seed=0), bank)
+        message = "evaluation window 9 exceeds the clip's 6 frames"
+        assert main(["train", "--config", path, "--out", str(tmp_path / "t")]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["eval", "--config", path, "--bank", str(bank),
+                     "--out", str(tmp_path / "e")]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestFilesPipeline:
     def test_train_from_saved_frames_with_estimated_flow(self, tmp_path, config_path):

@@ -6,13 +6,24 @@ from cogaction import (
     PatternSpec,
     TemporalWeights,
     VideoClip,
-    action_gradient,
-    finite_diff_gradient,
+    VelocityField,
     init_bank,
     synth_translating_clip,
 )
-from cogaction.action import term_gradients
-from cogaction.optimizer import finite_diff_breakdowns, run_gradient_check
+from cogaction.action import action_value_and_gradient, term_gradients
+from cogaction.optimizer import (
+    _clamp_margin,
+    build_weights,
+    finite_diff_breakdowns,
+    run_gradient_check,
+)
+
+
+def weighted_terms(terms, lam):
+    """The composite gradient rebuilt from the per-term gradients."""
+    return (-terms["info_index"] + lam.motion * terms["motion"]
+            + lam.spatial * terms["spatial"] + lam.temporal * terms["temporal"]
+            + lam.constraint * terms["penalty"])
 
 
 class TestGradientOracle:
@@ -38,8 +49,8 @@ class TestGradientOracle:
         bank = init_bank(3, 1, 3, "softmax", seed=0, scale=0.0)
         w = TemporalWeights.uniform(4)
         lam = Multipliers()  # A = -I only
-        analytic = action_gradient(bank, bank, clip, flow, w, lam, 1.0)
-        numeric = finite_diff_gradient(bank, bank, clip, flow, w, lam, 1.0, eps=1e-5)
+        analytic = action_value_and_gradient(bank, bank, clip, flow, w, lam, 1.0)[1]
+        numeric = finite_diff_breakdowns(bank, bank, clip, flow, w, lam, 1.0, eps=1e-5)["total"]
         assert np.abs(analytic).max() <= 1e-12
         assert np.abs(numeric).max() <= 1e-7
 
@@ -56,10 +67,10 @@ class TestGradientOracle:
         prev = bank.with_taps(bank.taps + 0.03)
         w = TemporalWeights.uniform(4)
         lam = Multipliers(motion=1.0, spatial=0.5, temporal=0.5)
-        analytic = action_gradient(bank, prev, clip, flow, w, lam, 0.3)
+        analytic = action_value_and_gradient(bank, prev, clip, flow, w, lam, 0.3)[1]
         errors = []
         for eps in (4e-3, 2e-3, 1e-3):
-            numeric = finite_diff_gradient(bank, prev, clip, flow, w, lam, 0.3, eps=eps)
+            numeric = finite_diff_breakdowns(bank, prev, clip, flow, w, lam, 0.3, eps=eps)["total"]
             errors.append(np.abs(numeric - analytic).max())
         assert 3.0 <= errors[0] / errors[1] <= 5.0
         assert 3.0 <= errors[1] / errors[2] <= 5.0
@@ -69,7 +80,7 @@ class TestGradientOracle:
         bank = init_bank(2, 1, 3, "softmax", seed=0, scale=0.1)
         w = TemporalWeights.uniform(2)
         with pytest.raises(ValueError):
-            finite_diff_gradient(bank, bank, clip, flow, w, Multipliers(), 1.0, eps=0.0)
+            finite_diff_breakdowns(bank, bank, clip, flow, w, Multipliers(), 1.0, eps=0.0)
 
     def test_gradient_composition_matches_weighted_terms(self):
         clip, flow = synth_translating_clip(PatternSpec("random-texture", 4, seed=4), (0.3, 0.2), 3, 8, 8)
@@ -77,11 +88,8 @@ class TestGradientOracle:
         prev = bank.with_taps(bank.taps * 0.9)
         w = TemporalWeights.uniform(3)
         lam = Multipliers(motion=0.7, spatial=0.2, temporal=1.1, constraint=0.4)
-        combined = action_gradient(bank, prev, clip, flow, w, lam, 0.6)
-        terms = term_gradients(bank, prev, clip, flow, w, 0.6)
-        expected = (-terms["info_index"] + lam.motion * terms["motion"]
-                    + lam.spatial * terms["spatial"] + lam.temporal * terms["temporal"]
-                    + lam.constraint * terms["penalty"])
+        combined = action_value_and_gradient(bank, prev, clip, flow, w, lam, 0.6)[1]
+        expected = weighted_terms(term_gradients(bank, prev, clip, flow, w, 0.6), lam)
         assert np.abs(combined - expected).max() <= 1e-12
 
     def test_finite_diff_breakdowns_cover_all_terms(self):
@@ -92,3 +100,30 @@ class TestGradientOracle:
         assert set(grads) == {"info_index", "motion", "spatial", "temporal", "penalty", "total"}
         # softmax mode never produces a constraint penalty
         assert np.abs(grads["penalty"]).max() <= 1e-9
+
+    @pytest.mark.parametrize("mode", ["softmax", "linear-penalty"])
+    def test_wide_kernel_multichannel_discounted_subpixel(self, mode):
+        # K=5, m=3, exp:0.9 weights and per-pixel sub-pixel flow, which the
+        # seeded suite (K=3 throughout) never combines
+        rng = np.random.Generator(np.random.PCG64(77))
+        frames, height, width = 4, 7, 6
+        pattern = PatternSpec("random-texture", 4, seed=8, channels=3)
+        clip, _ = synth_translating_clip(pattern, (0.5, -0.25), frames, height, width)
+        flow = VelocityField(rng.uniform(-1.5, 1.5, size=(frames, height, width, 2)))
+        bank = init_bank(3, 3, 5, mode, seed=21, scale=0.02 if mode == "linear-penalty" else 0.1)
+        prev = bank.with_taps(bank.taps + rng.uniform(-0.05, 0.05, size=bank.taps.shape))
+        w = build_weights("exp:0.9", frames)
+        lam = Multipliers(motion=1.3, spatial=0.4, temporal=0.7,
+                          constraint=0.9 if mode == "linear-penalty" else 0.0)
+        dtau = 0.4
+        if mode == "linear-penalty":
+            # a projection kink within reach of the finite-difference step
+            # would invalidate the oracle, as in run_gradient_check
+            assert _clamp_margin({"bank": bank, "data": clip.data}) >= 1e-4
+
+        analytic = action_value_and_gradient(bank, prev, clip, flow, w, lam, dtau)[1]
+        numeric = finite_diff_breakdowns(bank, prev, clip, flow, w, lam, dtau)["total"]
+        assert (np.abs(analytic - numeric) / (1.0 + np.abs(analytic))).max() <= 1e-5
+
+        composed = weighted_terms(term_gradients(bank, prev, clip, flow, w, dtau), lam)
+        assert np.abs(composed - analytic).max() <= 1e-12

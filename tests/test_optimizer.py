@@ -8,14 +8,13 @@ from cogaction import (
     PatternSpec,
     TrainConfig,
     VideoClip,
-    action_gradient,
     constant_flow,
     init_bank,
     synth_translating_clip,
     train_deep,
     train_layer,
 )
-from cogaction.action import TemporalWeights
+from cogaction.action import TemporalWeights, action_value_and_gradient
 
 
 @pytest.fixture
@@ -69,7 +68,8 @@ class TestTrainLayer:
         config = TrainConfig(step_size=0.2, steps=1, lam=lam, seed=5)
         trace = train_layer(bank, clip, flow, config)
         w = TemporalWeights.uniform(6)
-        grad = action_gradient(bank, bank, clip.data, flow, w, lam, config.effective_dtau())
+        grad = action_value_and_gradient(bank, bank, clip.data, flow, w, lam,
+                                         config.effective_dtau())[1]
         assert np.array_equal(trace.final_bank.taps, bank.taps - 0.2 * grad)
 
     def test_trace_shape_and_finiteness(self, texture_instance):
