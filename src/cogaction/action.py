@@ -183,7 +183,8 @@ def information_index(field: np.ndarray, weights: TemporalWeights) -> float:
 # pointwise, so transported activations imply transported probabilities.
 
 class _WarpPlan:
-    """Gather indices and bilinear weights for advecting frames 1..T-1."""
+    """Bilinear corners of the advected samples as flat sites ``t*H*W + row*W + col``
+    of frames 1..T-1, and their weights; both (corner, T-1, H, W)."""
 
     def __init__(self, flow: VelocityField):
         data = flow.data
@@ -198,36 +199,37 @@ class _WarpPlan:
         fc = cols - c0
         r0 = r0.astype(np.int64)
         c0 = c0.astype(np.int64)
-        r0m = np.mod(r0, height)
-        r1m = np.mod(r0 + 1, height)
+        # built from (T-1, H, W) pieces: broadcasting over the corner axis
+        # instead makes (4, T-1, H, W) integer temporaries
+        frame_row = height * np.arange(t_res)[:, None, None]
+        row0 = (np.mod(r0, height) + frame_row) * width
+        row1 = (np.mod(r0 + 1, height) + frame_row) * width
         c0m = np.mod(c0, width)
         c1m = np.mod(c0 + 1, width)
-        self.site_index = np.stack(
-            (r0m * width + c0m, r0m * width + c1m, r1m * width + c0m, r1m * width + c1m)
-        )
+        self.index = np.stack((row0 + c0m, row0 + c1m, row1 + c0m, row1 + c1m))
         self.weight = np.stack(
             ((1.0 - fr) * (1.0 - fc), (1.0 - fr) * fc, fr * (1.0 - fc), fr * fc)
         )
-        self.t_res = t_res
-        self.height = height
-        self.width = width
-        self._t_index = np.arange(t_res)[:, None, None]
 
     def gather(self, tail: np.ndarray) -> np.ndarray:
         """Advected samples of ``tail`` (frames 1..T-1, shape (T-1, H, W, n))."""
-        flat = tail.reshape(self.t_res, self.height * self.width, -1)
+        flat = tail.reshape(-1, tail.shape[3])
         out = np.zeros(tail.shape, dtype=np.float64)
-        for corner in range(4):
-            out += self.weight[corner][..., None] * flat[self._t_index, self.site_index[corner], :]
+        for index, weight in zip(self.index, self.weight):
+            out += weight[..., None] * flat[index]
         return out
 
     def scatter(self, grad: np.ndarray) -> np.ndarray:
-        """Adjoint of ``gather``: spread a residual-shaped gradient onto frames 1..T-1."""
-        flat = np.zeros((self.t_res, self.height * self.width, grad.shape[3]), dtype=np.float64)
-        for corner in range(4):
-            np.add.at(flat, (self._t_index, self.site_index[corner]),
-                      self.weight[corner][..., None] * grad)
-        return flat.reshape(grad.shape)
+        """Adjoint of ``gather``: spread a residual-shaped gradient onto frames 1..T-1.
+
+        Each site sums its contributions corner by corner, then in residual
+        site order.  One ``bincount`` per feature, written straight into the
+        output, keeps the index and the temporaries small."""
+        index = self.index.ravel()
+        out = np.empty((self.index[0].size, grad.shape[3]))
+        for f in range(grad.shape[3]):
+            out[:, f] = np.bincount(index, (self.weight * grad[..., f]).ravel(), len(out))
+        return out.reshape(grad.shape)
 
 
 def motion_residual(act: np.ndarray, flow: VelocityField) -> np.ndarray:

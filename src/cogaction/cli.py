@@ -31,7 +31,11 @@ SUMMARY_HEADER = "layer,phase," + BREAKDOWN_CSV_HEADER.split(",", 1)[1]
 
 @contextlib.contextmanager
 def _locked_out_dir(out_dir: Path):
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True)
+        created = True
+    except FileExistsError:
+        created = False
     lock = out_dir / ".lock"
     try:
         handle = open(lock, "x")
@@ -44,6 +48,10 @@ def _locked_out_dir(out_dir: Path):
         yield out_dir
     finally:
         lock.unlink(missing_ok=True)
+        if created:
+            # a run that failed before writing leaves no directory behind
+            with contextlib.suppress(OSError):
+                out_dir.rmdir()
 
 
 def _write_rows(path: Path, header: str, rows: list[str]) -> None:
@@ -85,8 +93,8 @@ def cmd_train(experiment: ExperimentConfig, out_dir: Path) -> int:
             _write_rows(out_dir / f"layer{index}_trace.csv", BREAKDOWN_CSV_HEADER, rows)
             save_bank(bank, out_dir / f"layer{index}_bank.txt")
 
-            initial = _windowed_eval(trace.initial_bank, current, flow, config)
             final = _windowed_eval(bank, current, flow, config)
+            initial = trace.breakdowns[0] if trace.breakdowns else final
             summary_rows.append(_summary_row(index, "initial", initial))
             summary_rows.append(_summary_row(index, "final", final))
 

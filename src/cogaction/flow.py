@@ -57,22 +57,23 @@ def constant_flow(v, frames: int, height: int, width: int) -> VelocityField:
 
 
 def _pair_gradients(f0: np.ndarray, f1: np.ndarray):
-    """The classic 2x2x2 cube stencils with wrap: all three derivatives are
-    centered at the same half-pixel point, which keeps them consistent."""
+    """The classic 2x2x2 cube stencils with wrap, on (pairs, H, W) stacks: all
+    three derivatives are centered at the same half-pixel point, which keeps
+    them consistent."""
 
     def dx(f):
-        step = np.roll(f, -1, axis=1) - f
-        return 0.5 * (step + np.roll(step, -1, axis=0))
+        step = np.roll(f, -1, axis=2) - f
+        return 0.5 * (step + np.roll(step, -1, axis=1))
 
     def dy(f):
-        step = np.roll(f, -1, axis=0) - f
-        return 0.5 * (step + np.roll(step, -1, axis=1))
+        step = np.roll(f, -1, axis=1) - f
+        return 0.5 * (step + np.roll(step, -1, axis=2))
 
     ix = 0.5 * (dx(f0) + dx(f1))
     iy = 0.5 * (dy(f0) + dy(f1))
     diff = f1 - f0
-    it = 0.25 * (diff + np.roll(diff, -1, axis=1) + np.roll(diff, -1, axis=0)
-                 + np.roll(np.roll(diff, -1, axis=0), -1, axis=1))
+    it = 0.25 * (diff + np.roll(diff, -1, axis=2) + np.roll(diff, -1, axis=1)
+                 + np.roll(np.roll(diff, -1, axis=1), -1, axis=2))
     return ix, iy, it
 
 
@@ -81,8 +82,9 @@ def horn_schunck(clip: VideoClip, alpha: float, iters: int) -> VelocityField:
 
     Per frame pair: luminance (channel mean) cube-stencil gradients with wrap,
     the standard 4-neighbor average for the smoothness coupling, ``iters``
-    sweeps.  The last frame copies the penultimate pair's flow so the field
-    matches the clip shape.
+    sweeps; the pairs do not interact, so they all sweep together.  The last
+    frame copies the penultimate pair's flow so the field matches the clip
+    shape.
     """
     if alpha <= 0.0:
         raise ValueError(f"smoothness weight must be > 0, got {alpha}")
@@ -91,23 +93,18 @@ def horn_schunck(clip: VideoClip, alpha: float, iters: int) -> VelocityField:
     # channel mean accumulated in sorted order: the reduction is then exactly
     # invariant under channel permutations
     lum = np.sort(clip.data, axis=3).mean(axis=3)
-    t_count, height, width = lum.shape
-    out = np.zeros((t_count, height, width, 2), dtype=np.float64)
-    alpha2 = alpha * alpha
-    for t in range(t_count - 1):
-        ix, iy, it = _pair_gradients(lum[t], lum[t + 1])
-        denom = alpha2 + ix * ix + iy * iy
-        u = np.zeros((height, width), dtype=np.float64)
-        w = np.zeros((height, width), dtype=np.float64)
-        for _ in range(iters):
-            ubar = (np.roll(u, 1, 0) + np.roll(u, -1, 0) + np.roll(u, 1, 1) + np.roll(u, -1, 1)) / 4.0
-            wbar = (np.roll(w, 1, 0) + np.roll(w, -1, 0) + np.roll(w, 1, 1) + np.roll(w, -1, 1)) / 4.0
-            shared = (ix * ubar + iy * wbar + it) / denom
-            u = ubar - ix * shared
-            w = wbar - iy * shared
-        out[t, :, :, 0] = u
-        out[t, :, :, 1] = w
-    out[t_count - 1] = out[t_count - 2]
+    ix, iy, it = _pair_gradients(lum[:-1], lum[1:])
+    denom = alpha * alpha + ix * ix + iy * iy
+    u = np.zeros(ix.shape, dtype=np.float64)
+    w = np.zeros(ix.shape, dtype=np.float64)
+    for _ in range(iters):
+        ubar = (np.roll(u, 1, 1) + np.roll(u, -1, 1) + np.roll(u, 1, 2) + np.roll(u, -1, 2)) / 4.0
+        wbar = (np.roll(w, 1, 1) + np.roll(w, -1, 1) + np.roll(w, 1, 2) + np.roll(w, -1, 2)) / 4.0
+        shared = (ix * ubar + iy * wbar + it) / denom
+        u = ubar - ix * shared
+        w = wbar - iy * shared
+    pairs = np.stack((u, w), axis=3)
+    out = np.concatenate((pairs, pairs[-1:]))
     if not np.all(np.isfinite(out)):
         raise ValueError("flow estimate diverged to non-finite values")
     return VelocityField(out)

@@ -61,7 +61,7 @@ class TrainConfig:
             raise ValueError(f"evaluation window must cover >= 2 frames, got {self.window}")
         if not (math.isfinite(self.init_scale) and self.init_scale >= 0.0):
             raise ValueError(f"init scale must be finite and >= 0, got {self.init_scale}")
-        _parse_weighting(self.weighting)  # validate eagerly
+        build_weights(self.weighting, 2)  # validate eagerly
 
     def effective_dtau(self) -> float:
         return self.step_size if self.dtau is None else self.dtau
@@ -78,34 +78,25 @@ class LayerPlan:
 
 @dataclass
 class TrainTrace:
-    """Per-step breakdowns (recorded before each update), gradient max-norms,
-    the bank after the final update and the bank training started from."""
+    """Per-step breakdowns (recorded before each update), gradient max-norms
+    and the bank after the final update."""
 
     breakdowns: list[ActionBreakdown]
     grad_norms: list[float]
     final_bank: FilterBank
-    initial_bank: FilterBank
 
 
-def _parse_weighting(spec: str):
+def build_weights(spec: str, frames: int) -> TemporalWeights:
+    """Temporal weights from a spec: "uniform" or "exp:<gamma>"."""
     if spec == "uniform":
-        return ("uniform", None)
+        return TemporalWeights.uniform(frames)
     if spec.startswith("exp:"):
         try:
             gamma = float(spec[4:])
         except ValueError as exc:
             raise ValueError(f"bad temporal weighting {spec!r}") from exc
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError(f"discount factor must be in (0, 1], got {gamma}")
-        return ("exp", gamma)
+        return TemporalWeights.exponential(frames, gamma)
     raise ValueError(f"unknown temporal weighting {spec!r}, expected 'uniform' or 'exp:<gamma>'")
-
-
-def build_weights(spec: str, frames: int) -> TemporalWeights:
-    kind, gamma = _parse_weighting(spec)
-    if kind == "uniform":
-        return TemporalWeights.uniform(frames)
-    return TemporalWeights.exponential(frames, gamma)
 
 
 def init_bank(n: int, m_in: int, kernel: int, mode: str, seed: int,
@@ -162,7 +153,7 @@ def train_layer(bank: FilterBank, data, flow: VelocityField, config: TrainConfig
         grad_norms.append(float(np.abs(grad).max()))
         previous = current
         current = current.with_taps(current.taps - config.step_size * grad)
-    return TrainTrace(breakdowns, grad_norms, current, bank)
+    return TrainTrace(breakdowns, grad_norms, current)
 
 
 def train_deep(clip, flow: VelocityField, plans: list[LayerPlan]) -> list[TrainTrace]:

@@ -24,6 +24,7 @@ from cogaction import (
 )
 from cogaction.action import (
     BREAKDOWN_CSV_HEADER,
+    _WarpPlan,
     action_value_and_gradient,
     spatial_parsimony_gradient,
     term_gradients,
@@ -185,6 +186,17 @@ class TestMotionResidual:
     def test_needs_two_frames(self):
         with pytest.raises(ValueError, match="2 frames"):
             motion_residual(np.zeros((1, 4, 4, 2)), constant_flow((0, 0), 1, 4, 4))
+
+    def test_scatter_is_adjoint_of_gather(self):
+        # flow in (-2.5, 2.5) on a 5x4 grid: many residual sites share a bin
+        rng = np.random.default_rng(8)
+        flow = VelocityField(rng.uniform(-2.5, 2.5, size=(4, 5, 4, 2)))
+        plan = _WarpPlan(flow)
+        x = rng.standard_normal((3, 5, 4, 3))
+        y = rng.standard_normal((3, 5, 4, 3))
+        lhs = float(np.sum(plan.gather(x) * y))
+        rhs = float(np.sum(x * plan.scatter(y)))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
 class TestMotionTerm:

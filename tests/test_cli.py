@@ -284,6 +284,38 @@ class TestEvalCommand:
         assert message in capsys.readouterr().err
 
 
+class TestFailedRunOutput:
+    @pytest.fixture
+    def failing_runs(self, tmp_path):
+        from cogaction import init_bank, save_bank
+
+        body = BASE.format(steps=1, save_features="false").replace("[layer1]",
+                                                                   "window = 9\n\n[layer1]")
+        window = write_config(tmp_path / "window.ini", body)
+        base = write_config(tmp_path / "exp.ini", BASE.format(steps=1, save_features="false"))
+        bank = tmp_path / "bad_bank.txt"
+        save_bank(init_bank(3, 5, 3, "softmax", seed=0, scale=0.1), bank)  # clip has 1 channel
+        return {
+            "train": (["train", "--config", window], "evaluation window 9 exceeds"),
+            "eval": (["eval", "--config", base, "--bank", str(bank)], "layer 1"),
+        }
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_failed_run_leaves_no_out_dir(self, tmp_path, capsys, failing_runs, command):
+        argv, message = failing_runs[command]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_run_keeps_existing_out_dir(self, tmp_path, failing_runs):
+        argv, _ = failing_runs["train"]
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(argv + ["--out", str(out)]) == 2
+        assert out.is_dir() and not any(out.iterdir())
+
+
 class TestFilesPipeline:
     def test_train_from_saved_frames_with_estimated_flow(self, tmp_path, config_path):
         data = tmp_path / "data"

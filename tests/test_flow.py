@@ -78,6 +78,15 @@ class TestHornSchunck:
         flow = horn_schunck(clip, alpha=1.0, iters=20)
         assert np.array_equal(flow.data[-1], flow.data[-2])
 
+    def test_pairs_are_independent(self):
+        rng = np.random.default_rng(3)
+        clip = VideoClip(rng.uniform(size=(5, 9, 7, 2)))
+        flow = horn_schunck(clip, alpha=1.0, iters=25)
+        for t in range(clip.frames - 1):
+            pair = horn_schunck(VideoClip(clip.data[t:t + 2]), alpha=1.0, iters=25)
+            assert np.array_equal(flow.data[t], pair.data[0])
+        assert np.array_equal(flow.data[-1], flow.data[-2])
+
     def test_channel_permutation_invariance(self):
         rng = np.random.default_rng(1)
         arr = rng.uniform(size=(4, 10, 10, 3))
