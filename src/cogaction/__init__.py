@@ -10,6 +10,7 @@ independent oracles at desk scale.
 
 from .action import (
     ActionBreakdown,
+    ActionInputs,
     Multipliers,
     TemporalWeights,
     cognitive_action,

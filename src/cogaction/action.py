@@ -184,7 +184,8 @@ def information_index(field: np.ndarray, weights: TemporalWeights) -> float:
 
 class _WarpPlan:
     """Bilinear corners of the advected samples as flat sites ``t*H*W + row*W + col``
-    of frames 1..T-1, and their weights; both (corner, T-1, H, W)."""
+    of frames 1..T-1, and their weights; both (corner, T-1, H, W).  Corners
+    the flow gives no weight anywhere are dropped: integer flow keeps one."""
 
     def __init__(self, flow: VelocityField):
         data = flow.data
@@ -206,10 +207,10 @@ class _WarpPlan:
         row1 = (np.mod(r0 + 1, height) + frame_row) * width
         c0m = np.mod(c0, width)
         c1m = np.mod(c0 + 1, width)
-        self.index = np.stack((row0 + c0m, row0 + c1m, row1 + c0m, row1 + c1m))
-        self.weight = np.stack(
-            ((1.0 - fr) * (1.0 - fc), (1.0 - fr) * fc, fr * (1.0 - fc), fr * fc)
-        )
+        index = np.stack((row0 + c0m, row0 + c1m, row1 + c0m, row1 + c1m))
+        weight = np.stack(((1.0 - fr) * (1.0 - fc), (1.0 - fr) * fc, fr * (1.0 - fc), fr * fc))
+        used = weight.reshape(4, -1).any(axis=1)
+        self.index, self.weight = (index, weight) if used.all() else (index[used], weight[used])
 
     def gather(self, tail: np.ndarray) -> np.ndarray:
         """Advected samples of ``tail`` (frames 1..T-1, shape (T-1, H, W, n))."""
@@ -237,8 +238,6 @@ def motion_residual(act: np.ndarray, flow: VelocityField) -> np.ndarray:
     arr = np.asarray(act, dtype=np.float64)
     if arr.ndim != 4:
         raise ValueError(f"activation field must be (T, H, W, n), got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise ValueError("need at least 2 frames for a motion residual")
     require_matching(flow, arr.shape[0], arr.shape[1], arr.shape[2])
     plan = _WarpPlan(flow)
     return plan.gather(arr[1:]) - arr[:-1]
@@ -246,12 +245,8 @@ def motion_residual(act: np.ndarray, flow: VelocityField) -> np.ndarray:
 
 def motion_term(act: np.ndarray, flow: VelocityField, weights: TemporalWeights) -> float:
     """Integrated squared transport residual under the renormalized measure."""
-    arr = np.asarray(act, dtype=np.float64)
+    arr = _check_field_weights(act, weights)
     residual = motion_residual(arr, flow)
-    if weights.frames != arr.shape[0]:
-        raise ValueError(
-            f"temporal weights cover {weights.frames} frames, field has {arr.shape[0]}"
-        )
     measure = weights.residual_measure(arr.shape[1], arr.shape[2])
     per_frame = (residual * residual).sum(axis=(1, 2, 3))
     return float(np.dot(measure, per_frame))
@@ -313,99 +308,98 @@ def _constraint_penalty_act_gradient(act: np.ndarray, measure: np.ndarray) -> np
 # ---------------------------------------------------------------------------
 # Composite objective and its analytic tap gradient.
 #
-# One forward sweep (``_evaluate``) computes every term and keeps the arrays
-# the adjoints read.  The activation-space gradient of -I comes in a new array
-# the caller owns (adding it into a zeroed buffer instead costs a training
-# step an extra pass over the activations); the motion and penalty gradients
-# are added into such a buffer.  One convolution adjoint maps a buffer to the
-# taps.
+# ``ActionInputs`` holds what stays fixed while a layer learns.  One forward
+# sweep (``_evaluate``) computes every term and keeps the arrays the adjoints
+# read.  The activation-space gradient of -I comes in a new array the caller
+# owns (adding it into a zeroed buffer instead costs a training step an extra
+# pass over the activations); the motion and penalty gradients are added into
+# such a buffer.  One convolution adjoint maps a buffer to the taps.
+
+class ActionInputs:
+    """The fixed inputs of one objective, checked and derived once: the input
+    grid, the space-time measures of ``weights`` and the warp plan of ``flow``."""
+
+    def __init__(self, data, flow: VelocityField, weights: TemporalWeights):
+        self.grid = as_grid(data)
+        frames, height, width = self.grid.shape[:3]
+        require_matching(flow, frames, height, width)
+        self.weights = weights
+        self.frame_measure = weights.frame_measure(height, width)
+        self.residual_measure = weights.residual_measure(height, width)
+        self.plan = _WarpPlan(flow)
+
 
 @dataclass(frozen=True)
 class _Forward:
     """What one forward sweep keeps for the activation-space term gradients."""
 
-    grid: np.ndarray
+    inputs: ActionInputs
     act: np.ndarray
     probs: np.ndarray
     marginal: np.ndarray
-    frame_measure: np.ndarray
-    residual_measure: np.ndarray
-    plan: _WarpPlan
     residual: np.ndarray
     mode: str
 
     def neg_index_gradient(self) -> np.ndarray:
         return _neg_index_act_gradient(self.act, self.probs, self.marginal,
-                                       self.frame_measure, self.mode)
+                                       self.inputs.frame_measure, self.mode)
 
     def add_motion_gradient(self, out: np.ndarray, scale: float = 1.0) -> None:
-        residual_grad = (2.0 * scale) * self.residual_measure[:, None, None, None] * self.residual
-        out[:-1] -= residual_grad
-        if np.any(residual_grad):
-            out[1:] += self.plan.scatter(residual_grad)
+        grad = (2.0 * scale) * self.inputs.residual_measure[:, None, None, None] * self.residual
+        out[:-1] -= grad
+        out[1:] += self.inputs.plan.scatter(grad)
 
     def add_penalty_gradient(self, out: np.ndarray, scale: float = 1.0) -> None:
-        out += scale * _constraint_penalty_act_gradient(self.act, self.frame_measure)
+        out += scale * _constraint_penalty_act_gradient(self.act, self.inputs.frame_measure)
 
 
-def _evaluate(bank: FilterBank, bank_prev: FilterBank, data, flow: VelocityField,
-              weights: TemporalWeights, lam: Multipliers,
-              dtau: float) -> tuple[ActionBreakdown, _Forward]:
+def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
+              lam: Multipliers, dtau: float) -> tuple[ActionBreakdown, _Forward]:
     """The forward sweep shared by every entry point.
 
-    Only the flow is checked here.  The calls below reject the other bad
+    ``inputs`` checked the grid and flow.  The calls below reject the other bad
     inputs where they first use them: the convolution a channel count that
     differs from the bank's, the entropies weights for another frame count,
     the temporal parsimony a previous bank of another shape and ``dtau <= 0``.
     """
-    grid = as_grid(data)
-    require_matching(flow, grid.shape[0], grid.shape[1], grid.shape[2])
-    height, width = grid.shape[1], grid.shape[2]
-    frame_measure = weights.frame_measure(height, width)
-    residual_measure = weights.residual_measure(height, width)
-
-    act = convolve_features(bank, grid)
+    act = convolve_features(bank, inputs.grid)
     probs = to_probabilities(act, bank.mode)
 
-    s_cond = conditional_entropy(probs, weights)
-    q = symbol_marginal(probs, weights)
+    s_cond = conditional_entropy(probs, inputs.weights)
+    q = symbol_marginal(probs, inputs.weights)
     s_marg = float(_neg_xlogx_sum(q))
     info = s_marg - s_cond
 
-    plan = _WarpPlan(flow)
-    residual = plan.gather(act[1:]) - act[:-1]
-    motion = float(np.dot(residual_measure, (residual * residual).sum(axis=(1, 2, 3))))
+    residual = inputs.plan.gather(act[1:]) - act[:-1]
+    motion = float(np.dot(inputs.residual_measure, (residual * residual).sum(axis=(1, 2, 3))))
 
     spatial = spatial_parsimony(bank)
     temporal = temporal_parsimony(bank, bank_prev, dtau)
-    penalty = _constraint_penalty(act, frame_measure) if bank.mode == "linear-penalty" else 0.0
+    penalty = _constraint_penalty(act, inputs.frame_measure) if bank.mode == "linear-penalty" else 0.0
 
     total = (-info + lam.motion * motion + lam.spatial * spatial + lam.temporal * temporal
              + lam.constraint * penalty)
     breakdown = ActionBreakdown(s_marg, s_cond, info, motion, spatial, temporal, penalty, total)
-    forward = _Forward(grid, act, probs, q, frame_measure, residual_measure, plan, residual,
-                       bank.mode)
-    return breakdown, forward
+    return breakdown, _Forward(inputs, act, probs, q, residual, bank.mode)
 
 
-def cognitive_action(bank: FilterBank, bank_prev: FilterBank, data, flow: VelocityField,
-                     weights: TemporalWeights, lam: Multipliers, dtau: float) -> ActionBreakdown:
+def cognitive_action(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
+                     lam: Multipliers, dtau: float) -> ActionBreakdown:
     """Evaluate every objective term at the given bank."""
-    return _evaluate(bank, bank_prev, data, flow, weights, lam, dtau)[0]
+    return _evaluate(bank, bank_prev, inputs, lam, dtau)[0]
 
 
-def action_value_and_gradient(bank: FilterBank, bank_prev: FilterBank, data,
-                              flow: VelocityField, weights: TemporalWeights,
+def action_value_and_gradient(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
                               lam: Multipliers, dtau: float):
     """One forward pass serving both the breakdown and the gradient in the taps."""
-    breakdown, forward = _evaluate(bank, bank_prev, data, flow, weights, lam, dtau)
+    breakdown, forward = _evaluate(bank, bank_prev, inputs, lam, dtau)
     act_grad = forward.neg_index_gradient()
     if lam.motion != 0.0:
         forward.add_motion_gradient(act_grad, lam.motion)
     if bank.mode == "linear-penalty" and lam.constraint != 0.0:
         forward.add_penalty_gradient(act_grad, lam.constraint)
 
-    grad = convolution_tap_gradient(forward.grid, act_grad, bank.kernel)
+    grad = convolution_tap_gradient(inputs.grid, act_grad, bank.kernel)
     if lam.spatial != 0.0:
         grad += lam.spatial * spatial_parsimony_gradient(bank.taps)
     if lam.temporal != 0.0:
@@ -430,22 +424,22 @@ def _neg_index_act_gradient(act: np.ndarray, probs: np.ndarray, q: np.ndarray,
     return probability_vjp(act, probs, probs_grad, mode)
 
 
-def term_gradients(bank: FilterBank, bank_prev: FilterBank, data, flow: VelocityField,
-                   weights: TemporalWeights, dtau: float) -> dict[str, np.ndarray]:
+def term_gradients(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
+                   dtau: float) -> dict[str, np.ndarray]:
     """Tap gradients of the individual term values (not multiplier-weighted).
 
     Keys: info_index, motion, spatial, temporal, penalty.  Intended for
     oracle comparisons against finite differences of the breakdown fields.
     """
-    _, forward = _evaluate(bank, bank_prev, data, flow, weights, Multipliers(), dtau)
+    _, forward = _evaluate(bank, bank_prev, inputs, Multipliers(), dtau)
 
     def tap_gradient(add_term) -> np.ndarray:
         act_grad = np.zeros_like(forward.act)
         add_term(act_grad)
-        return convolution_tap_gradient(forward.grid, act_grad, bank.kernel)
+        return convolution_tap_gradient(inputs.grid, act_grad, bank.kernel)
 
     return {
-        "info_index": -convolution_tap_gradient(forward.grid, forward.neg_index_gradient(),
+        "info_index": -convolution_tap_gradient(inputs.grid, forward.neg_index_gradient(),
                                                 bank.kernel),
         "motion": tap_gradient(forward.add_motion_gradient),
         "spatial": spatial_parsimony_gradient(bank.taps),

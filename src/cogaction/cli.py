@@ -137,6 +137,8 @@ def cmd_eval(experiment: ExperimentConfig, bank_paths: list[str], out_dir: Path)
 
 
 def cmd_check_grad(instances: int) -> int:
+    if instances < 1:
+        raise ConfigError(f"--instances must be >= 1, got {instances}")
     reports = run_gradient_check(count=instances)
     worst = 0.0
     for report in reports:

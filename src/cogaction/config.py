@@ -241,6 +241,9 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
     master_seed = train_sec.integer("seed", 0)
     if seed_override is not None:
         master_seed = seed_override
+    if master_seed < 0:
+        where = "[train] seed" if seed_override is None else "--seed"
+        raise ConfigError(f"{where} must be >= 0, got {master_seed}")
     shared = _train_settings(train_sec, _TRAIN_DEFAULTS)
     train_sec.reject_unknown()
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .action import (
     ActionBreakdown,
+    ActionInputs,
     Multipliers,
     TemporalWeights,
     action_value_and_gradient,
@@ -132,8 +133,7 @@ def train_layer(bank: FilterBank, data, flow: VelocityField, config: TrainConfig
     ``-step_size * gradient``.  The temporal-parsimony reference is the
     previous iterate (the initial bank at step 0, so K starts at 0).
     """
-    grid = as_grid(data)
-    grid_w, flow_w, weights = _windowed(grid, flow, config)
+    inputs = ActionInputs(*_windowed(as_grid(data), flow, config))
     dtau = config.effective_dtau()
     current = bank
     previous = bank
@@ -144,7 +144,7 @@ def train_layer(bank: FilterBank, data, flow: VelocityField, config: TrainConfig
         # a blown-up iterate would otherwise spray
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             breakdown, grad = action_value_and_gradient(
-                current, previous, grid_w, flow_w, weights, config.lam, dtau)
+                current, previous, inputs, config.lam, dtau)
         if not math.isfinite(breakdown.total) or not np.all(np.isfinite(grad)):
             raise DivergenceError(
                 f"non-finite action or gradient at step {step}: step size too large?"
@@ -159,10 +159,12 @@ def train_layer(bank: FilterBank, data, flow: VelocityField, config: TrainConfig
 def train_deep(clip, flow: VelocityField, plans: list[LayerPlan]) -> list[TrainTrace]:
     """Greedy layer-wise training: layer z trains against the frozen feature
     field of layer z-1 (the clip for z=1)."""
-    grid = as_grid(clip)
     traces: list[TrainTrace] = []
-    current = grid
+    current = as_grid(clip)
     for index, plan in enumerate(plans, start=1):
+        if traces:
+            below = traces[-1].final_bank
+            current = to_probabilities(convolve_features(below, current), below.mode)
         config = plan.config
         bank = init_bank(plan.features, current.shape[3], plan.kernel, config.mode,
                          config.seed, config.init_scale, layer=index)
@@ -171,28 +173,24 @@ def train_deep(clip, flow: VelocityField, plans: list[LayerPlan]) -> list[TrainT
         except (ValueError, DivergenceError) as exc:
             raise type(exc)(f"layer {index}: {exc}") from exc
         traces.append(trace)
-        current = to_probabilities(convolve_features(trace.final_bank, current),
-                                   trace.final_bank.mode)
     return traces
 
 
 def evaluate_bank(bank: FilterBank, data, flow: VelocityField, weights: TemporalWeights,
                   lam: Multipliers, dtau: float) -> ActionBreakdown:
     """Breakdown at a standalone bank: no predecessor iterate, so K = 0."""
-    return cognitive_action(bank, bank, data, flow, weights, lam, dtau)
+    return cognitive_action(bank, bank, ActionInputs(data, flow, weights), lam, dtau)
 
 
 # ---------------------------------------------------------------------------
 # Finite-difference oracle.
 
-def finite_diff_breakdowns(bank: FilterBank, bank_prev: FilterBank, data,
-                           flow: VelocityField, weights: TemporalWeights,
+def finite_diff_breakdowns(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
                            lam: Multipliers, dtau: float, eps: float = 1e-5) -> dict[str, np.ndarray]:
     """Central-difference gradients of every breakdown field at once, one pair
     of evaluations per tap.  O(#taps) action evaluations; meant for small banks."""
     if eps <= 0.0:
         raise ValueError(f"finite-difference step must be > 0, got {eps}")
-    grid = as_grid(data)
     names = ("info_index", "motion", "spatial", "temporal", "penalty", "total")
     grads = {name: np.zeros_like(bank.taps) for name in names}
     flat = bank.taps.ravel()
@@ -201,7 +199,7 @@ def finite_diff_breakdowns(bank: FilterBank, bank_prev: FilterBank, data,
             taps = flat.copy()
             taps[index] += sign * eps
             probe = bank.with_taps(taps.reshape(bank.taps.shape))
-            breakdown = cognitive_action(probe, bank_prev, grid, flow, weights, lam, dtau)
+            breakdown = cognitive_action(probe, bank_prev, inputs, lam, dtau)
             for name in names:
                 grads[name].ravel()[index] += sign * getattr(breakdown, name) / (2.0 * eps)
     return grads
@@ -270,8 +268,8 @@ def run_gradient_check(count: int = 20, eps: float = 1e-5, tol: float = 1e-5) ->
     for number, instance in enumerate(gradient_check_instances(count)):
         if instance["mode"] == "linear-penalty" and _clamp_margin(instance) < 1e-4:
             raise RuntimeError(f"instance {number} sits on a projection kink; reseed the suite")
-        args = (instance["bank"], instance["bank_prev"], instance["data"], instance["flow"],
-                instance["weights"])
+        args = (instance["bank"], instance["bank_prev"],
+                ActionInputs(instance["data"], instance["flow"], instance["weights"]))
         lam, dtau = instance["lam"], instance["dtau"]
         fd = finite_diff_breakdowns(*args, lam, dtau, eps=eps)
         analytic = term_gradients(*args, dtau)

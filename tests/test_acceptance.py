@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from cogaction import (
+    ActionInputs,
     Multipliers,
     PatternSpec,
     TemporalWeights,
@@ -270,10 +271,10 @@ def test_a6_invariant_suites(a3_runs):
     scale_bank = init_bank(3, 1, 3, "softmax", seed=10, scale=0.2)
     lam = Multipliers(motion=1.0, spatial=0.5, temporal=0.5)
     h = np.array([1.0, 0.5, 2.0, 1.5])
-    a = cognitive_action(scale_bank, scale_bank, scale_clip, scale_flow,
-                         TemporalWeights(h), lam, 0.5)
-    b = cognitive_action(scale_bank, scale_bank, scale_clip, scale_flow,
-                         TemporalWeights(h * 41.0), lam, 0.5)
+    a = cognitive_action(scale_bank, scale_bank,
+                         ActionInputs(scale_clip, scale_flow, TemporalWeights(h)), lam, 0.5)
+    b = cognitive_action(scale_bank, scale_bank,
+                         ActionInputs(scale_clip, scale_flow, TemporalWeights(h * 41.0)), lam, 0.5)
     measure_worst = max(abs(x - y) for x, y in zip(a.values(), b.values()))
 
     rerun_ok = read_tree(outs[0]) == read_tree(outs[1])

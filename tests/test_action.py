@@ -5,6 +5,7 @@ import pytest
 
 from cogaction import (
     ActionBreakdown,
+    ActionInputs,
     Multipliers,
     PatternSpec,
     TemporalWeights,
@@ -13,6 +14,7 @@ from cogaction import (
     conditional_entropy,
     constant_flow,
     convolve_features,
+    evaluate_bank,
     information_index,
     init_bank,
     marginal_entropy,
@@ -29,6 +31,7 @@ from cogaction.action import (
     spatial_parsimony_gradient,
     term_gradients,
 )
+from cogaction.optimizer import finite_diff_breakdowns
 
 
 def motion_term_loop_oracle(act, flow, h):
@@ -187,6 +190,14 @@ class TestMotionResidual:
         with pytest.raises(ValueError, match="2 frames"):
             motion_residual(np.zeros((1, 4, 4, 2)), constant_flow((0, 0), 1, 4, 4))
 
+    def test_integer_flow_plan_is_one_roll(self):
+        rng = np.random.default_rng(9)
+        plan = _WarpPlan(constant_flow((2, -1), 4, 5, 6))
+        assert plan.index.shape[0] == plan.weight.shape[0] == 1
+        tail = rng.standard_normal((3, 5, 6, 2))
+        # the sample at (r, c) is (r - 1, c + 2) of the next frame
+        assert np.array_equal(plan.gather(tail), np.roll(tail, (1, -2), axis=(1, 2)))
+
     def test_scatter_is_adjoint_of_gather(self):
         # flow in (-2.5, 2.5) on a 5x4 grid: many residual sites share a bin
         rng = np.random.default_rng(8)
@@ -286,7 +297,8 @@ class TestCompositeAction:
         flow = constant_flow((0, 0), 3, 4, 4)
         bank = init_bank(4, 1, 3, "softmax", seed=0, scale=0.0)
         w = TemporalWeights.uniform(3)
-        result = cognitive_action(bank, bank, clip, flow, w, Multipliers(1, 1, 1, 1), 1.0)
+        lam = Multipliers(1, 1, 1, 1)
+        result = cognitive_action(bank, bank, ActionInputs(clip, flow, w), lam, 1.0)
         assert abs(result.info_index) <= 1e-12
         assert result.motion == 0.0
         assert result.spatial == 0.0
@@ -295,12 +307,12 @@ class TestCompositeAction:
 
     def test_zero_multipliers_leave_neg_index(self):
         bank, prev, clip, flow, w, _ = self._instance()
-        result = cognitive_action(bank, prev, clip, flow, w, Multipliers(), 0.5)
+        result = cognitive_action(bank, prev, ActionInputs(clip, flow, w), Multipliers(), 0.5)
         assert abs(result.total + result.info_index) <= 1e-15
 
     def test_composite_matches_sum_of_parts(self):
         bank, prev, clip, flow, w, lam = self._instance(seed=5)
-        result = cognitive_action(bank, prev, clip, flow, w, lam, 0.5)
+        result = cognitive_action(bank, prev, ActionInputs(clip, flow, w), lam, 0.5)
         from cogaction import to_probabilities
 
         act = convolve_features(bank, clip)
@@ -316,7 +328,7 @@ class TestCompositeAction:
 
     def test_penalty_populated_in_linear_mode(self):
         bank, prev, clip, flow, w, lam = self._instance(mode="linear-penalty", seed=7)
-        result = cognitive_action(bank, prev, clip, flow, w, lam, 0.5)
+        result = cognitive_action(bank, prev, ActionInputs(clip, flow, w), lam, 0.5)
         assert result.penalty > 0.0
         base = -result.info_index + lam.motion * result.motion + lam.spatial * result.spatial \
             + lam.temporal * result.temporal + lam.constraint * result.penalty
@@ -324,7 +336,7 @@ class TestCompositeAction:
 
     def test_entropy_bounds_in_breakdown(self):
         bank, prev, clip, flow, w, lam = self._instance(seed=11)
-        result = cognitive_action(bank, prev, clip, flow, w, lam, 0.5)
+        result = cognitive_action(bank, prev, ActionInputs(clip, flow, w), lam, 0.5)
         n = bank.n
         assert 0.0 <= result.marginal_entropy <= math.log(n) + 1e-12
         assert 0.0 <= result.conditional_entropy <= math.log(n) + 1e-12
@@ -334,15 +346,15 @@ class TestCompositeAction:
         bank, prev, clip, flow, _, lam = self._instance(seed=13)
         w1 = TemporalWeights(np.array([1.0, 0.5, 2.0, 1.5]))
         w2 = TemporalWeights(np.array([1.0, 0.5, 2.0, 1.5]) * 37.0)
-        a = cognitive_action(bank, prev, clip, flow, w1, lam, 0.5)
-        b = cognitive_action(bank, prev, clip, flow, w2, lam, 0.5)
+        a = cognitive_action(bank, prev, ActionInputs(clip, flow, w1), lam, 0.5)
+        b = cognitive_action(bank, prev, ActionInputs(clip, flow, w2), lam, 0.5)
         for x, y in zip(a.values(), b.values()):
             assert abs(x - y) <= 1e-12
 
     def test_bit_identical_reruns(self):
         bank, prev, clip, flow, w, lam = self._instance(seed=17)
-        a = cognitive_action(bank, prev, clip, flow, w, lam, 0.5)
-        b = cognitive_action(bank, prev, clip, flow, w, lam, 0.5)
+        a = cognitive_action(bank, prev, ActionInputs(clip, flow, w), lam, 0.5)
+        b = cognitive_action(bank, prev, ActionInputs(clip, flow, w), lam, 0.5)
         assert a.values() == b.values()
 
     def test_csv_row_format(self):
@@ -356,10 +368,17 @@ class TestCompositeAction:
 
 
 ENTRY_POINTS = {
-    "cognitive_action": cognitive_action,
-    "action_value_and_gradient": action_value_and_gradient,
+    "cognitive_action": lambda bank, prev, data, flow, w, lam, dtau:
+        cognitive_action(bank, prev, ActionInputs(data, flow, w), lam, dtau),
+    "action_value_and_gradient": lambda bank, prev, data, flow, w, lam, dtau:
+        action_value_and_gradient(bank, prev, ActionInputs(data, flow, w), lam, dtau),
     "term_gradients": lambda bank, prev, data, flow, w, lam, dtau:
-        term_gradients(bank, prev, data, flow, w, dtau),
+        term_gradients(bank, prev, ActionInputs(data, flow, w), dtau),
+    "finite_diff_breakdowns": lambda bank, prev, data, flow, w, lam, dtau:
+        finite_diff_breakdowns(bank, prev, ActionInputs(data, flow, w), lam, dtau),
+    # a standalone bank is its own predecessor, so it has no bank_prev case
+    "evaluate_bank": lambda bank, prev, data, flow, w, lam, dtau:
+        evaluate_bank(bank, data, flow, w, lam, dtau),
 }
 
 # bad input -> pattern its error message must match
@@ -392,9 +411,10 @@ def _inputs_with(bad):
     return args
 
 
-@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-@pytest.mark.parametrize("bad", sorted(BAD_INPUTS))
-def test_bad_input_fails_loudly(entry, bad):
+@pytest.mark.parametrize("bad,entry", [
+    (bad, entry) for entry in sorted(ENTRY_POINTS) for bad in sorted(BAD_INPUTS)
+    if (bad, entry) != ("bank_prev", "evaluate_bank")])
+def test_bad_input_fails_loudly(bad, entry):
     a = _inputs_with(bad)
     with pytest.raises(ValueError, match=BAD_INPUTS[bad]):
         ENTRY_POINTS[entry](a["bank"], a["prev"], a["data"], a["flow"], a["w"],

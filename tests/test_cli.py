@@ -107,6 +107,12 @@ class TestConfigParsing:
         experiment = parse_config(config_path, seed_override=999)
         assert experiment.layers[0].config.seed == 999 ^ 1
 
+    def test_negative_seed_in_file_rejected(self, tmp_path):
+        body = BASE.format(steps=4, save_features="true").replace("seed = 12345", "seed = -5")
+        path = write_config(tmp_path / "bad.ini", body)
+        with pytest.raises(ConfigError, match=r"\[train\] seed must be >= 0, got -5"):
+            parse_config(path)
+
 
 class TestSynthCommand:
     def test_outputs_and_flow_roundtrip(self, tmp_path, config_path):
@@ -180,6 +186,12 @@ class TestTrainCommand:
         out = tmp_path / "run"
         assert main(["train", "--config", config_path, "--out", str(out)]) == 0
         assert not (out / ".lock").exists()
+
+    def test_negative_seed_flag_exit_1(self, tmp_path, config_path, capsys):
+        out = tmp_path / "neg"
+        assert main(["train", "--config", config_path, "--out", str(out), "--seed", "-3"]) == 1
+        assert "--seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_flag_changes_outputs(self, tmp_path, config_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -339,6 +351,13 @@ class TestCheckGrad:
         assert "max relative error" in out
         value = float(out.strip().splitlines()[-1].split()[-1])
         assert value <= 1e-5 and math.isfinite(value)
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_no_instances_is_config_error(self, capsys, count):
+        assert main(["check-grad", "--instances", count]) == 1
+        captured = capsys.readouterr()
+        assert f"--instances must be >= 1, got {count}" in captured.err
+        assert "max relative error" not in captured.out
 
 
 class TestThreadsFlagIsInert:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cogaction import (
+    ActionInputs,
     Multipliers,
     PatternSpec,
     TemporalWeights,
@@ -49,8 +50,9 @@ class TestGradientOracle:
         bank = init_bank(3, 1, 3, "softmax", seed=0, scale=0.0)
         w = TemporalWeights.uniform(4)
         lam = Multipliers()  # A = -I only
-        analytic = action_value_and_gradient(bank, bank, clip, flow, w, lam, 1.0)[1]
-        numeric = finite_diff_breakdowns(bank, bank, clip, flow, w, lam, 1.0, eps=1e-5)["total"]
+        inputs = ActionInputs(clip, flow, w)
+        analytic = action_value_and_gradient(bank, bank, inputs, lam, 1.0)[1]
+        numeric = finite_diff_breakdowns(bank, bank, inputs, lam, 1.0, eps=1e-5)["total"]
         assert np.abs(analytic).max() <= 1e-12
         assert np.abs(numeric).max() <= 1e-7
 
@@ -58,7 +60,7 @@ class TestGradientOracle:
         clip, flow = synth_translating_clip(PatternSpec("checkerboard", 8), (1, 0), 4, 16, 16)
         bank = init_bank(3, 1, 3, "softmax", seed=2, scale=0.4)
         w = TemporalWeights.uniform(4)
-        grads = term_gradients(bank, bank, clip, flow, w, 1.0)
+        grads = term_gradients(bank, bank, ActionInputs(clip, flow, w), 1.0)
         assert np.abs(grads["motion"]).max() == 0.0
 
     def test_epsilon_halving_shrinks_error_quadratically(self):
@@ -67,10 +69,11 @@ class TestGradientOracle:
         prev = bank.with_taps(bank.taps + 0.03)
         w = TemporalWeights.uniform(4)
         lam = Multipliers(motion=1.0, spatial=0.5, temporal=0.5)
-        analytic = action_value_and_gradient(bank, prev, clip, flow, w, lam, 0.3)[1]
+        inputs = ActionInputs(clip, flow, w)
+        analytic = action_value_and_gradient(bank, prev, inputs, lam, 0.3)[1]
         errors = []
         for eps in (4e-3, 2e-3, 1e-3):
-            numeric = finite_diff_breakdowns(bank, prev, clip, flow, w, lam, 0.3, eps=eps)["total"]
+            numeric = finite_diff_breakdowns(bank, prev, inputs, lam, 0.3, eps=eps)["total"]
             errors.append(np.abs(numeric - analytic).max())
         assert 3.0 <= errors[0] / errors[1] <= 5.0
         assert 3.0 <= errors[1] / errors[2] <= 5.0
@@ -78,9 +81,9 @@ class TestGradientOracle:
     def test_eps_must_be_positive(self):
         clip, flow = synth_translating_clip(PatternSpec("sinusoid", 4), (0, 0), 2, 4, 4)
         bank = init_bank(2, 1, 3, "softmax", seed=0, scale=0.1)
-        w = TemporalWeights.uniform(2)
+        inputs = ActionInputs(clip, flow, TemporalWeights.uniform(2))
         with pytest.raises(ValueError):
-            finite_diff_breakdowns(bank, bank, clip, flow, w, Multipliers(), 1.0, eps=0.0)
+            finite_diff_breakdowns(bank, bank, inputs, Multipliers(), 1.0, eps=0.0)
 
     def test_gradient_composition_matches_weighted_terms(self):
         clip, flow = synth_translating_clip(PatternSpec("random-texture", 4, seed=4), (0.3, 0.2), 3, 8, 8)
@@ -88,15 +91,16 @@ class TestGradientOracle:
         prev = bank.with_taps(bank.taps * 0.9)
         w = TemporalWeights.uniform(3)
         lam = Multipliers(motion=0.7, spatial=0.2, temporal=1.1, constraint=0.4)
-        combined = action_value_and_gradient(bank, prev, clip, flow, w, lam, 0.6)[1]
-        expected = weighted_terms(term_gradients(bank, prev, clip, flow, w, 0.6), lam)
+        inputs = ActionInputs(clip, flow, w)
+        combined = action_value_and_gradient(bank, prev, inputs, lam, 0.6)[1]
+        expected = weighted_terms(term_gradients(bank, prev, inputs, 0.6), lam)
         assert np.abs(combined - expected).max() <= 1e-12
 
     def test_finite_diff_breakdowns_cover_all_terms(self):
         clip, flow = synth_translating_clip(PatternSpec("random-texture", 4, seed=6), (0.5, 0), 3, 6, 6)
         bank = init_bank(2, 1, 3, "softmax", seed=7, scale=0.15)
         w = TemporalWeights.uniform(3)
-        grads = finite_diff_breakdowns(bank, bank, clip, flow, w, Multipliers(), 1.0)
+        grads = finite_diff_breakdowns(bank, bank, ActionInputs(clip, flow, w), Multipliers(), 1.0)
         assert set(grads) == {"info_index", "motion", "spatial", "temporal", "penalty", "total"}
         # softmax mode never produces a constraint penalty
         assert np.abs(grads["penalty"]).max() <= 1e-9
@@ -121,9 +125,10 @@ class TestGradientOracle:
             # would invalidate the oracle, as in run_gradient_check
             assert _clamp_margin({"bank": bank, "data": clip.data}) >= 1e-4
 
-        analytic = action_value_and_gradient(bank, prev, clip, flow, w, lam, dtau)[1]
-        numeric = finite_diff_breakdowns(bank, prev, clip, flow, w, lam, dtau)["total"]
+        inputs = ActionInputs(clip, flow, w)
+        analytic = action_value_and_gradient(bank, prev, inputs, lam, dtau)[1]
+        numeric = finite_diff_breakdowns(bank, prev, inputs, lam, dtau)["total"]
         assert (np.abs(analytic - numeric) / (1.0 + np.abs(analytic))).max() <= 1e-5
 
-        composed = weighted_terms(term_gradients(bank, prev, clip, flow, w, dtau), lam)
+        composed = weighted_terms(term_gradients(bank, prev, inputs, dtau), lam)
         assert np.abs(composed - analytic).max() <= 1e-12

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cogaction import (
+    ActionInputs,
     DivergenceError,
     LayerPlan,
     Multipliers,
@@ -14,13 +15,29 @@ from cogaction import (
     train_deep,
     train_layer,
 )
-from cogaction.action import TemporalWeights, action_value_and_gradient
+from cogaction.action import TemporalWeights, _WarpPlan, action_value_and_gradient
+from cogaction import optimizer
+from cogaction.optimizer import finite_diff_breakdowns
 
 
 @pytest.fixture
 def texture_instance():
     clip, flow = synth_translating_clip(PatternSpec("random-texture", 4, seed=3), (0.5, 0.25), 6, 12, 12)
     return clip, flow
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """A list that gains one entry per warp plan built."""
+    builds = []
+    build = _WarpPlan.__init__
+
+    def counted(self, flow):
+        builds.append(flow)
+        build(self, flow)
+
+    monkeypatch.setattr(_WarpPlan, "__init__", counted)
+    return builds
 
 
 class TestInitBank:
@@ -68,7 +85,7 @@ class TestTrainLayer:
         config = TrainConfig(step_size=0.2, steps=1, lam=lam, seed=5)
         trace = train_layer(bank, clip, flow, config)
         w = TemporalWeights.uniform(6)
-        grad = action_value_and_gradient(bank, bank, clip.data, flow, w, lam,
+        grad = action_value_and_gradient(bank, bank, ActionInputs(clip.data, flow, w), lam,
                                          config.effective_dtau())[1]
         assert np.array_equal(trace.final_bank.taps, bank.taps - 0.2 * grad)
 
@@ -89,7 +106,7 @@ class TestTrainLayer:
         from cogaction import cognitive_action
 
         w = TemporalWeights.uniform(6)
-        first = cognitive_action(bank, bank, clip.data, flow, w, Multipliers(), 0.1)
+        first = cognitive_action(bank, bank, ActionInputs(clip.data, flow, w), Multipliers(), 0.1)
         assert trace.breakdowns[0].values() == first.values()
         # temporal term starts at zero: the first reference iterate is the init
         assert trace.breakdowns[0].temporal == 0.0
@@ -138,6 +155,20 @@ class TestTrainLayer:
         with pytest.raises(ValueError, match="window"):
             train_layer(bank, clip, flow, config)
 
+    def test_one_warp_plan_per_layer(self, texture_instance, plan_builds):
+        clip, flow = texture_instance
+        bank = init_bank(3, 1, 3, "softmax", seed=13, scale=0.1)
+        config = TrainConfig(step_size=0.1, steps=5, lam=Multipliers(motion=1.0), seed=13)
+        train_layer(bank, clip, flow, config)
+        assert len(plan_builds) == 1
+
+    def test_one_warp_plan_per_finite_difference(self, texture_instance, plan_builds):
+        clip, flow = texture_instance
+        bank = init_bank(2, 1, 3, "softmax", seed=14, scale=0.1)
+        inputs = ActionInputs(clip, flow, TemporalWeights.uniform(6))
+        finite_diff_breakdowns(bank, bank, inputs, Multipliers(motion=1.0), 1.0)
+        assert len(plan_builds) == 1  # for 2 * 18 evaluations
+
 
 class TestTrainDeep:
     def _plans(self, steps2=3):
@@ -179,6 +210,15 @@ class TestTrainDeep:
         assert np.array_equal(traces[1].final_bank.taps, trace2.final_bank.taps)
         for a, b in zip(traces[1].breakdowns, trace2.breakdowns):
             assert a.values() == b.values()
+
+    def test_propagates_only_into_a_next_layer(self, texture_instance, monkeypatch):
+        clip, flow = texture_instance
+        convolved = []
+        convolve = optimizer.convolve_features
+        monkeypatch.setattr(optimizer, "convolve_features",
+                            lambda bank, data: convolved.append(bank) or convolve(bank, data))
+        traces = train_deep(clip, flow, self._plans())
+        assert convolved == [traces[0].final_bank]
 
     def test_layer_isolation(self, texture_instance):
         # training layer 2 must not touch layer 1's bank
