@@ -421,7 +421,7 @@ def _neg_index_act_gradient(act: np.ndarray, probs: np.ndarray, q: np.ndarray,
         weighted = frame_measure[:, None, None, None] * (probs * log_q - _xlogx(probs))
         return weighted - probs * weighted.sum(axis=-1, keepdims=True)
     probs_grad = frame_measure[:, None, None, None] * (log_q - np.log(probs))
-    return probability_vjp(act, probs, probs_grad, mode)
+    return probability_vjp(act, probs, probs_grad)
 
 
 def term_gradients(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,

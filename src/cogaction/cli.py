@@ -86,22 +86,18 @@ def cmd_train(experiment: ExperimentConfig, out_dir: Path) -> int:
         traces = train_deep(clip, flow, experiment.layers)
         summary_rows = []
         current = clip.data
-        for index, (plan, trace) in enumerate(zip(experiment.layers, traces), start=1):
-            config = plan.config
+        for index, trace in enumerate(traces, start=1):
             bank = trace.final_bank
             rows = [b.csv_row(step) for step, b in enumerate(trace.breakdowns)]
             _write_rows(out_dir / f"layer{index}_trace.csv", BREAKDOWN_CSV_HEADER, rows)
             save_bank(bank, out_dir / f"layer{index}_bank.txt")
-
-            final = _windowed_eval(bank, current, flow, config)
+            final = trace.final_breakdown
             initial = trace.breakdowns[0] if trace.breakdowns else final
             summary_rows.append(_summary_row(index, "initial", initial))
             summary_rows.append(_summary_row(index, "final", final))
-
-            field = to_probabilities(convolve_features(bank, current), bank.mode)
             if experiment.save_features:
-                save_feature_maps(field, out_dir / "features" / f"layer{index}")
-            current = field
+                current = to_probabilities(convolve_features(bank, current), bank.mode)
+                save_feature_maps(current, out_dir / "features" / f"layer{index}")
         _write_rows(out_dir / "summary.csv", SUMMARY_HEADER, summary_rows)
     print(f"trained {len(traces)} layer(s); outputs in {out_dir}")
     return 0
@@ -122,16 +118,14 @@ def cmd_eval(experiment: ExperimentConfig, bank_paths: list[str], out_dir: Path)
     clip, truth = experiment.build_clip()
     flow = experiment.build_flow(clip, truth)
     with _locked_out_dir(out_dir):
-        rows = []
         fields = stack_layers(banks, clip)
-        current = clip.data
-        for index, bank in enumerate(banks, start=1):
-            breakdown = _windowed_eval(bank, current, flow, plans[index - 1].config)
-            rows.append(_summary_row(index, "eval", breakdown))
-            if experiment.save_features:
-                save_feature_maps(fields[index - 1], out_dir / "features" / f"layer{index}")
-            current = fields[index - 1]
+        grids = [clip.data] + fields
+        rows = [_summary_row(index, "eval", _windowed_eval(bank, grid, flow, plan.config))
+                for index, (bank, grid, plan) in enumerate(zip(banks, grids, plans), start=1)]
         _write_rows(out_dir / "eval.csv", SUMMARY_HEADER, rows)
+        if experiment.save_features:
+            for index, field in enumerate(fields, start=1):
+                save_feature_maps(field, out_dir / "features" / f"layer{index}")
     print(f"evaluated {len(banks)} bank(s); outputs in {out_dir}")
     return 0
 

@@ -12,6 +12,7 @@ Randomness: every layer's tap initialization derives from the single
 """
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,6 +72,22 @@ class ExperimentConfig:
         return horn_schunck(clip, self.flow.alpha, self.flow.iters)
 
 
+class _NotFinite(ValueError):
+    """A number that parses but is infinite or NaN."""
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise _NotFinite
+    return value
+
+
+def _pair(text: str) -> tuple[float, float]:
+    first, second = text.split()
+    return (_finite(first), _finite(second))
+
+
 class _Section:
     """Typed accessors over one INI section with key-level error context."""
 
@@ -79,60 +96,39 @@ class _Section:
         self.items = items
         self.seen: set[str] = set()
 
-    def _raw(self, key: str, default=None, required: bool = False):
+    def _read(self, key: str, default, required: bool, convert, expected: str):
+        """The key's value through ``convert``, or ``default`` when absent."""
         self.seen.add(key)
-        if key in self.items:
-            return self.items[key]
-        if required:
-            raise ConfigError(f"[{self.name}] missing required key '{key}'")
-        return default
+        if key not in self.items:
+            if required:
+                raise ConfigError(f"[{self.name}] missing required key '{key}'")
+            return default
+        value = self.items[key]
+        try:
+            return convert(value)
+        except (KeyError, ValueError) as exc:
+            why = "not a finite number" if isinstance(exc, _NotFinite) else expected
+            raise ConfigError(f"[{self.name}] {key} = {value!r}: {why}") from None
 
     def text(self, key: str, default=None, required=False, choices=None):
-        value = self._raw(key, default, required)
+        value = self._read(key, default, required, str, "")
         if value is not None and choices is not None and value not in choices:
             raise ConfigError(f"[{self.name}] {key} = {value!r}: expected one of {sorted(choices)}")
         return value
 
     def integer(self, key: str, default=None, required=False):
-        value = self._raw(key, default, required)
-        if value is None or isinstance(value, int):
-            return value
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {value!r}: not an integer") from None
+        return self._read(key, default, required, int, "not an integer")
 
     def real(self, key: str, default=None, required=False):
-        value = self._raw(key, default, required)
-        if value is None or isinstance(value, float):
-            return value
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {value!r}: not a number") from None
+        return self._read(key, default, required, _finite, "not a number")
 
     def flag(self, key: str, default=None):
-        value = self._raw(key, default)
-        if value is None or isinstance(value, bool):
-            return value
-        lowered = value.strip().lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"[{self.name}] {key} = {value!r}: not a boolean")
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        return self._read(key, default, False, lambda value: states[value.strip().lower()],
+                          "not a boolean")
 
     def vector2(self, key: str, default=None, required=False):
-        value = self._raw(key, default, required)
-        if value is None or isinstance(value, tuple):
-            return value
-        parts = value.split()
-        if len(parts) != 2:
-            raise ConfigError(f"[{self.name}] {key} = {value!r}: expected two numbers")
-        try:
-            return (float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key} = {value!r}: expected two numbers") from None
+        return self._read(key, default, required, _pair, "expected two numbers")
 
     def reject_unknown(self):
         unknown = set(self.items) - self.seen

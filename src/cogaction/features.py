@@ -75,6 +75,15 @@ def as_grid(data) -> np.ndarray:
     return arr
 
 
+def _shifted_grids(grid: np.ndarray, kernel: int):
+    """Yield ``(ia, ib, shifted)`` per tap offset in lexicographic order, where
+    ``shifted`` is the grid rolled by the offset (b rows, a columns)."""
+    reach = (kernel - 1) // 2
+    for ia in range(kernel):
+        for ib in range(kernel):
+            yield ia, ib, np.roll(grid, (ib - reach, ia - reach), axis=(1, 2))
+
+
 def convolve_features(bank: FilterBank, data) -> np.ndarray:
     """Activation field (T, H, W, n) of the bank over a clip or feature field.
 
@@ -87,14 +96,9 @@ def convolve_features(bank: FilterBank, data) -> np.ndarray:
             f"bank expects {bank.m_in} input channels, grid has {grid.shape[3]}"
         )
     n = bank.n
-    reach = (bank.kernel - 1) // 2
     act = np.full(grid.shape[:3] + (n,), 1.0 / n, dtype=np.float64)
-    for ia in range(bank.kernel):
-        for ib in range(bank.kernel):
-            a = ia - reach
-            b = ib - reach
-            shifted = np.roll(grid, (b, a), axis=(1, 2))
-            act += np.einsum("thwj,ij->thwi", shifted, bank.taps[:, :, ia, ib])
+    for ia, ib, shifted in _shifted_grids(grid, bank.kernel):
+        act += np.einsum("thwj,ij->thwi", shifted, bank.taps[:, :, ia, ib])
     return act
 
 
@@ -103,14 +107,9 @@ def convolution_tap_gradient(data, act_grad: np.ndarray, kernel: int) -> np.ndar
     gradient to a (n, m_in, K, K) tap-shaped gradient."""
     grid = as_grid(data)
     grad = np.asarray(act_grad, dtype=np.float64)
-    reach = (kernel - 1) // 2
     out = np.empty((grad.shape[3], grid.shape[3], kernel, kernel), dtype=np.float64)
-    for ia in range(kernel):
-        for ib in range(kernel):
-            a = ia - reach
-            b = ib - reach
-            shifted = np.roll(grid, (b, a), axis=(1, 2))
-            out[:, :, ia, ib] = np.einsum("thwi,thwj->ij", grad, shifted)
+    for ia, ib, shifted in _shifted_grids(grid, kernel):
+        out[:, :, ia, ib] = np.einsum("thwi,thwj->ij", grad, shifted)
     return out
 
 
@@ -180,17 +179,13 @@ def to_probabilities(act: np.ndarray, mode: str) -> np.ndarray:
     raise ValueError(f"unknown constraint mode {mode!r}, expected one of {MODES}")
 
 
-def probability_vjp(act: np.ndarray, probs: np.ndarray, probs_grad: np.ndarray,
-                    mode: str) -> np.ndarray:
-    """Backpropagate a probability-space gradient to activation space."""
+def probability_vjp(act: np.ndarray, probs: np.ndarray, probs_grad: np.ndarray) -> np.ndarray:
+    """Backpropagate a probability-space gradient to activation space through
+    the linear-penalty projection (clamp to [CLAMP_EPS, 1], renormalize)."""
     inner = np.sum(probs_grad * probs, axis=-1, keepdims=True)
-    if mode == "softmax":
-        return probs * (probs_grad - inner)
-    if mode == "linear-penalty":
-        total = np.clip(act, CLAMP_EPS, 1.0).sum(axis=-1, keepdims=True)
-        active = (act > CLAMP_EPS) & (act < 1.0)
-        return np.where(active, (probs_grad - inner) / total, 0.0)
-    raise ValueError(f"unknown constraint mode {mode!r}, expected one of {MODES}")
+    total = np.clip(act, CLAMP_EPS, 1.0).sum(axis=-1, keepdims=True)
+    active = (act > CLAMP_EPS) & (act < 1.0)
+    return np.where(active, (probs_grad - inner) / total, 0.0)
 
 
 def stack_layers(banks, clip) -> list[np.ndarray]:

@@ -62,6 +62,8 @@ class TrainConfig:
             raise ValueError(f"evaluation window must cover >= 2 frames, got {self.window}")
         if not (math.isfinite(self.init_scale) and self.init_scale >= 0.0):
             raise ValueError(f"init scale must be finite and >= 0, got {self.init_scale}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         build_weights(self.weighting, 2)  # validate eagerly
 
     def effective_dtau(self) -> float:
@@ -79,12 +81,13 @@ class LayerPlan:
 
 @dataclass
 class TrainTrace:
-    """Per-step breakdowns (recorded before each update), gradient max-norms
-    and the bank after the final update."""
+    """Per-step breakdowns (recorded before each update), gradient max-norms,
+    the bank after the final update and its standalone breakdown (K = 0)."""
 
     breakdowns: list[ActionBreakdown]
     grad_norms: list[float]
     final_bank: FilterBank
+    final_breakdown: ActionBreakdown
 
 
 def build_weights(spec: str, frames: int) -> TemporalWeights:
@@ -113,8 +116,6 @@ def init_bank(n: int, m_in: int, kernel: int, mode: str, seed: int,
         raise ValueError(f"init scale must be >= 0, got {scale}")
     rng = np.random.Generator(np.random.PCG64(seed))
     taps = rng.uniform(-scale, scale, size=(n, m_in, kernel, kernel))
-    if scale == 0.0:
-        taps = np.zeros((n, m_in, kernel, kernel))
     return FilterBank(taps, mode=mode, layer=layer)
 
 
@@ -131,7 +132,9 @@ def train_layer(bank: FilterBank, data, flow: VelocityField, config: TrainConfig
 
     Each step records the breakdown at the current iterate, then moves
     ``-step_size * gradient``.  The temporal-parsimony reference is the
-    previous iterate (the initial bank at step 0, so K starts at 0).
+    previous iterate (the initial bank at step 0, so K starts at 0).  The
+    final bank is evaluated once more as its own predecessor, as
+    ``evaluate_bank`` would on the same inputs.
     """
     inputs = ActionInputs(*_windowed(as_grid(data), flow, config))
     dtau = config.effective_dtau()
@@ -153,7 +156,8 @@ def train_layer(bank: FilterBank, data, flow: VelocityField, config: TrainConfig
         grad_norms.append(float(np.abs(grad).max()))
         previous = current
         current = current.with_taps(current.taps - config.step_size * grad)
-    return TrainTrace(breakdowns, grad_norms, current)
+    final = cognitive_action(current, current, inputs, config.lam, dtau)
+    return TrainTrace(breakdowns, grad_norms, current, final)
 
 
 def train_deep(clip, flow: VelocityField, plans: list[LayerPlan]) -> list[TrainTrace]:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cogaction import load_bank, load_flow, parse_config
+from cogaction import cli, load_bank, load_flow, parse_config
 from cogaction.cli import main
 from cogaction.config import ConfigError
 
@@ -160,11 +160,17 @@ class TestTrainCommand:
         assert main(["train", "--config", config_path, "--out", str(b)]) == 0
         assert read_tree(a) == read_tree(b)
 
-    def test_two_layer_run(self, tmp_path):
+    def test_two_layer_run(self, tmp_path, monkeypatch, plan_builds):
+        def refuse(*args):
+            raise AssertionError("the summary comes from the traces; no maps, no propagation")
+
+        monkeypatch.setattr(cli, "_windowed_eval", refuse)
+        monkeypatch.setattr(cli, "convolve_features", refuse)
         body = BASE.format(steps=2, save_features="false") + "\n[layer2]\nn = 3\nk = 3\nsteps = 1\n"
         path = write_config(tmp_path / "deep.ini", body)
         out = tmp_path / "deep"
         assert main(["train", "--config", path, "--out", str(out)]) == 0
+        assert len(plan_builds) == 2  # one evaluation context per layer
         assert (out / "layer2_bank.txt").exists()
         bank2 = load_bank(out / "layer2_bank.txt")
         assert bank2.m_in == 4  # consumes layer 1's feature field
@@ -191,6 +197,19 @@ class TestTrainCommand:
         out = tmp_path / "neg"
         assert main(["train", "--config", config_path, "--out", str(out), "--seed", "-3"]) == 1
         assert "--seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("source = ground-truth", "source = horn-schunck\nalpha = inf", "[flow] alpha = 'inf'"),
+        ("source = ground-truth", "source = horn-schunck\nalpha = nan", "[flow] alpha = 'nan'"),
+        ("velocity = 1.0 0.0", "velocity = nan 0", "[data] velocity = 'nan 0'"),
+    ], ids=["alpha-inf", "alpha-nan", "velocity-nan"])
+    def test_non_finite_number_exit_1(self, tmp_path, capsys, old, new, key):
+        body = BASE.format(steps=1, save_features="false").replace(old, new)
+        path = write_config(tmp_path / "bad.ini", body)
+        out = tmp_path / "x"
+        assert main(["train", "--config", path, "--out", str(out)]) == 1
+        assert f"{key}: not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_flag_changes_outputs(self, tmp_path, config_path):
@@ -307,12 +326,20 @@ class TestFailedRunOutput:
         base = write_config(tmp_path / "exp.ini", BASE.format(steps=1, save_features="false"))
         bank = tmp_path / "bad_bank.txt"
         save_bank(init_bank(3, 5, 3, "softmax", seed=0, scale=0.1), bank)  # clip has 1 channel
+        body = BASE.format(steps=1, save_features="true") + "\n[layer2]\nn = 3\nk = 3\nwindow = 9\n"
+        deep = write_config(tmp_path / "deep.ini", body)
+        banks = [tmp_path / "b1.txt", tmp_path / "b2.txt"]
+        save_bank(init_bank(4, 1, 3, "softmax", seed=0), banks[0])
+        save_bank(init_bank(3, 4, 3, "softmax", seed=0, layer=2), banks[1])
         return {
             "train": (["train", "--config", window], "evaluation window 9 exceeds"),
             "eval": (["eval", "--config", base, "--bank", str(bank)], "layer 1"),
+            # layer 1 evaluates and could write its maps before layer 2 fails
+            "eval-layer2": (["eval", "--config", deep, "--bank", str(banks[0]),
+                             "--bank", str(banks[1])], "evaluation window 9 exceeds"),
         }
 
-    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("command", ["train", "eval", "eval-layer2"])
     def test_failed_run_leaves_no_out_dir(self, tmp_path, capsys, failing_runs, command):
         argv, message = failing_runs[command]
         out = tmp_path / "out"

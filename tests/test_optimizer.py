@@ -8,16 +8,19 @@ from cogaction import (
     Multipliers,
     PatternSpec,
     TrainConfig,
+    VelocityField,
     VideoClip,
     constant_flow,
+    evaluate_bank,
     init_bank,
+    stack_layers,
     synth_translating_clip,
     train_deep,
     train_layer,
 )
-from cogaction.action import TemporalWeights, _WarpPlan, action_value_and_gradient
+from cogaction.action import TemporalWeights, action_value_and_gradient
 from cogaction import optimizer
-from cogaction.optimizer import finite_diff_breakdowns
+from cogaction.optimizer import build_weights, finite_diff_breakdowns
 
 
 @pytest.fixture
@@ -26,24 +29,11 @@ def texture_instance():
     return clip, flow
 
 
-@pytest.fixture
-def plan_builds(monkeypatch):
-    """A list that gains one entry per warp plan built."""
-    builds = []
-    build = _WarpPlan.__init__
-
-    def counted(self, flow):
-        builds.append(flow)
-        build(self, flow)
-
-    monkeypatch.setattr(_WarpPlan, "__init__", counted)
-    return builds
-
-
 class TestInitBank:
     def test_zero_scale_gives_zero_bank(self):
         bank = init_bank(3, 2, 3, "softmax", seed=1, scale=0.0)
         assert np.all(bank.taps == 0.0)
+        assert not np.signbit(bank.taps).any()  # +0.0, so saved banks read 0.0, not -0.0
 
     def test_same_seed_bit_identical(self):
         a = init_bank(4, 1, 5, "softmax", seed=1, scale=0.2)
@@ -170,6 +160,41 @@ class TestTrainLayer:
         assert len(plan_builds) == 1  # for 2 * 18 evaluations
 
 
+def standalone_breakdown(bank, grid, flow, config):
+    """``evaluate_bank`` on the layer's windowed inputs."""
+    window = config.window or grid.shape[0]
+    return evaluate_bank(bank, grid[:window], VelocityField(flow.data[:window]),
+                         build_weights(config.weighting, window), config.lam,
+                         config.effective_dtau())
+
+
+class TestFinalBreakdown:
+    @pytest.mark.parametrize("steps, window, weighting", [
+        (3, None, "uniform"), (3, 3, "exp:0.9"), (0, None, "uniform"),
+    ], ids=["whole-clip", "window-exp", "zero-steps"])
+    def test_equals_evaluate_bank(self, texture_instance, steps, window, weighting):
+        clip, flow = texture_instance
+        bank = init_bank(3, 1, 3, "softmax", seed=15, scale=0.1)
+        lam = Multipliers(motion=1.0, spatial=1e-3, temporal=1e-3)
+        config = TrainConfig(step_size=0.1, steps=steps, lam=lam, seed=15, window=window,
+                             weighting=weighting)
+        trace = train_layer(bank, clip, flow, config)
+        expected = standalone_breakdown(trace.final_bank, clip.data, flow, config)
+        assert trace.final_breakdown.values() == expected.values()
+        assert trace.final_breakdown.temporal == 0.0
+
+    def test_second_layer_of_deep_run(self, texture_instance):
+        clip, flow = texture_instance
+        lam = Multipliers(motion=1.0, spatial=1e-3, temporal=1e-3)
+        plans = [LayerPlan(3, 3, TrainConfig(step_size=0.1, steps=2, lam=lam, seed=16)),
+                 LayerPlan(4, 3, TrainConfig(step_size=0.1, steps=2, lam=lam, seed=17,
+                                             mode="linear-penalty", window=4))]
+        traces = train_deep(clip, flow, plans)
+        field = stack_layers([traces[0].final_bank], clip)[0]
+        expected = standalone_breakdown(traces[1].final_bank, field, flow, plans[1].config)
+        assert traces[1].final_breakdown.values() == expected.values()
+
+
 class TestTrainDeep:
     def _plans(self, steps2=3):
         lam = Multipliers(motion=1.0, spatial=1e-3, temporal=1e-3)
@@ -250,6 +275,8 @@ class TestConfigValidation:
             TrainConfig(step_size=0.1, steps=1, weighting="exp:2.0")
         with pytest.raises(ValueError):
             TrainConfig(step_size=0.1, steps=1, mode="relu")
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(step_size=0.1, steps=1, seed=-1)
 
     def test_dtau_defaults_to_step_size(self):
         config = TrainConfig(step_size=0.25, steps=1)
