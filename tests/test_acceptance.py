@@ -6,6 +6,7 @@ search over {1e-2, 1e-1, 1} on the descent instance; see README.
 """
 
 import csv
+import json
 import math
 import time
 from pathlib import Path
@@ -27,6 +28,7 @@ from cogaction import (
     evaluate_bank,
     information_index,
     init_bank,
+    load_bank,
     motion_term,
     stack_layers,
     synth_translating_clip,
@@ -39,6 +41,15 @@ from cogaction.optimizer import run_gradient_check
 
 FROZEN_STEP_SIZE = 1.0
 A3_STEPS = 600
+TERMS = BREAKDOWN_CSV_HEADER.split(",")[1:]
+
+# Pinned training numbers: every REFERENCE_EVERY-th breakdown row, the final
+# breakdown and the final taps of the A3 and A4 runs, held to REFERENCE_REL
+# relative (REFERENCE_ABS absolute for values at or near 0).
+REFERENCE_TRACES = Path(__file__).with_name("reference_traces.json")
+REFERENCE_EVERY = 50
+REFERENCE_REL = 1e-9
+REFERENCE_ABS = 1e-14
 
 A3_CONFIG = f"""
 [data]
@@ -106,6 +117,27 @@ def a3_runs(tmp_path_factory):
     return outs, (time.monotonic() - start) / 2.0
 
 
+def traced_numbers(rows, final, taps):
+    """The pinned numbers of one run, in the layout of REFERENCE_TRACES."""
+    return {"rows": {str(step): [float(v) for v in rows[step]]
+                     for step in range(0, len(rows), REFERENCE_EVERY)},
+            "final_breakdown": [float(v) for v in final],
+            "final_taps": [float(v) for v in np.ravel(taps)]}
+
+
+def cli_run_numbers(out):
+    """``traced_numbers`` of a one-layer CLI training tree."""
+    rows = [[r[t] for t in TERMS] for r in read_rows(out / "layer1_trace.csv")]
+    final = next(r for r in read_rows(out / "summary.csv") if r["phase"] == "final")
+    return traced_numbers(rows, [final[t] for t in TERMS], load_bank(out / "layer1_bank.txt").taps)
+
+
+def trace_numbers(trace):
+    """``traced_numbers`` of a ``TrainTrace``."""
+    return traced_numbers([b.values() for b in trace.breakdowns],
+                          trace.final_breakdown.values(), trace.final_bank.taps)
+
+
 def test_a1_gradient_oracle():
     start = time.monotonic()
     reports = run_gradient_check(count=20, eps=1e-5, tol=1e-5)
@@ -157,7 +189,10 @@ def test_a3_descent_and_index(a3_runs):
            f"worst per-step rise {worst_rise:.2e} <= 1e-9", elapsed)
 
 
-def test_a4_motion_invariance_ablation(tmp_path):
+@pytest.fixture(scope="module")
+def a4_runs():
+    """The ablation pair, trained once: the motion-on and motion-off traces and
+    their held-out breakdowns."""
     start = time.monotonic()
     # sub-pixel velocity: transport is inexact, so the motion term has teeth;
     # held-out clip draws a fresh texture from the same pattern family
@@ -169,16 +204,20 @@ def test_a4_motion_invariance_ablation(tmp_path):
     weights = TemporalWeights.uniform(16)
     report_lam = Multipliers(motion=1.0, spatial=1e-3, temporal=1e-3)
 
-    held_out = {}
+    traces, held_out = {}, {}
     for label, lam_m in (("motion-on", 1.0), ("motion-off", 0.0)):
         lam = Multipliers(motion=lam_m, spatial=1e-3, temporal=1e-3)
         config = TrainConfig(step_size=FROZEN_STEP_SIZE, steps=A3_STEPS, lam=lam,
                              mode="softmax", seed=12345, init_scale=0.1)
         bank = init_bank(4, 1, 3, "softmax", seed=config.seed, scale=config.init_scale)
-        trace = train_layer(bank, train_clip, train_flow, config)
-        held_out[label] = evaluate_bank(trace.final_bank, held_clip.data, held_flow,
+        traces[label] = train_layer(bank, train_clip, train_flow, config)
+        held_out[label] = evaluate_bank(traces[label].final_bank, held_clip.data, held_flow,
                                         weights, report_lam, FROZEN_STEP_SIZE)
+    return traces, held_out, time.monotonic() - start
 
+
+def test_a4_motion_invariance_ablation(a4_runs, tmp_path):
+    _, held_out, elapsed = a4_runs
     rows = [f"run,{BREAKDOWN_CSV_HEADER.split(',', 1)[1]}"]
     for label, breakdown in held_out.items():
         rows.append(f"{label}," + breakdown.csv_row(0).split(",", 1)[1])
@@ -188,7 +227,6 @@ def test_a4_motion_invariance_ablation(tmp_path):
     m_off = held_out["motion-off"].motion
     ratio_ok = 2.0 * m_on <= m_off
     indices_reported = all(math.isfinite(b.info_index) for b in held_out.values())
-    elapsed = time.monotonic() - start
     ok = ratio_ok and indices_reported and elapsed <= 600.0
     report("A4", ok,
            f"held-out M: on {m_on:.3e} vs off {m_off:.3e} "
@@ -286,3 +324,29 @@ def test_a6_invariant_suites(a3_runs):
            f"entropy bounds on 100 fields, simplex {simplex_worst:.1e} <= 1e-9, "
            f"8 exact shifts, measure rescaling {measure_worst:.1e} <= 1e-12, "
            f"bit-identical CLI reruns of the descent instance", elapsed)
+
+
+def test_reference_traces(a3_runs, a4_runs):
+    start = time.monotonic()
+    reference = json.loads(REFERENCE_TRACES.read_text(encoding="ascii"))
+    runs = {"A3": cli_run_numbers(a3_runs[0][0])}
+    runs.update((f"A4 {label}", trace_numbers(trace)) for label, trace in a4_runs[0].items())
+    assert sorted(runs) == sorted(reference["runs"])
+
+    worst = 0.0  # largest deviation as a fraction of its allowance
+    for name, expected in reference["runs"].items():
+        got = runs[name]
+        assert got["rows"].keys() == expected["rows"].keys(), name
+        pairs = [(got["final_breakdown"], expected["final_breakdown"]),
+                 (got["final_taps"], expected["final_taps"])]
+        pairs += [(got["rows"][step], row) for step, row in expected["rows"].items()]
+        for values, pinned in pairs:
+            assert len(values) == len(pinned), name
+            for value, ref in zip(values, pinned):
+                allowance = max(REFERENCE_REL * abs(ref), REFERENCE_ABS)
+                worst = max(worst, abs(value - ref) / allowance)
+    elapsed = time.monotonic() - start
+    report("REF", worst <= 1.0,
+           f"A3 and A4 trace rows every {REFERENCE_EVERY} steps, final breakdowns and taps "
+           f"within {REFERENCE_REL:.0e} relative (floor {REFERENCE_ABS:.0e}) of "
+           f"{REFERENCE_TRACES.name}: worst at {worst:.2e} of the allowance", elapsed)
