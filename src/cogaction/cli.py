@@ -118,7 +118,7 @@ def cmd_eval(experiment: ExperimentConfig, bank_paths: list[str], out_dir: Path)
     clip, truth = experiment.build_clip()
     flow = experiment.build_flow(clip, truth)
     with _locked_out_dir(out_dir):
-        fields = stack_layers(banks, clip)
+        fields = stack_layers(banks if experiment.save_features else banks[:-1], clip)
         grids = [clip.data] + fields
         rows = [_summary_row(index, "eval", _windowed_eval(bank, grid, flow, plan.config))
                 for index, (bank, grid, plan) in enumerate(zip(banks, grids, plans), start=1)]

@@ -16,9 +16,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 MODES = ("softmax", "linear-penalty")
 CLAMP_EPS = 1e-6
+# bytes of one chunk's patch matrix in the convolution and its tap adjoint
+PATCH_CHUNK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -75,30 +78,40 @@ def as_grid(data) -> np.ndarray:
     return arr
 
 
-def _shifted_grids(grid: np.ndarray, kernel: int):
-    """Yield ``(ia, ib, shifted)`` per tap offset in lexicographic order, where
-    ``shifted`` is the grid rolled by the offset (b rows, a columns)."""
+def _frame_patches(grid: np.ndarray, kernel: int):
+    """Yield ``(frames, patches)`` per chunk of frames, as many as fit in
+    PATCH_CHUNK_BYTES and at least one.  Row ``(t, r, c)``, column ``(u, v, j)``
+    of the reused patch buffer holds ``grid[t, r + u - reach, c + v - reach, j]``."""
     reach = (kernel - 1) // 2
-    for ia in range(kernel):
-        for ib in range(kernel):
-            yield ia, ib, np.roll(grid, (ib - reach, ia - reach), axis=(1, 2))
+    padded = np.pad(grid, ((0, 0), (reach, reach), (reach, reach), (0, 0)), mode="wrap")
+    windows = sliding_window_view(padded, (kernel, kernel), (1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    frames = len(grid)
+    buffer = np.empty((min(frames, max(1, PATCH_CHUNK_BYTES // windows[0].nbytes)),) + windows.shape[1:])
+    for start in range(0, frames, len(buffer)):
+        patches = buffer[:min(len(buffer), frames - start)]
+        patches[...] = windows[start:start + len(patches)]
+        yield slice(start, start + len(patches)), patches.reshape(-1, windows[0, 0, 0].size)
 
 
 def convolve_features(bank: FilterBank, data) -> np.ndarray:
     """Activation field (T, H, W, n) of the bank over a clip or feature field.
 
-    Toroidal boundary; offsets are accumulated in fixed lexicographic order so
-    repeated evaluations are bit-identical.
+    Toroidal boundary.  Each chunk of frames is one matrix product of its patch
+    matrix with the flipped taps; the chunking is fixed by the grid shape and
+    every call takes this one path, so repeated evaluations are bit-identical.
     """
     grid = as_grid(data)
     if grid.shape[3] != bank.m_in:
         raise ValueError(
-            f"bank expects {bank.m_in} input channels, grid has {grid.shape[3]}"
+            f"layer {bank.layer} bank expects {bank.m_in} input channels, grid has {grid.shape[3]}"
         )
     n = bank.n
-    act = np.full(grid.shape[:3] + (n,), 1.0 / n, dtype=np.float64)
-    for ia, ib, shifted in _shifted_grids(grid, bank.kernel):
-        act += np.einsum("thwj,ij->thwi", shifted, bank.taps[:, :, ia, ib])
+    taps = bank.taps[:, :, ::-1, ::-1].transpose(3, 2, 1, 0).reshape(-1, n)
+    act = np.empty(grid.shape[:3] + (n,), dtype=np.float64)
+    for frames, patches in _frame_patches(grid, bank.kernel):
+        out = act[frames].reshape(-1, n)
+        np.matmul(patches, taps, out=out)
+        out += 1.0 / n
     return act
 
 
@@ -107,10 +120,11 @@ def convolution_tap_gradient(data, act_grad: np.ndarray, kernel: int) -> np.ndar
     gradient to a (n, m_in, K, K) tap-shaped gradient."""
     grid = as_grid(data)
     grad = np.asarray(act_grad, dtype=np.float64)
-    out = np.empty((grad.shape[3], grid.shape[3], kernel, kernel), dtype=np.float64)
-    for ia, ib, shifted in _shifted_grids(grid, kernel):
-        out[:, :, ia, ib] = np.einsum("thwi,thwj->ij", grad, shifted)
-    return out
+    n = grad.shape[3]
+    total = np.zeros((n, kernel * kernel * grid.shape[3]), dtype=np.float64)
+    for frames, patches in _frame_patches(grid, kernel):
+        total += grad[frames].reshape(-1, n).T @ patches
+    return total.reshape(n, kernel, kernel, -1)[:, ::-1, ::-1].transpose(0, 3, 2, 1).copy()
 
 
 def dense_kernel_oracle(table: np.ndarray, data) -> np.ndarray:

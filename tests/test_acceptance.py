@@ -35,6 +35,7 @@ from cogaction import (
     to_probabilities,
     train_layer,
 )
+from cogaction import features
 from cogaction.action import BREAKDOWN_CSV_HEADER
 from cogaction.cli import main
 from cogaction.optimizer import run_gradient_check
@@ -152,7 +153,7 @@ def test_a1_gradient_oracle():
                      f"max rel err {worst:.2e} <= 1e-5", elapsed)
 
 
-def test_a2_exact_transport():
+def test_a2_exact_transport(monkeypatch):
     start = time.monotonic()
     worst = 0.0
     for velocity in ((1, 0), (-1, 1)):
@@ -162,9 +163,24 @@ def test_a2_exact_transport():
             bank = init_bank(4, 1, 3, "softmax", seed=seed, scale=0.5)
             act = convolve_features(bank, clip)
             worst = max(worst, motion_term(act, flow, weights))
+    # multi-channel clips on the full retina, the convolution taking its
+    # patches 1, 3 and 16 frames at a time
+    for m_in, kernel in ((3, 5), (8, 3)):
+        frame_bytes = 64 * 64 * m_in * kernel * kernel * 8
+        for velocity in ((1, 0), (-1, 1)):
+            clip, flow = synth_translating_clip(
+                PatternSpec("random-texture", 16, seed=m_in, channels=m_in), velocity, 16, 64, 64)
+            weights = TemporalWeights.uniform(16)
+            for chunk in (1, 3, 16):
+                monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", chunk * frame_bytes)
+                for seed in range(3):
+                    bank = init_bank(4, m_in, kernel, "softmax", seed=seed, scale=0.5)
+                    act = convolve_features(bank, clip)
+                    worst = max(worst, motion_term(act, flow, weights))
     elapsed = time.monotonic() - start
     ok = worst <= 1e-18 and elapsed <= 5.0
-    report("A2", ok, f"integer-translating checkerboard, 10 banks x 2 velocities, "
+    report("A2", ok, f"integer-translating clips, 2 velocities: checkerboard x 10 banks, "
+                     f"64x64x16 (m=3, K=5) and (m=8, K=3) x 3 banks x 3 chunkings, "
                      f"max M {worst:.1e} <= 1e-18", elapsed)
 
 

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cogaction import cli, load_bank, load_flow, parse_config
+import cogaction
+from cogaction import cli, features, load_bank, load_flow, parse_config
 from cogaction.cli import main
 from cogaction.config import ConfigError
 
@@ -230,6 +234,29 @@ class TestEvalCommand:
         evaluated = (out / "eval.csv").read_text().splitlines()[1].split(",", 2)[2]
         assert final == evaluated
 
+    def test_eval_without_maps_propagates_below_last_layer(self, tmp_path, monkeypatch):
+        two_layer = BASE + "\n[layer2]\nn = 3\nk = 3\nsteps = 1\n"
+        path = write_config(tmp_path / "deep.ini", two_layer.format(steps=2, save_features="false"))
+        run = tmp_path / "run"
+        assert main(["train", "--config", path, "--out", str(run)]) == 0
+        banks = ["--bank", str(run / "layer1_bank.txt"), "--bank", str(run / "layer2_bank.txt")]
+        convolved = []
+        convolve = features.convolve_features
+
+        def counted(bank, data):
+            convolved.append(bank.layer)
+            return convolve(bank, data)
+
+        monkeypatch.setattr(features, "convolve_features", counted)
+        assert main(["eval", "--config", path, *banks, "--out", str(tmp_path / "off")]) == 0
+        assert convolved == [1]
+        with_maps = write_config(tmp_path / "maps.ini",
+                                 two_layer.format(steps=2, save_features="true"))
+        assert main(["eval", "--config", with_maps, *banks, "--out", str(tmp_path / "on")]) == 0
+        assert convolved == [1, 1, 2]
+        eval_csv = (tmp_path / "off" / "eval.csv").read_bytes()
+        assert eval_csv == (tmp_path / "on" / "eval.csv").read_bytes()
+
     def test_zero_bank_uniform_maps(self, tmp_path):
         body = BASE.format(steps=0, save_features="true").replace("init_scale = 0.1",
                                                                   "init_scale = 0.0")
@@ -393,3 +420,31 @@ class TestThreadsFlagIsInert:
         assert main(["train", "--config", config_path, "--out", str(a)]) == 0
         assert main(["train", "--config", config_path, "--out", str(b), "--threads", "8"]) == 0
         assert read_tree(a) == read_tree(b)
+
+
+# two layers on a 32x32 RGB clip: layer 1 has m=3, K=5, layer 2 m=8, K=3
+TWO_LAYER_RGB = BASE.format(steps=3, save_features="true").replace(
+    "channels = 1", "channels = 3").replace("height = 12\nwidth = 12", "height = 32\nwidth = 32"
+).replace("n = 4\nk = 3", "n = 8\nk = 5") + "\n[layer2]\nn = 4\nk = 3\nsteps = 2\n"
+
+
+class TestBlasThreadsAreInert:
+    def test_two_layer_config_shape(self, tmp_path):
+        experiment = parse_config(write_config(tmp_path / "exp.ini", TWO_LAYER_RGB))
+        assert experiment.data.pattern.channels == 3
+        assert [(p.features, p.kernel) for p in experiment.layers] == [(8, 5), (4, 3)]
+
+    @pytest.mark.parametrize("body", [BASE.format(steps=3, save_features="true"), TWO_LAYER_RGB],
+                             ids=["m1-k3", "two-layer-m3-k5"])
+    def test_train_tree_independent_of_blas_threads(self, tmp_path, body):
+        path = write_config(tmp_path / "exp.ini", body)
+        src = str(Path(cogaction.__file__).parents[1])
+        trees = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            out = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-m", "cogaction.cli", "train", "--config", path,
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            trees.append(read_tree(out))
+        assert trees[0] == trees[1]

@@ -17,6 +17,8 @@ from cogaction import (
     synth_translating_clip,
     to_probabilities,
 )
+from cogaction import features
+from cogaction.features import convolution_tap_gradient
 
 
 @pytest.fixture
@@ -68,6 +70,78 @@ class TestConvolution:
         lhs = convolve_features(combined, small_clip)
         rhs = convolve_features(a, small_clip) + convolve_features(b, small_clip) - 1.0 / 3.0
         assert np.abs(lhs - rhs).max() <= 1e-12
+
+
+def shifted_sum_convolution(bank, grid):
+    """Reference convolution: one rolled copy of the grid per tap offset,
+    accumulated in lexicographic offset order."""
+    reach = (bank.kernel - 1) // 2
+    act = np.full(grid.shape[:3] + (bank.n,), 1.0 / bank.n)
+    for ia in range(bank.kernel):
+        for ib in range(bank.kernel):
+            shifted = np.roll(grid, (ib - reach, ia - reach), axis=(1, 2))
+            act += np.einsum("thwj,ij->thwi", shifted, bank.taps[:, :, ia, ib])
+    return act
+
+
+def shifted_sum_tap_gradient(grid, act_grad, kernel):
+    """Reference tap adjoint of ``shifted_sum_convolution``."""
+    reach = (kernel - 1) // 2
+    out = np.empty((act_grad.shape[3], grid.shape[3], kernel, kernel))
+    for ia in range(kernel):
+        for ib in range(kernel):
+            shifted = np.roll(grid, (ib - reach, ia - reach), axis=(1, 2))
+            out[:, :, ia, ib] = np.einsum("thwi,thwj->ij", act_grad, shifted)
+    return out
+
+
+def max_rel_diff(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+# (m_in, K, T, H, W): H != W throughout; the last two wrap the kernel around
+# the retina more than once
+KERNEL_CASES = [(1, 3, 5, 6, 8), (3, 3, 5, 7, 5), (8, 3, 5, 6, 8),
+                (1, 5, 5, 9, 7), (3, 5, 5, 6, 8), (8, 5, 5, 8, 6),
+                (1, 7, 3, 3, 4), (2, 7, 5, 3, 3)]
+
+
+class TestPatchKernels:
+    """The patch-matrix convolution and tap adjoint against the shifted-sum
+    reference, at every chunking: one frame, two frames (5 frames do not
+    divide into them) and the whole clip."""
+
+    @pytest.fixture(params=[1, 2, None], ids=["1-frame", "2-frame", "whole-clip"])
+    def chunk_frames(self, request, monkeypatch):
+        def set_for(m_in, kernel, height, width):
+            frame_bytes = height * width * kernel * kernel * m_in * 8
+            budget = 1 << 40 if request.param is None else request.param * frame_bytes
+            monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", budget)
+        return set_for
+
+    @pytest.mark.parametrize("m_in,kernel,frames,height,width", KERNEL_CASES)
+    def test_matches_shifted_sum(self, chunk_frames, m_in, kernel, frames, height, width):
+        chunk_frames(m_in, kernel, height, width)
+        rng = np.random.default_rng(m_in * 100 + kernel)
+        grid = rng.uniform(size=(frames, height, width, m_in))
+        bank = init_bank(4, m_in, kernel, "softmax", seed=kernel, scale=0.5)
+        act_grad = rng.normal(size=(frames, height, width, 4))
+        assert max_rel_diff(convolve_features(bank, grid),
+                            shifted_sum_convolution(bank, grid)) <= 1e-12
+        assert max_rel_diff(convolution_tap_gradient(grid, act_grad, kernel),
+                            shifted_sum_tap_gradient(grid, act_grad, kernel)) <= 1e-12
+
+    @pytest.mark.parametrize("m_in,kernel,frames,height,width", KERNEL_CASES)
+    def test_adjoint_identity(self, chunk_frames, m_in, kernel, frames, height, width):
+        chunk_frames(m_in, kernel, height, width)
+        rng = np.random.default_rng(m_in * 100 + kernel + 1)
+        grid = rng.uniform(size=(frames, height, width, m_in))
+        bank = init_bank(3, m_in, kernel, "softmax", seed=kernel + 1, scale=0.5)
+        g = rng.normal(size=(frames, height, width, 3))
+        linear = convolve_features(bank, grid) - 1.0 / 3.0
+        lhs = np.vdot(linear, g)
+        rhs = np.vdot(bank.taps, convolution_tap_gradient(grid, g, kernel))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 class TestDenseOracle:
