@@ -86,9 +86,10 @@ def _frame_patches(grid: np.ndarray, kernel: int):
     padded = np.pad(grid, ((0, 0), (reach, reach), (reach, reach), (0, 0)), mode="wrap")
     windows = sliding_window_view(padded, (kernel, kernel), (1, 2)).transpose(0, 1, 2, 4, 5, 3)
     frames = len(grid)
-    buffer = np.empty((min(frames, max(1, PATCH_CHUNK_BYTES // windows[0].nbytes)),) + windows.shape[1:])
-    for start in range(0, frames, len(buffer)):
-        patches = buffer[:min(len(buffer), frames - start)]
+    chunk = min(frames, max(1, PATCH_CHUNK_BYTES // windows[0].nbytes))
+    buffer = np.empty((chunk,) + windows.shape[1:])
+    for start in range(0, frames, chunk):
+        patches = buffer[:min(chunk, frames - start)]
         patches[...] = windows[start:start + len(patches)]
         yield slice(start, start + len(patches)), patches.reshape(-1, windows[0, 0, 0].size)
 

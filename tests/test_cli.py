@@ -423,17 +423,42 @@ class TestThreadsFlagIsInert:
 
 
 # two layers on a 32x32 RGB clip: layer 1 has m=3, K=5, layer 2 m=8, K=3
-TWO_LAYER_RGB = BASE.format(steps=3, save_features="true").replace(
-    "channels = 1", "channels = 3").replace("height = 12\nwidth = 12", "height = 32\nwidth = 32"
-).replace("n = 4\nk = 3", "n = 8\nk = 5") + "\n[layer2]\nn = 4\nk = 3\nsteps = 2\n"
+TWO_LAYER_RGB = """
+[data]
+source = synth
+pattern = random-texture
+period = 8
+seed = 7
+channels = 3
+frames = 6
+height = 32
+width = 32
+velocity = 1.0 0.0
+
+[flow]
+source = ground-truth
+
+[train]
+steps = 3
+step_size = 0.5
+seed = 12345
+
+[layer1]
+n = 8
+k = 5
+
+[layer2]
+n = 4
+k = 3
+steps = 2
+
+[output]
+dir = out
+save_features = true
+"""
 
 
 class TestBlasThreadsAreInert:
-    def test_two_layer_config_shape(self, tmp_path):
-        experiment = parse_config(write_config(tmp_path / "exp.ini", TWO_LAYER_RGB))
-        assert experiment.data.pattern.channels == 3
-        assert [(p.features, p.kernel) for p in experiment.layers] == [(8, 5), (4, 3)]
-
     @pytest.mark.parametrize("body", [BASE.format(steps=3, save_features="true"), TWO_LAYER_RGB],
                              ids=["m1-k3", "two-layer-m3-k5"])
     def test_train_tree_independent_of_blas_threads(self, tmp_path, body):

@@ -99,11 +99,11 @@ def max_rel_diff(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
-# (m_in, K, T, H, W): H != W throughout; the last two wrap the kernel around
-# the retina more than once
+# (m_in, K, T, H, W): H != W in all but one; in the last three the kernel is
+# wider than the retina, and in the last its reach (4) exceeds both sides
 KERNEL_CASES = [(1, 3, 5, 6, 8), (3, 3, 5, 7, 5), (8, 3, 5, 6, 8),
                 (1, 5, 5, 9, 7), (3, 5, 5, 6, 8), (8, 5, 5, 8, 6),
-                (1, 7, 3, 3, 4), (2, 7, 5, 3, 3)]
+                (1, 7, 3, 3, 4), (2, 7, 5, 3, 3), (3, 9, 5, 3, 2)]
 
 
 class TestPatchKernels:
