@@ -14,13 +14,23 @@ C_pen penalizes simplex violations of the raw activations.
 The space-time measure is h(t) / (sum_t h(t) * H * W): pixel-uniform with a
 per-frame temporal factor, normalized to total mass 1.  All reductions use a
 fixed accumulation order, so repeated evaluations are bit-identical.
+
+Public fields are (T, H, W, n).  The objective itself works feature-major, on
+(n, T, H, W) buffers that ``ActionInputs`` owns, one set per layer, so that
+every reduction over the features runs over contiguous rows.  Each step
+computes log p once; in softmax mode log p = a - logsumexp(a) stays finite
+where p underflows, which gives 0 log 0 = 0 without a special case.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .features import (
+# The step computes the probability map and its adjoint in place, so it calls
+# neither probability_vjp nor to_probabilities; perfbench/tracing.py still
+# wraps both names in this module, so they stay importable from it.
+from .features import (  # noqa: F401
+    CLAMP_EPS,
     FilterBank,
     as_grid,
     convolution_tap_gradient,
@@ -151,14 +161,17 @@ def conditional_entropy(field: np.ndarray, weights: TemporalWeights) -> float:
     return float(np.dot(measure, per_frame))
 
 
+def _simplex_marginal(q: np.ndarray) -> np.ndarray:
+    if abs(q.sum() - 1.0) > 1e-9:
+        raise ValueError(f"symbol marginal sums to {q.sum():.12g}, not 1: field off the simplex")
+    return q
+
+
 def symbol_marginal(field: np.ndarray, weights: TemporalWeights) -> np.ndarray:
     """Marginal symbol distribution q_i = sum_site measure * p_i."""
     arr = _check_field_weights(field, weights)
     measure = weights.frame_measure(arr.shape[1], arr.shape[2])
-    q = np.einsum("t,thwi->i", measure, arr)
-    if abs(q.sum() - 1.0) > 1e-9:
-        raise ValueError(f"symbol marginal sums to {q.sum():.12g}, not 1: field off the simplex")
-    return q
+    return _simplex_marginal(np.einsum("t,thwi->i", measure, arr))
 
 
 def marginal_entropy(field: np.ndarray, weights: TemporalWeights) -> float:
@@ -185,7 +198,10 @@ def information_index(field: np.ndarray, weights: TemporalWeights) -> float:
 class _WarpPlan:
     """Bilinear corners of the advected samples as flat sites ``t*H*W + row*W + col``
     of frames 1..T-1, and their weights; both (corner, T-1, H, W).  Corners
-    the flow gives no weight anywhere are dropped: integer flow keeps one."""
+    the flow gives no weight anywhere are dropped: integer flow keeps one.
+
+    ``gather`` and ``scatter`` take feature-major fields, (n, T-1, H, W), and
+    work one feature's contiguous rows at a time."""
 
     def __init__(self, flow: VelocityField):
         data = flow.data
@@ -212,25 +228,23 @@ class _WarpPlan:
         used = weight.reshape(4, -1).any(axis=1)
         self.index, self.weight = (index, weight) if used.all() else (index[used], weight[used])
 
-    def gather(self, tail: np.ndarray) -> np.ndarray:
-        """Advected samples of ``tail`` (frames 1..T-1, shape (T-1, H, W, n))."""
-        flat = tail.reshape(-1, tail.shape[3])
-        out = np.zeros(tail.shape, dtype=np.float64)
-        for index, weight in zip(self.index, self.weight):
-            out += weight[..., None] * flat[index]
-        return out
+    def gather(self, tail: np.ndarray, out: np.ndarray) -> None:
+        """Write the advected samples of ``tail`` (frames 1..T-1) into ``out``."""
+        for row, dest in zip(tail, out):
+            flat = row.reshape(-1)
+            np.multiply(self.weight[0], flat[self.index[0]], out=dest)
+            for index, weight in zip(self.index[1:], self.weight[1:]):
+                dest += weight * flat[index]
 
-    def scatter(self, grad: np.ndarray) -> np.ndarray:
-        """Adjoint of ``gather``: spread a residual-shaped gradient onto frames 1..T-1.
+    def scatter(self, grad: np.ndarray, out: np.ndarray) -> None:
+        """Adjoint of ``gather``: add a residual-shaped gradient, spread onto
+        frames 1..T-1, into ``out``.
 
         Each site sums its contributions corner by corner, then in residual
-        site order.  One ``bincount`` per feature, written straight into the
-        output, keeps the index and the temporaries small."""
+        site order: one ``bincount`` per feature."""
         index = self.index.ravel()
-        out = np.empty((self.index[0].size, grad.shape[3]))
-        for f in range(grad.shape[3]):
-            out[:, f] = np.bincount(index, (self.weight * grad[..., f]).ravel(), len(out))
-        return out.reshape(grad.shape)
+        for row, dest in zip(grad, out):
+            dest += np.bincount(index, (self.weight * row).ravel(), row.size).reshape(row.shape)
 
 
 def motion_residual(act: np.ndarray, flow: VelocityField) -> np.ndarray:
@@ -239,8 +253,11 @@ def motion_residual(act: np.ndarray, flow: VelocityField) -> np.ndarray:
     if arr.ndim != 4:
         raise ValueError(f"activation field must be (T, H, W, n), got shape {arr.shape}")
     require_matching(flow, arr.shape[0], arr.shape[1], arr.shape[2])
-    plan = _WarpPlan(flow)
-    return plan.gather(arr[1:]) - arr[:-1]
+    rows = arr.transpose(3, 0, 1, 2)
+    residual = np.empty((rows.shape[0], rows.shape[1] - 1) + rows.shape[2:])
+    _WarpPlan(flow).gather(rows[:, 1:], residual)
+    residual -= rows[:, :-1]
+    return residual.transpose(1, 2, 3, 0)
 
 
 def motion_term(act: np.ndarray, flow: VelocityField, weights: TemporalWeights) -> float:
@@ -288,99 +305,188 @@ def temporal_parsimony(bank_now, bank_prev, dtau: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Constraint penalty on raw activations (linear-penalty mode only).
+# Constraint penalty on raw feature-major activations (linear-penalty mode only).
 
-def _constraint_penalty(act: np.ndarray, measure: np.ndarray) -> float:
-    sum_dev = act.sum(axis=3) - 1.0
-    low = np.maximum(0.0, -act)
-    high = np.maximum(0.0, act - 1.0)
-    per_site = sum_dev * sum_dev + (low * low + high * high).sum(axis=3)
-    return float(np.dot(measure, per_site.sum(axis=(1, 2))))
+def _constraint_penalty(act: np.ndarray, measure: np.ndarray, scratch: np.ndarray) -> float:
+    """The penalty's value; ``scratch``, of the activations' shape, is overwritten."""
+    sum_dev = act.sum(axis=0) - 1.0
+    excess = np.subtract(act, np.clip(act, 0.0, 1.0, out=scratch), out=scratch)
+    per_frame = np.einsum("thw,thw->t", sum_dev, sum_dev) + np.einsum("ithw,ithw->t", excess, excess)
+    return float(np.dot(measure, per_frame))
 
 
-def _constraint_penalty_act_gradient(act: np.ndarray, measure: np.ndarray) -> np.ndarray:
-    sum_dev = act.sum(axis=3) - 1.0
-    grad = 2.0 * sum_dev[..., None] - 2.0 * np.maximum(0.0, -act) \
-        + 2.0 * np.maximum(0.0, act - 1.0)
-    return measure[:, None, None, None] * grad
+def _constraint_penalty_act_gradient(act: np.ndarray, measure: np.ndarray, scale: float) -> None:
+    """Overwrite the activations with ``scale`` times the penalty's gradient."""
+    sum_dev = act.sum(axis=0) - 1.0
+    factor = (2.0 * scale) * measure[:, None, None]
+    for row in act:
+        excess = row - np.clip(row, 0.0, 1.0)
+        np.add(sum_dev, excess, out=row)
+        row *= factor
 
 
 # ---------------------------------------------------------------------------
 # Composite objective and its analytic tap gradient.
 #
-# ``ActionInputs`` holds what stays fixed while a layer learns.  One forward
-# sweep (``_evaluate``) computes every term and keeps the arrays the adjoints
-# read.  The activation-space gradient of -I comes in a new array the caller
-# owns (adding it into a zeroed buffer instead costs a training step an extra
-# pass over the activations); the motion and penalty gradients are added into
-# such a buffer.  One convolution adjoint maps a buffer to the taps.
+# ``ActionInputs`` holds what stays fixed while a layer learns, and the
+# step's workspace.  One step (``_evaluate``) runs in place on feature-major
+# (n, T, H, W) buffers: the activations become log p, then the activation
+# gradient; the probabilities and the transport residual have a buffer each.
+# One convolution adjoint maps the activation gradient to the taps.  The
+# returned breakdown and tap gradient never alias the workspace, which the
+# next evaluation overwrites.
 
 class ActionInputs:
     """The fixed inputs of one objective, checked and derived once: the input
-    grid, the space-time measures of ``weights`` and the warp plan of ``flow``."""
+    grid, the space-time measures of ``weights``, the warp plan of ``flow``;
+    and the workspace every evaluation on them reuses."""
 
     def __init__(self, data, flow: VelocityField, weights: TemporalWeights):
         self.grid = as_grid(data)
         frames, height, width = self.grid.shape[:3]
         require_matching(flow, frames, height, width)
-        self.weights = weights
+        if weights.frames != frames:
+            raise ValueError(f"temporal weights cover {weights.frames} frames, grid has {frames}")
+        if not np.all(np.isfinite(self.grid)):
+            raise ValueError("input grid must be finite")
         self.frame_measure = weights.frame_measure(height, width)
         self.residual_measure = weights.residual_measure(height, width)
         self.plan = _WarpPlan(flow)
+        self._workspace = None
+
+    def workspace(self, n: int):
+        """(act, probs, residual, site) for ``n`` features: (n, T, H, W) twice,
+        (n, T-1, H, W) and three (T, H, W) site arrays.  Allocated at the first
+        evaluation and again only when n changes."""
+        if self._workspace is None or len(self._workspace[0]) != n:
+            frames, height, width = self.grid.shape[:3]
+            self._workspace = (np.empty((n, frames, height, width)),
+                               np.empty((n, frames, height, width)),
+                               np.empty((n, frames - 1, height, width)),
+                               np.empty((3, frames, height, width)))
+        return self._workspace
 
 
-@dataclass(frozen=True)
-class _Forward:
-    """What one forward sweep keeps for the activation-space term gradients."""
+def _entropies(act: np.ndarray, probs: np.ndarray, site: np.ndarray, measure: np.ndarray,
+               mode: str) -> tuple[np.ndarray, float, float]:
+    """Probabilities of the activations in ``act``, in place, and the entropies.
 
-    inputs: ActionInputs
-    act: np.ndarray
-    probs: np.ndarray
-    marginal: np.ndarray
-    residual: np.ndarray
-    mode: str
+    log p is computed once and serves the conditional entropy, the marginal
+    and ``site[0]``: c = sum_i p_i (log q_i - log p_i), which the gradient of
+    -I reads.  Softmax leaves log p = (a - max a) - log sum exp(a - max a) in
+    ``act`` and p in ``probs``; log p stays finite where p underflows to 0, so
+    0 log 0 = 0 holds without a special case.  Linear-penalty keeps the raw
+    activations in ``act`` (its penalty and its projection's adjoint read
+    them), leaves log p in ``probs`` and the clamped sum in ``site[1]``.
+    Returns (log q, S(Y), S(Y | site)).
+    """
+    cross, total, plogp = site
+    n, frames = act.shape[:2]
+    if mode == "softmax":
+        np.max(act, axis=0, out=plogp)
+        act -= plogp
+        np.exp(act, out=probs)
+        np.sum(probs, axis=0, out=total)
+        probs /= total
+        act -= np.log(total, out=total)
+        np.einsum("i...,i...->...", probs, act, out=plogp)
+    else:
+        np.clip(act, CLAMP_EPS, 1.0, out=probs)
+        np.sum(probs, axis=0, out=total)
+        probs /= total
+    q = _simplex_marginal(probs.reshape(n, frames, -1).sum(axis=2) @ measure)
+    log_q = np.log(np.where(q > 0.0, q, 1.0))
+    np.matmul(log_q, probs.reshape(n, -1), out=cross.reshape(-1))
+    if mode != "softmax":
+        plogp.fill(0.0)
+        for row in probs:
+            log_row = np.log(row)
+            row *= log_row
+            plogp += row
+            row[...] = log_row
+    cross -= plogp
+    s_cond = -float(np.dot(measure, plogp.reshape(frames, -1).sum(axis=1)))
+    return log_q, -float((q * log_q).sum()), s_cond
 
-    def neg_index_gradient(self) -> np.ndarray:
-        return _neg_index_act_gradient(self.act, self.probs, self.marginal,
-                                       self.inputs.frame_measure, self.mode)
 
-    def add_motion_gradient(self, out: np.ndarray, scale: float = 1.0) -> None:
-        grad = (2.0 * scale) * self.inputs.residual_measure[:, None, None, None] * self.residual
-        out[:-1] -= grad
-        out[1:] += self.inputs.plan.scatter(grad)
+def _neg_index_act_gradient(act: np.ndarray, probs: np.ndarray, site: np.ndarray,
+                            log_q: np.ndarray, measure: np.ndarray, mode: str) -> np.ndarray:
+    """Activation-space gradient of -I, in place on what ``_entropies`` left.
 
-    def add_penalty_gradient(self, out: np.ndarray, scale: float = 1.0) -> None:
-        out += scale * _constraint_penalty_act_gradient(self.act, self.inputs.frame_measure)
+    In probability space d(-I)/dp_i = measure * (log q_i - log p_i).  Through
+    the softmax it is measure * p_i * (log q_i - log p_i - c), written over
+    log p in ``act``; through the clamp-and-renormalize projection it is
+    measure * (log q_i - log p_i - c) / sum(clamp) where the clamp is
+    inactive and 0 elsewhere, written over log p in ``probs``.  Returns the
+    buffer that holds it.
+    """
+    cross, total, factor = site
+    out = act if mode == "softmax" else probs
+    np.subtract(log_q[:, None, None, None], out, out=out)
+    out -= cross
+    if mode == "softmax":
+        out *= probs
+        out *= measure[:, None, None]
+        return out
+    np.divide(measure[:, None, None], total, out=factor)
+    out *= factor
+    out[~((act > CLAMP_EPS) & (act < 1.0))] = 0.0
+    return out
 
 
 def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
-              lam: Multipliers, dtau: float) -> tuple[ActionBreakdown, _Forward]:
-    """The forward sweep shared by every entry point.
+              lam: Multipliers, dtau: float, grad: bool = False, index: bool = True):
+    """One objective step on the workspace of ``inputs``: the breakdown, and
+    with ``grad`` the gradient in the taps (else None).  ``index = False``
+    leaves -I out of the gradient, so that a term's gradient can be taken
+    alone.
 
-    ``inputs`` checked the grid and flow.  The calls below reject the other bad
-    inputs where they first use them: the convolution a channel count that
-    differs from the bank's, the entropies weights for another frame count,
-    the temporal parsimony a previous bank of another shape and ``dtau <= 0``.
+    ``inputs`` checked the grid, flow and weights.  The calls below reject the
+    other bad inputs where they first use them: the convolution a channel
+    count that differs from the bank's, the temporal parsimony a previous bank
+    of another shape and ``dtau <= 0``.
     """
-    act = convolve_features(bank, inputs.grid)
-    probs = to_probabilities(act, bank.mode)
+    act, probs, residual, site = inputs.workspace(bank.n)
+    linear = bank.mode == "linear-penalty"
+    convolve_features(bank, inputs.grid, out=act.transpose(1, 2, 3, 0))
 
-    s_cond = conditional_entropy(probs, inputs.weights)
-    q = symbol_marginal(probs, inputs.weights)
-    s_marg = float(_neg_xlogx_sum(q))
+    inputs.plan.gather(act[:, 1:], residual)
+    residual -= act[:, :-1]
+    motion = float(np.dot(inputs.residual_measure, np.einsum("ithw,ithw->t", residual, residual)))
+    penalty = _constraint_penalty(act, inputs.frame_measure, probs) if linear else 0.0
+
+    log_q, s_marg, s_cond = _entropies(act, probs, site, inputs.frame_measure, bank.mode)
     info = s_marg - s_cond
-
-    residual = inputs.plan.gather(act[1:]) - act[:-1]
-    motion = float(np.dot(inputs.residual_measure, (residual * residual).sum(axis=(1, 2, 3))))
 
     spatial = spatial_parsimony(bank)
     temporal = temporal_parsimony(bank, bank_prev, dtau)
-    penalty = _constraint_penalty(act, inputs.frame_measure) if bank.mode == "linear-penalty" else 0.0
-
     total = (-info + lam.motion * motion + lam.spatial * spatial + lam.temporal * temporal
              + lam.constraint * penalty)
     breakdown = ActionBreakdown(s_marg, s_cond, info, motion, spatial, temporal, penalty, total)
-    return breakdown, _Forward(inputs, act, probs, q, residual, bank.mode)
+    if not grad:
+        return breakdown, None
+
+    neg_index = (_neg_index_act_gradient(act, probs, site, log_q, inputs.frame_measure,
+                                         bank.mode) if index else None)
+    if linear and lam.constraint != 0.0:
+        _constraint_penalty_act_gradient(act, inputs.frame_measure, lam.constraint)
+        if neg_index is not None:
+            act += neg_index
+    elif neg_index is None:
+        act.fill(0.0)
+    elif neg_index is not act:
+        act[...] = neg_index
+    if lam.motion != 0.0:
+        residual *= (2.0 * lam.motion) * inputs.residual_measure[:, None, None]
+        act[:, :-1] -= residual
+        inputs.plan.scatter(residual, act[:, 1:])
+
+    tap_grad = convolution_tap_gradient(inputs.grid, act.transpose(1, 2, 3, 0), bank.kernel)
+    if lam.spatial != 0.0:
+        tap_grad += lam.spatial * spatial_parsimony_gradient(bank.taps)
+    if lam.temporal != 0.0:
+        tap_grad += lam.temporal * (bank.taps - bank_prev.taps) / (dtau * dtau)
+    return breakdown, tap_grad
 
 
 def cognitive_action(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
@@ -391,37 +497,8 @@ def cognitive_action(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInpu
 
 def action_value_and_gradient(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
                               lam: Multipliers, dtau: float):
-    """One forward pass serving both the breakdown and the gradient in the taps."""
-    breakdown, forward = _evaluate(bank, bank_prev, inputs, lam, dtau)
-    act_grad = forward.neg_index_gradient()
-    if lam.motion != 0.0:
-        forward.add_motion_gradient(act_grad, lam.motion)
-    if bank.mode == "linear-penalty" and lam.constraint != 0.0:
-        forward.add_penalty_gradient(act_grad, lam.constraint)
-
-    grad = convolution_tap_gradient(inputs.grid, act_grad, bank.kernel)
-    if lam.spatial != 0.0:
-        grad += lam.spatial * spatial_parsimony_gradient(bank.taps)
-    if lam.temporal != 0.0:
-        grad += lam.temporal * (bank.taps - bank_prev.taps) / (dtau * dtau)
-    return breakdown, grad
-
-
-def _neg_index_act_gradient(act: np.ndarray, probs: np.ndarray, q: np.ndarray,
-                            frame_measure: np.ndarray, mode: str) -> np.ndarray:
-    """Activation-space gradient of -I.
-
-    In probability space d(-I)/dp = measure * (log q - log p).  For the
-    softmax path the product with p is folded in analytically (p*log p with
-    the 0*log(0) = 0 convention), so symbols whose probability underflows to
-    zero contribute their correct limit instead of NaN.
-    """
-    log_q = np.log(np.where(q > 0.0, q, 1.0))[None, None, None, :]
-    if mode == "softmax":
-        weighted = frame_measure[:, None, None, None] * (probs * log_q - _xlogx(probs))
-        return weighted - probs * weighted.sum(axis=-1, keepdims=True)
-    probs_grad = frame_measure[:, None, None, None] * (log_q - np.log(probs))
-    return probability_vjp(act, probs, probs_grad)
+    """One step serving both the breakdown and the gradient in the taps."""
+    return _evaluate(bank, bank_prev, inputs, lam, dtau, grad=True)
 
 
 def term_gradients(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
@@ -431,19 +508,14 @@ def term_gradients(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs
     Keys: info_index, motion, spatial, temporal, penalty.  Intended for
     oracle comparisons against finite differences of the breakdown fields.
     """
-    _, forward = _evaluate(bank, bank_prev, inputs, Multipliers(), dtau)
-
-    def tap_gradient(add_term) -> np.ndarray:
-        act_grad = np.zeros_like(forward.act)
-        add_term(act_grad)
-        return convolution_tap_gradient(inputs.grid, act_grad, bank.kernel)
+    def tap_gradient(lam: Multipliers, index: bool = False) -> np.ndarray:
+        return _evaluate(bank, bank_prev, inputs, lam, dtau, grad=True, index=index)[1]
 
     return {
-        "info_index": -convolution_tap_gradient(inputs.grid, forward.neg_index_gradient(),
-                                                bank.kernel),
-        "motion": tap_gradient(forward.add_motion_gradient),
+        "info_index": -tap_gradient(Multipliers(), index=True),
+        "motion": tap_gradient(Multipliers(motion=1.0)),
         "spatial": spatial_parsimony_gradient(bank.taps),
         "temporal": (bank.taps - bank_prev.taps) / (dtau * dtau),
-        "penalty": (tap_gradient(forward.add_penalty_gradient)
+        "penalty": (tap_gradient(Multipliers(constraint=1.0))
                     if bank.mode == "linear-penalty" else np.zeros_like(bank.taps)),
     }

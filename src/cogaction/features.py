@@ -80,26 +80,33 @@ def as_grid(data) -> np.ndarray:
 
 def _frame_patches(grid: np.ndarray, kernel: int):
     """Yield ``(frames, patches)`` per chunk of frames, as many as fit in
-    PATCH_CHUNK_BYTES and at least one.  Row ``(t, r, c)``, column ``(u, v, j)``
-    of the reused patch buffer holds ``grid[t, r + u - reach, c + v - reach, j]``."""
+    PATCH_CHUNK_BYTES and at least one.  Row ``(u, v, j)``, column ``(t, r, c)``
+    of the reused patch buffer holds ``grid[t, r + u - reach, c + v - reach, j]``,
+    so each row is a copy of shifted frame rows."""
     reach = (kernel - 1) // 2
-    padded = np.pad(grid, ((0, 0), (reach, reach), (reach, reach), (0, 0)), mode="wrap")
-    windows = sliding_window_view(padded, (kernel, kernel), (1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    padded = np.pad(grid.transpose(3, 0, 1, 2), ((0, 0), (0, 0), (reach, reach), (reach, reach)),
+                    mode="wrap")
+    windows = sliding_window_view(padded, (kernel, kernel), (2, 3)).transpose(4, 5, 0, 1, 2, 3)
     frames = len(grid)
-    chunk = min(frames, max(1, PATCH_CHUNK_BYTES // windows[0].nbytes))
-    buffer = np.empty((chunk,) + windows.shape[1:])
+    frame_size = windows[:, :, :, 0].size
+    chunk = min(frames, max(1, PATCH_CHUNK_BYTES // (8 * frame_size)))
+    buffer = np.empty(chunk * frame_size)
     for start in range(0, frames, chunk):
-        patches = buffer[:min(chunk, frames - start)]
-        patches[...] = windows[start:start + len(patches)]
-        yield slice(start, start + len(patches)), patches.reshape(-1, windows[0, 0, 0].size)
+        count = min(chunk, frames - start)
+        patches = buffer[:count * frame_size].reshape(windows.shape[:3] + (count,) + grid.shape[1:3])
+        patches[...] = windows[:, :, :, start:start + count]
+        yield slice(start, start + count), patches.reshape(kernel * kernel * grid.shape[3], -1)
 
 
-def convolve_features(bank: FilterBank, data) -> np.ndarray:
+def convolve_features(bank: FilterBank, data, out: np.ndarray | None = None) -> np.ndarray:
     """Activation field (T, H, W, n) of the bank over a clip or feature field.
 
-    Toroidal boundary.  Each chunk of frames is one matrix product of its patch
-    matrix with the flipped taps; the chunking is fixed by the grid shape and
-    every call takes this one path, so repeated evaluations are bit-identical.
+    The field is held feature-major: it is a (T, H, W, n) view of (n, T, H, W)
+    storage, new unless ``out`` (such a view) is given to write into.
+    Toroidal boundary.  Each chunk of frames is one matrix product of the
+    flipped taps with its patch matrix; the chunking is fixed by the grid shape
+    and every call takes this one path, so repeated evaluations are
+    bit-identical.
     """
     grid = as_grid(data)
     if grid.shape[3] != bank.m_in:
@@ -107,25 +114,29 @@ def convolve_features(bank: FilterBank, data) -> np.ndarray:
             f"layer {bank.layer} bank expects {bank.m_in} input channels, grid has {grid.shape[3]}"
         )
     n = bank.n
-    taps = bank.taps[:, :, ::-1, ::-1].transpose(3, 2, 1, 0).reshape(-1, n)
-    act = np.empty(grid.shape[:3] + (n,), dtype=np.float64)
+    taps = bank.taps[:, :, ::-1, ::-1].transpose(0, 3, 2, 1).reshape(n, -1)
+    if out is None:
+        out = np.empty((n,) + grid.shape[:3]).transpose(1, 2, 3, 0)
+    rows = out.transpose(3, 0, 1, 2)
+    if rows.shape != (n,) + grid.shape[:3] or not rows.flags.c_contiguous:
+        raise ValueError("out must be a (T, H, W, n) view of (n, T, H, W) storage")
     for frames, patches in _frame_patches(grid, bank.kernel):
-        out = act[frames].reshape(-1, n)
-        np.matmul(patches, taps, out=out)
-        out += 1.0 / n
-    return act
+        chunk = rows[:, frames].reshape(n, -1)
+        np.matmul(taps, patches, out=chunk)
+        chunk += 1.0 / n
+    return out
 
 
 def convolution_tap_gradient(data, act_grad: np.ndarray, kernel: int) -> np.ndarray:
     """Adjoint of ``convolve_features`` in the taps: maps an activation-shaped
-    gradient to a (n, m_in, K, K) tap-shaped gradient."""
+    (T, H, W, n) gradient to a (n, m_in, K, K) tap-shaped gradient."""
     grid = as_grid(data)
-    grad = np.asarray(act_grad, dtype=np.float64)
-    n = grad.shape[3]
-    total = np.zeros((n, kernel * kernel * grid.shape[3]), dtype=np.float64)
+    rows = np.asarray(act_grad, dtype=np.float64).transpose(3, 0, 1, 2)
+    n = len(rows)
+    total = np.zeros((kernel * kernel * grid.shape[3], n), dtype=np.float64)
     for frames, patches in _frame_patches(grid, kernel):
-        total += grad[frames].reshape(-1, n).T @ patches
-    return total.reshape(n, kernel, kernel, -1)[:, ::-1, ::-1].transpose(0, 3, 2, 1).copy()
+        total += patches @ rows[:, frames].reshape(n, -1).T
+    return total.T.reshape(n, kernel, kernel, -1)[:, ::-1, ::-1].transpose(0, 3, 2, 1).copy()
 
 
 def dense_kernel_oracle(table: np.ndarray, data) -> np.ndarray:

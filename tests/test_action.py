@@ -31,7 +31,9 @@ from cogaction.action import (
     spatial_parsimony_gradient,
     term_gradients,
 )
-from cogaction.optimizer import finite_diff_breakdowns
+from cogaction.features import stack_layers, to_probabilities
+from cogaction.optimizer import build_weights, finite_diff_breakdowns, gradient_check_instances
+from objective_oracle import objective_step
 
 
 def motion_term_loop_oracle(act, flow, h):
@@ -194,19 +196,25 @@ class TestMotionResidual:
         rng = np.random.default_rng(9)
         plan = _WarpPlan(constant_flow((2, -1), 4, 5, 6))
         assert plan.index.shape[0] == plan.weight.shape[0] == 1
-        tail = rng.standard_normal((3, 5, 6, 2))
+        tail = rng.standard_normal((2, 3, 5, 6))  # feature-major (n, T-1, H, W)
+        out = np.empty_like(tail)
+        plan.gather(tail, out)
         # the sample at (r, c) is (r - 1, c + 2) of the next frame
-        assert np.array_equal(plan.gather(tail), np.roll(tail, (1, -2), axis=(1, 2)))
+        assert np.array_equal(out, np.roll(tail, (1, -2), axis=(2, 3)))
 
     def test_scatter_is_adjoint_of_gather(self):
         # flow in (-2.5, 2.5) on a 5x4 grid: many residual sites share a bin
         rng = np.random.default_rng(8)
         flow = VelocityField(rng.uniform(-2.5, 2.5, size=(4, 5, 4, 2)))
         plan = _WarpPlan(flow)
-        x = rng.standard_normal((3, 5, 4, 3))
-        y = rng.standard_normal((3, 5, 4, 3))
-        lhs = float(np.sum(plan.gather(x) * y))
-        rhs = float(np.sum(x * plan.scatter(y)))
+        x = rng.standard_normal((3, 3, 5, 4))  # feature-major (n, T-1, H, W)
+        y = rng.standard_normal((3, 3, 5, 4))
+        gathered = np.empty_like(x)
+        plan.gather(x, gathered)
+        scattered = np.zeros_like(y)
+        plan.scatter(y, scattered)
+        lhs = float(np.sum(gathered * y))
+        rhs = float(np.sum(x * scattered))
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
 
 
@@ -367,6 +375,107 @@ class TestCompositeAction:
             assert float(text) == value  # 17 significant digits round-trip
 
 
+def step(bank, prev, inputs, lam, dtau):
+    breakdown, grad = action_value_and_gradient(bank, prev, inputs, lam, dtau)
+    return breakdown.values(), grad
+
+
+class TestWorkspaceReuse:
+    """Every evaluation on one ``ActionInputs`` reuses its buffers; no result
+    may depend on, or alias, what an earlier evaluation left there."""
+
+    def _banks(self):
+        clip, flow = synth_translating_clip(PatternSpec("random-texture", 4, seed=21),
+                                            (0.5, 0.25), 5, 9, 8)
+        lam = Multipliers(motion=1.1, spatial=0.2, temporal=0.3, constraint=0.7)
+        a = init_bank(4, 1, 3, "softmax", seed=22, scale=0.2)
+        # b shares a's feature count (and so its buffers) but not its mode;
+        # c has another feature count
+        b = init_bank(4, 1, 3, "linear-penalty", seed=23, scale=0.08)
+        c = init_bank(3, 1, 5, "softmax", seed=24, scale=0.2)
+        return clip, flow, lam, a, b, c
+
+    @pytest.mark.parametrize("other", ["same-n", "other-n"])
+    def test_a_b_a_on_one_inputs(self, other):
+        clip, flow, lam, a, b, c = self._banks()
+        b = b if other == "same-n" else c
+        inputs = ActionInputs(clip, flow, TemporalWeights.uniform(5))
+        first, grad = step(a, a, inputs, lam, 0.5)
+        kept = grad.copy()
+        step(b, b, inputs, lam, 0.5)
+        assert np.array_equal(grad, kept)
+        again, grad_again = step(a, a, inputs, lam, 0.5)
+        assert again == first
+        assert np.array_equal(grad_again, kept)
+        assert cognitive_action(a, a, inputs, lam, 0.5).values() == first
+
+    def test_two_inputs_interleaved(self):
+        clip, flow, lam, a, b, _ = self._banks()
+        one = ActionInputs(clip, flow, TemporalWeights.uniform(5))
+        two = ActionInputs(clip, flow, build_weights("exp:0.9", 5))
+        a_one, grad_a_one = step(a, a, one, lam, 0.5)
+        b_two, grad_b_two = step(b, b, two, lam, 0.5)
+        kept = grad_a_one.copy(), grad_b_two.copy()
+        assert step(b, b, one, lam, 0.5)[0] != a_one
+        assert step(a, a, two, lam, 0.5)[0] != b_two
+        a_again, grad_a_again = step(a, a, one, lam, 0.5)
+        b_again, grad_b_again = step(b, b, two, lam, 0.5)
+        assert (a_again, b_again) == (a_one, b_two)
+        assert np.array_equal(grad_a_again, kept[0]) and np.array_equal(grad_b_again, kept[1])
+        assert np.array_equal(grad_a_one, kept[0]) and np.array_equal(grad_b_two, kept[1])
+
+
+def assert_matches_oracle(bank, prev, data, flow, weights, lam, dtau, rel=1e-12):
+    """Breakdown terms and tap gradient of the step against the (T, H, W, n)
+    oracle, each within ``rel`` of the oracle's magnitude."""
+    breakdown, grad = action_value_and_gradient(bank, prev, ActionInputs(data, flow, weights),
+                                                lam, dtau)
+    expected, expected_grad = objective_step(bank, prev, data, flow, weights, lam, dtau)
+    assert np.all(np.isfinite(breakdown.values())) and np.all(np.isfinite(grad))
+    for got, want in zip(breakdown.values(), expected.values()):
+        assert abs(got - want) <= rel * abs(want)
+    assert np.abs(grad - expected_grad).max() <= rel * np.abs(expected_grad).max()
+
+
+class TestSoftmaxUnderflow:
+    def test_underflowing_probabilities_match_oracle(self):
+        clip, flow = synth_translating_clip(PatternSpec("random-texture", 4, seed=31),
+                                            (0.5, 0.25), 4, 8, 8)
+        base = init_bank(4, 1, 3, "softmax", seed=32, scale=0.1)
+        bank = base.with_taps(base.taps * 2e4)
+        prev = base.with_taps(base.taps * 1.999e4)
+        probs = to_probabilities(convolve_features(bank, clip), "softmax")
+        assert np.count_nonzero(probs == 0.0) > probs.size // 10  # exact 0.0, not tiny
+        lam = Multipliers(motion=0.7, spatial=0.2, temporal=0.3)
+        assert_matches_oracle(bank, prev, clip.data, flow, TemporalWeights.uniform(4), lam, 0.5)
+
+
+class TestOracleParity:
+    """Linear-penalty runs are not pinned by the reference traces; the step
+    must agree with the (T, H, W, n) oracle instead."""
+
+    @pytest.mark.parametrize("number", range(20))
+    def test_gradient_check_instance(self, number):
+        instance = gradient_check_instances(20)[number]
+        assert_matches_oracle(instance["bank"], instance["bank_prev"], instance["data"],
+                              instance["flow"], instance["weights"], instance["lam"],
+                              instance["dtau"])
+
+    def test_deep_layer_two_shape(self):
+        # layer 2 of a deep stack: m=8 feature field of a softmax layer over
+        # an RGB clip, n=8, K=3, exp:0.9 weights, sub-pixel flow
+        pattern = PatternSpec("random-texture", 8, seed=41, channels=3)
+        clip, flow = synth_translating_clip(pattern, (0.5, 0.25), 16, 64, 64)
+        field = stack_layers([init_bank(8, 3, 5, "softmax", seed=42, scale=0.1)], clip)[0]
+        bank = init_bank(8, 8, 3, "linear-penalty", seed=43, scale=0.2, layer=2)
+        rng = np.random.default_rng(44)
+        prev = bank.with_taps(bank.taps + rng.uniform(-0.01, 0.01, size=bank.taps.shape))
+        act = convolve_features(bank, field)
+        assert 0.1 < np.mean((act > 1e-6) & (act < 1.0)) < 0.9  # the clamp cuts in places
+        lam = Multipliers(motion=1.0, spatial=1e-3, temporal=1e-3, constraint=1.0)
+        assert_matches_oracle(bank, prev, field, flow, build_weights("exp:0.9", 16), lam, 0.5)
+
+
 ENTRY_POINTS = {
     "cognitive_action": lambda bank, prev, data, flow, w, lam, dtau:
         cognitive_action(bank, prev, ActionInputs(data, flow, w), lam, dtau),
@@ -388,6 +497,7 @@ BAD_INPUTS = {
     "flow": r"velocity field .* does not match",
     "bank_prev": r"bank shapes? .*differ",
     "dtau": r"step must be > 0",
+    "nan-grid": r"must be finite",
 }
 
 
@@ -408,6 +518,9 @@ def _inputs_with(bad):
         args["prev"] = init_bank(3, 1, 5, "softmax", seed=5, scale=0.15)
     elif bad == "dtau":
         args["dtau"] = 0.0
+    elif bad == "nan-grid":
+        args["data"] = clip.data.copy()
+        args["data"][1, 2, 3, 0] = np.nan
     return args
 
 
