@@ -108,6 +108,14 @@ class TestTrainLayer:
         with pytest.raises(DivergenceError, match=r"step \d+"):
             train_layer(bank, clip, flow, config)
 
+    def test_linear_penalty_divergence_aborts_with_step_index(self, texture_instance):
+        clip, flow = texture_instance
+        bank = init_bank(4, 1, 3, "linear-penalty", seed=8, scale=0.1)
+        config = TrainConfig(step_size=1e9, steps=50, mode="linear-penalty",
+                             lam=Multipliers(motion=1.0, constraint=1.0), seed=8)
+        with pytest.raises(DivergenceError, match=r"step \d+"):
+            train_layer(bank, clip, flow, config)
+
     def test_reproducible_bit_identical(self, texture_instance):
         clip, flow = texture_instance
         config = TrainConfig(step_size=0.1, steps=10, lam=Multipliers(motion=1.0), seed=9)
