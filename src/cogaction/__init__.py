@@ -15,10 +15,6 @@ from .action import (
     TemporalWeights,
     cognitive_action,
     conditional_entropy,
-    information_index,
-    marginal_entropy,
-    motion_residual,
-    motion_term,
     spatial_parsimony,
     temporal_parsimony,
 )
@@ -26,8 +22,6 @@ from .config import ConfigError, ExperimentConfig, parse_config
 from .features import (
     FilterBank,
     convolve_features,
-    dense_kernel_oracle,
-    dense_table_from_bank,
     load_bank,
     save_bank,
     stack_layers,

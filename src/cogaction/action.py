@@ -26,9 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The step computes the probability map and its adjoint in place, so it calls
-# neither probability_vjp nor to_probabilities; perfbench/tracing.py still
-# wraps both names in this module, so they stay importable from it.
+# The step computes the probability map, its adjoint and the entropies in
+# place: it calls none of probability_vjp, to_probabilities,
+# conditional_entropy and symbol_marginal.  The benchmark under perfbench/
+# looks up these four in this module by name, and evaluate_bank,
+# cognitive_action, action_value_and_gradient, term_gradients, stack_layers
+# and cli._windowed_eval in theirs, so all of them stay until it moves to
+# other seams.
 from .features import (  # noqa: F401
     CLAMP_EPS,
     FilterBank,
@@ -130,17 +134,6 @@ class ActionBreakdown:
 # ---------------------------------------------------------------------------
 # Entropies of the symbol variable under the site measure.
 
-def _xlogx(probs: np.ndarray) -> np.ndarray:
-    """Elementwise p*log(p) with the 0*log(0) = 0 convention."""
-    safe = np.where(probs > 0.0, probs, 1.0)
-    return safe * np.log(safe)
-
-
-def _neg_xlogx_sum(probs: np.ndarray, axis=None) -> np.ndarray:
-    """-sum p*log(p) with the 0*log(0) = 0 convention."""
-    return -_xlogx(probs).sum(axis=axis)
-
-
 def _check_field_weights(field: np.ndarray, weights: TemporalWeights) -> np.ndarray:
     arr = np.asarray(field, dtype=np.float64)
     if arr.ndim != 4:
@@ -149,14 +142,17 @@ def _check_field_weights(field: np.ndarray, weights: TemporalWeights) -> np.ndar
         raise ValueError(
             f"temporal weights cover {weights.frames} frames, field has {arr.shape[0]}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("field must be finite")
     return arr
 
 
 def conditional_entropy(field: np.ndarray, weights: TemporalWeights) -> float:
-    """Measure-weighted mean per-site entropy of the symbol distribution, nats."""
+    """Measure-weighted mean per-site entropy of the symbol distribution, nats;
+    0 log 0 = 0."""
     arr = _check_field_weights(field, weights)
-    site = _neg_xlogx_sum(arr, axis=3)
-    per_frame = site.sum(axis=(1, 2))
+    safe = np.where(arr > 0.0, arr, 1.0)
+    per_frame = -(safe * np.log(safe)).sum(axis=3).sum(axis=(1, 2))
     measure = weights.frame_measure(arr.shape[1], arr.shape[2])
     return float(np.dot(measure, per_frame))
 
@@ -172,16 +168,6 @@ def symbol_marginal(field: np.ndarray, weights: TemporalWeights) -> np.ndarray:
     arr = _check_field_weights(field, weights)
     measure = weights.frame_measure(arr.shape[1], arr.shape[2])
     return _simplex_marginal(np.einsum("t,thwi->i", measure, arr))
-
-
-def marginal_entropy(field: np.ndarray, weights: TemporalWeights) -> float:
-    """Entropy of the marginal symbol distribution, nats."""
-    return float(_neg_xlogx_sum(symbol_marginal(field, weights)))
-
-
-def information_index(field: np.ndarray, weights: TemporalWeights) -> float:
-    """Marginal minus conditional entropy: dominant yet diverse features score high."""
-    return marginal_entropy(field, weights) - conditional_entropy(field, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -245,28 +231,6 @@ class _WarpPlan:
         index = self.index.ravel()
         for row, dest in zip(grad, out):
             dest += np.bincount(index, (self.weight * row).ravel(), row.size).reshape(row.shape)
-
-
-def motion_residual(act: np.ndarray, flow: VelocityField) -> np.ndarray:
-    """Transport residual r_i(x, t) for t = 0..T-2, shape (T-1, H, W, n)."""
-    arr = np.asarray(act, dtype=np.float64)
-    if arr.ndim != 4:
-        raise ValueError(f"activation field must be (T, H, W, n), got shape {arr.shape}")
-    require_matching(flow, arr.shape[0], arr.shape[1], arr.shape[2])
-    rows = arr.transpose(3, 0, 1, 2)
-    residual = np.empty((rows.shape[0], rows.shape[1] - 1) + rows.shape[2:])
-    _WarpPlan(flow).gather(rows[:, 1:], residual)
-    residual -= rows[:, :-1]
-    return residual.transpose(1, 2, 3, 0)
-
-
-def motion_term(act: np.ndarray, flow: VelocityField, weights: TemporalWeights) -> float:
-    """Integrated squared transport residual under the renormalized measure."""
-    arr = _check_field_weights(act, weights)
-    residual = motion_residual(arr, flow)
-    measure = weights.residual_measure(arr.shape[1], arr.shape[2])
-    per_frame = (residual * residual).sum(axis=(1, 2, 3))
-    return float(np.dot(measure, per_frame))
 
 
 # ---------------------------------------------------------------------------

@@ -152,4 +152,6 @@ def load_flow(path) -> VelocityField:
     if len(body) != count * 8:
         raise ValueError(f"{path}: expected {count * 8} payload bytes, found {len(body)}")
     data = np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(frames, height, width, 2)
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: velocity components must be finite")
     return VelocityField(data)

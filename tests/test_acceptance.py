@@ -23,13 +23,9 @@ from cogaction import (
     VideoClip,
     cognitive_action,
     convolve_features,
-    dense_kernel_oracle,
-    dense_table_from_bank,
     evaluate_bank,
-    information_index,
     init_bank,
     load_bank,
-    motion_term,
     stack_layers,
     synth_translating_clip,
     to_probabilities,
@@ -39,6 +35,8 @@ from cogaction import features
 from cogaction.action import BREAKDOWN_CSV_HEADER
 from cogaction.cli import main
 from cogaction.optimizer import run_gradient_check
+from dense_oracle import dense_kernel_oracle, dense_table_from_bank
+from identity_probe import identity_probe
 
 FROZEN_STEP_SIZE = 1.0
 A3_STEPS = 600
@@ -154,15 +152,17 @@ def test_a1_gradient_oracle():
 
 
 def test_a2_exact_transport(monkeypatch):
+    # M as the training step computes it: convolution, warp-plan gather and
+    # residual measure
     start = time.monotonic()
     worst = 0.0
     for velocity in ((1, 0), (-1, 1)):
         clip, flow = synth_translating_clip(PatternSpec("checkerboard", 8), velocity, 6, 24, 24)
-        weights = TemporalWeights.uniform(6)
+        inputs = ActionInputs(clip, flow, TemporalWeights.uniform(6))
         for seed in range(10):
             bank = init_bank(4, 1, 3, "softmax", seed=seed, scale=0.5)
-            act = convolve_features(bank, clip)
-            worst = max(worst, motion_term(act, flow, weights))
+            motion = cognitive_action(bank, bank, inputs, Multipliers(), 1.0).motion
+            worst = max(worst, motion)
     # multi-channel clips on the full retina, the convolution taking its
     # patches 1, 3 and 16 frames at a time
     for m_in, kernel in ((3, 5), (8, 3)):
@@ -170,16 +170,17 @@ def test_a2_exact_transport(monkeypatch):
         for velocity in ((1, 0), (-1, 1)):
             clip, flow = synth_translating_clip(
                 PatternSpec("random-texture", 16, seed=m_in, channels=m_in), velocity, 16, 64, 64)
-            weights = TemporalWeights.uniform(16)
+            inputs = ActionInputs(clip, flow, TemporalWeights.uniform(16))
             for chunk in (1, 3, 16):
                 monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", chunk * frame_bytes)
                 for seed in range(3):
                     bank = init_bank(4, m_in, kernel, "softmax", seed=seed, scale=0.5)
-                    act = convolve_features(bank, clip)
-                    worst = max(worst, motion_term(act, flow, weights))
+                    motion = cognitive_action(bank, bank, inputs, Multipliers(), 1.0).motion
+                    worst = max(worst, motion)
     elapsed = time.monotonic() - start
     ok = worst <= 1e-18 and elapsed <= 5.0
-    report("A2", ok, f"integer-translating clips, 2 velocities: checkerboard x 10 banks, "
+    report("A2", ok, f"the step's M on integer-translating clips, 2 velocities: "
+                     f"checkerboard x 10 banks, "
                      f"64x64x16 (m=3, K=5) and (m=8, K=3) x 3 banks x 3 chunkings, "
                      f"max M {worst:.1e} <= 1e-18", elapsed)
 
@@ -302,7 +303,10 @@ def test_a6_invariant_suites(a3_runs):
         field = raw / raw.sum(axis=-1, keepdims=True)
         s_cond = -np.sum(np.log(field) * field, axis=-1)
         entropy_ok &= bool(0.0 <= s_cond.min() and s_cond.max() <= math.log(n) + 1e-12)
-        index = information_index(field, weights)
+        probe = identity_probe(field, weights)
+        entropy_ok &= all(0.0 <= s <= math.log(n) + 1e-12
+                          for s in (probe.marginal_entropy, probe.conditional_entropy))
+        index = probe.info_index
         entropy_ok &= bool(-math.log(n) - 1e-12 <= index <= math.log(n) + 1e-12)
 
     simplex_worst = 0.0

@@ -15,11 +15,7 @@ from cogaction import (
     constant_flow,
     convolve_features,
     evaluate_bank,
-    information_index,
     init_bank,
-    marginal_entropy,
-    motion_residual,
-    motion_term,
     spatial_parsimony,
     synth_translating_clip,
     temporal_parsimony,
@@ -29,10 +25,12 @@ from cogaction.action import (
     _WarpPlan,
     action_value_and_gradient,
     spatial_parsimony_gradient,
+    symbol_marginal,
     term_gradients,
 )
-from cogaction.features import stack_layers, to_probabilities
+from cogaction.features import FilterBank, stack_layers, to_probabilities
 from cogaction.optimizer import build_weights, finite_diff_breakdowns, gradient_check_instances
+from identity_probe import identity_probe
 from objective_oracle import objective_step
 
 
@@ -57,6 +55,21 @@ def motion_term_loop_oracle(act, flow, h):
                     residual = advected - act[t, r, c, i]
                     total += h[t] / norm * residual * residual
     return total
+
+
+def transport_residual(act, flow):
+    """The step's transport residual of a (T, H, W, n) field, feature-major
+    (n, T-1, H, W): frames 1..T-1 gathered by the warp plan, minus frames
+    0..T-2."""
+    rows = np.ascontiguousarray(np.moveaxis(act, 3, 0))
+    residual = np.empty_like(rows[:, 1:])
+    _WarpPlan(flow).gather(rows[:, 1:], residual)
+    return residual - rows[:, :-1]
+
+
+def step_motion(bank, data, flow, weights):
+    """M as the objective step computes it."""
+    return cognitive_action(bank, bank, ActionInputs(data, flow, weights), Multipliers(), 1.0).motion
 
 
 class TestTemporalWeights:
@@ -86,7 +99,7 @@ class TestEntropies:
     def test_uniform_conditional_is_log_n(self):
         field = np.full((3, 4, 4, 4), 0.25)
         w = TemporalWeights.uniform(3)
-        assert abs(conditional_entropy(field, w) - math.log(4)) <= 1e-12
+        assert abs(identity_probe(field, w).conditional_entropy - math.log(4)) <= 1e-12
 
     def test_one_hot_conditional_is_zero(self):
         field = np.zeros((2, 3, 3, 3))
@@ -101,22 +114,24 @@ class TestEntropies:
         field[..., 2] = 0.25
         w = TemporalWeights.uniform(2)
         # -sum p log p = 1.5 * ln 2, recomputed by hand
-        assert abs(conditional_entropy(field, w) - 1.5 * math.log(2)) <= 1e-12
+        assert abs(identity_probe(field, w).conditional_entropy - 1.5 * math.log(2)) <= 1e-12
 
     def test_uniform_marginal_is_log_n(self):
         field = np.full((2, 4, 4, 5), 0.2)
         w = TemporalWeights.uniform(2)
-        assert abs(marginal_entropy(field, w) - math.log(5)) <= 1e-12
+        assert abs(identity_probe(field, w).marginal_entropy - math.log(5)) <= 1e-12
 
     def test_half_one_hot_split(self):
-        # half the sites emit symbol 0, half symbol 1: the ideal configuration
+        # half the sites emit symbol 0, half symbol 1: the ideal configuration;
+        # its exact zeros keep it off the identity probe
         field = np.zeros((2, 4, 4, 2))
         field[:, :2, :, 0] = 1.0
         field[:, 2:, :, 1] = 1.0
         w = TemporalWeights.uniform(2)
-        assert abs(marginal_entropy(field, w) - math.log(2)) <= 1e-12
+        q = symbol_marginal(field, w)
+        assert np.abs(q - 0.5).max() <= 1e-12
+        assert abs(-float((q * np.log(q)).sum()) - math.log(2)) <= 1e-12
         assert conditional_entropy(field, w) == 0.0
-        assert abs(information_index(field, w) - math.log(2)) <= 1e-12
 
     def test_marginal_hand_value(self):
         field = np.zeros((2, 2, 2, 3))
@@ -125,12 +140,12 @@ class TestEntropies:
         field[..., 2] = 0.1
         w = TemporalWeights.uniform(2)
         expected = -(0.7 * math.log(0.7) + 0.2 * math.log(0.2) + 0.1 * math.log(0.1))
-        assert abs(marginal_entropy(field, w) - expected) <= 1e-12
+        assert abs(identity_probe(field, w).marginal_entropy - expected) <= 1e-12
 
     def test_uniform_index_is_zero(self):
         field = np.full((2, 3, 3, 4), 0.25)
         w = TemporalWeights.uniform(2)
-        assert abs(information_index(field, w)) <= 1e-12
+        assert abs(identity_probe(field, w).info_index) <= 1e-12
 
     def test_index_bounds_on_random_fields(self):
         rng = np.random.default_rng(0)
@@ -139,19 +154,26 @@ class TestEntropies:
             n = int(rng.integers(2, 6))
             raw = rng.uniform(0.01, 1.0, size=(3, 5, 5, n))
             field = raw / raw.sum(axis=-1, keepdims=True)
-            index = information_index(field, w)
+            index = identity_probe(field, w).info_index
             assert -math.log(n) - 1e-12 <= index <= math.log(n) + 1e-12
 
     def test_off_simplex_marginal_rejected(self):
         field = np.full((2, 2, 2, 2), 0.3)
         w = TemporalWeights.uniform(2)
         with pytest.raises(ValueError, match="simplex"):
-            marginal_entropy(field, w)
+            symbol_marginal(field, w)
 
     def test_dimension_mismatch(self):
         field = np.full((3, 2, 2, 2), 0.5)
         with pytest.raises(ValueError, match="frames"):
             conditional_entropy(field, TemporalWeights.uniform(4))
+
+    @pytest.mark.parametrize("entry", [conditional_entropy, symbol_marginal])
+    def test_non_finite_field_rejected(self, entry):
+        field = np.full((2, 3, 3, 2), 0.5)
+        field[1, 2, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            entry(field, TemporalWeights.uniform(2))
 
 
 class TestMotionResidual:
@@ -159,14 +181,14 @@ class TestMotionResidual:
         clip, flow = synth_translating_clip(PatternSpec("sinusoid", 8), (0, 0), 4, 8, 8)
         bank = init_bank(3, 1, 3, "softmax", seed=1, scale=0.5)
         act = convolve_features(bank, clip)
-        assert np.abs(motion_residual(act, flow)).max() == 0.0
+        assert np.abs(transport_residual(act, flow)).max() == 0.0
 
     def test_spatially_uniform_reduces_to_temporal_difference(self):
         rng = np.random.default_rng(2)
         act = np.tile(rng.uniform(size=(4, 1, 1, 3)), (1, 6, 6, 1))
         flow = VelocityField(rng.uniform(-2, 2, size=(4, 6, 6, 2)))
-        residual = motion_residual(act, flow)
-        expected = act[1:] - act[:-1]
+        residual = transport_residual(act, flow)
+        expected = np.moveaxis(act[1:] - act[:-1], 3, 0)
         assert np.abs(residual - expected).max() <= 1e-12
 
     def test_integer_checkerboard_exact_transport(self):
@@ -174,7 +196,7 @@ class TestMotionResidual:
         for seed in range(3):
             bank = init_bank(4, 1, 3, "softmax", seed=seed, scale=0.5)
             act = convolve_features(bank, clip)
-            assert np.abs(motion_residual(act, flow)).max() <= 1e-9
+            assert np.abs(transport_residual(act, flow)).max() <= 1e-9
 
     def test_subpixel_second_order_convergence(self):
         # halving the spatial period grows the residual ~4x (second-order
@@ -184,13 +206,13 @@ class TestMotionResidual:
         for period in (32, 16):
             clip, flow = synth_translating_clip(PatternSpec("sinusoid", period), (0.5, 0.25), 6, 64, 64)
             act = convolve_features(bank, clip)
-            peaks[period] = np.abs(motion_residual(act, flow)).max()
+            peaks[period] = np.abs(transport_residual(act, flow)).max()
         ratio = peaks[16] / peaks[32]
         assert 3.0 <= ratio <= 5.0
 
     def test_needs_two_frames(self):
         with pytest.raises(ValueError, match="2 frames"):
-            motion_residual(np.zeros((1, 4, 4, 2)), constant_flow((0, 0), 1, 4, 4))
+            _WarpPlan(constant_flow((0, 0), 1, 4, 4))
 
     def test_integer_flow_plan_is_one_roll(self):
         rng = np.random.default_rng(9)
@@ -222,25 +244,28 @@ class TestMotionTerm:
     def test_zero_residual_zero_term(self):
         clip, flow = synth_translating_clip(PatternSpec("checkerboard", 4), (2, 0), 4, 12, 12)
         bank = init_bank(3, 1, 3, "softmax", seed=7, scale=0.4)
-        act = convolve_features(bank, clip)
-        assert motion_term(act, flow, TemporalWeights.uniform(4)) == 0.0
+        assert step_motion(bank, clip, flow, TemporalWeights.uniform(4)) == 0.0
 
     def test_single_site_value(self):
-        # one residual of 2 at one site: M = 4 * site measure
-        act = np.zeros((2, 4, 4, 3))
-        act[1, 2, 1, 0] = 2.0
+        # one residual of 2 at one site: M = 4 * site measure; a K=1 identity
+        # bank makes the grid the activations, offset by 1/n
+        grid = np.zeros((2, 4, 4, 3))
+        grid[1, 2, 1, 0] = 2.0
         flow = constant_flow((0, 0), 2, 4, 4)
         w = TemporalWeights.uniform(2)
         expected = 4.0 / 16.0
-        assert abs(motion_term(act, flow, w) - expected) <= 1e-15
+        bank = FilterBank(np.eye(3)[:, :, None, None])
+        assert abs(step_motion(bank, grid, flow, w) - expected) <= 1e-15
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(6)
-        act = rng.uniform(-1, 1, size=(3, 5, 4, 3))
+        grid = rng.uniform(-1, 1, size=(3, 5, 4, 2))
+        bank = init_bank(3, 2, 3, "softmax", seed=6, scale=0.5)
         flow = VelocityField(rng.uniform(-1.5, 1.5, size=(3, 5, 4, 2)))
         h = np.array([1.0, 2.0, 0.5])
-        value = motion_term(act, flow, TemporalWeights(h))
-        oracle = motion_term_loop_oracle(act, flow, h)
+        value = step_motion(bank, grid, flow, TemporalWeights(h))
+        oracle = motion_term_loop_oracle(convolve_features(bank, grid), flow, h)
+        assert value > 0.0
         assert abs(value - oracle) <= 1e-12
 
 
@@ -321,12 +346,9 @@ class TestCompositeAction:
     def test_composite_matches_sum_of_parts(self):
         bank, prev, clip, flow, w, lam = self._instance(seed=5)
         result = cognitive_action(bank, prev, ActionInputs(clip, flow, w), lam, 0.5)
-        from cogaction import to_probabilities
-
         act = convolve_features(bank, clip)
-        probs = to_probabilities(act, bank.mode)
-        index = information_index(probs, w)
-        m_val = motion_term(act, flow, w)
+        index = identity_probe(to_probabilities(act, bank.mode), w).info_index
+        m_val = motion_term_loop_oracle(act, flow, w.weights)
         p_val = spatial_parsimony(bank)
         k_val = temporal_parsimony(bank, prev, 0.5)
         expected = -index + lam.motion * m_val + lam.spatial * p_val + lam.temporal * k_val

@@ -8,8 +8,6 @@ from cogaction import (
     PatternSpec,
     VideoClip,
     convolve_features,
-    dense_kernel_oracle,
-    dense_table_from_bank,
     init_bank,
     load_bank,
     save_bank,
@@ -19,6 +17,7 @@ from cogaction import (
 )
 from cogaction import features
 from cogaction.features import convolution_tap_gradient
+from dense_oracle import dense_kernel_oracle, dense_table_from_bank
 
 
 @pytest.fixture

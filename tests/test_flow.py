@@ -1,14 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
 from cogaction import (
+    ActionInputs,
     PatternSpec,
+    TemporalWeights,
     VelocityField,
     VideoClip,
     constant_flow,
     horn_schunck,
     load_flow,
-    motion_residual,
     save_flow,
     synth_translating_clip,
 )
@@ -37,10 +40,8 @@ class TestConstantFlow:
     def test_dimension_mismatch_rejected_at_use_site(self):
         clip, _ = synth_translating_clip(PatternSpec("sinusoid", 4), (0, 0), 3, 8, 8)
         bad = constant_flow((0, 0), 3, 8, 6)
-        act = np.zeros((3, 8, 8, 2))
         with pytest.raises(ValueError, match="does not match"):
-            motion_residual(act, bad)
-        del clip
+            ActionInputs(clip, bad, TemporalWeights.uniform(3))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -137,4 +138,12 @@ class TestFlowFile:
             load_flow(path)
         path.write_bytes(b"NOTFLOW\n")
         with pytest.raises(ValueError, match="header"):
+            load_flow(path)
+
+    def test_nan_sample_names_file(self, tmp_path):
+        path = tmp_path / "flow.bin"
+        data = np.zeros((2, 3, 4, 2))
+        data[1, 2, 0, 1] = np.nan
+        path.write_bytes(b"FLOW v1 2 3 4\n" + data.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match=re.escape(f"{path}: velocity components must be finite")):
             load_flow(path)

@@ -8,10 +8,12 @@ from cogaction import (
     TemporalWeights,
     VideoClip,
     VelocityField,
+    convolve_features,
     init_bank,
     synth_translating_clip,
 )
 from cogaction.action import action_value_and_gradient, term_gradients
+from cogaction.features import CLAMP_EPS
 from cogaction.optimizer import (
     _clamp_margin,
     build_weights,
@@ -132,3 +134,30 @@ class TestGradientOracle:
 
         composed = weighted_terms(term_gradients(bank, prev, inputs, dtau), lam)
         assert np.abs(composed - analytic).max() <= 1e-12
+
+    def test_linear_penalty_beyond_the_clamp(self):
+        # activations on both sides of [0, 1], so the projection's inactive
+        # branch and both penalty excesses carry gradient; the seeded suite
+        # keeps every activation inside the clamp's active range
+        rng = np.random.Generator(np.random.PCG64(7))
+        frames, height, width = 3, 6, 5
+        pattern = PatternSpec("random-texture", 4, seed=7, channels=2)
+        clip, _ = synth_translating_clip(pattern, (0.5, -0.25), frames, height, width)
+        flow = VelocityField(rng.uniform(-1.5, 1.5, size=(frames, height, width, 2)))
+        bank = init_bank(3, 2, 3, "linear-penalty", seed=57, scale=0.3)
+        prev = bank.with_taps(bank.taps + rng.uniform(-0.05, 0.05, size=bank.taps.shape))
+        act = convolve_features(bank, clip)
+        assert np.mean(act < 0.0) > 0.05 and np.mean(act > 1.0) > 0.05
+        # no kink within reach of the finite-difference step
+        assert min(np.abs(act - kink).min() for kink in (0.0, CLAMP_EPS, 1.0)) >= 1e-4
+
+        lam = Multipliers(motion=0.8, spatial=0.3, temporal=0.6, constraint=1.2)
+        dtau = 0.5
+        inputs = ActionInputs(clip, flow, build_weights("exp:0.9", frames))
+        numeric = finite_diff_breakdowns(bank, prev, inputs, lam, dtau)
+        analytic = term_gradients(bank, prev, inputs, dtau)
+        analytic["total"] = action_value_and_gradient(bank, prev, inputs, lam, dtau)[1]
+        for name, grad in analytic.items():
+            assert np.abs(grad).max() > 0.0, name
+            err = np.abs(grad - numeric[name]) / (1.0 + np.abs(grad))
+            assert err.max() <= 1e-5, name

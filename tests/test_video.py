@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,19 @@ class TestImageIO:
         (tmp_path / "f_0000.pgm").write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 8)
         with pytest.raises(ValueError, match="maxval"):
             load_image_sequence(str(tmp_path / "f_{t}.pgm"))
+
+    @pytest.mark.parametrize("suffix", [".pgm", ".ppm"])
+    @pytest.mark.parametrize("keep", [5, 10, -1], ids=["header", "header-end", "body"])
+    def test_cut_short_names_file(self, tmp_path, suffix, keep):
+        # an 11-byte header, then the body; the second frame keeps only
+        # ``full[:keep]``: cut inside the header, before the whitespace byte
+        # that ends it, or one body byte short
+        full = {".pgm": b"P5\n4 4\n255\n" + b"\x80" * 16,
+                ".ppm": b"P6\n2 2\n255\n" + b"\x80" * 12}[suffix]
+        (tmp_path / f"f_0000{suffix}").write_bytes(full)
+        (tmp_path / f"f_0001{suffix}").write_bytes(full[:keep])
+        with pytest.raises(ValueError, match=re.escape(str(tmp_path / f"f_0001{suffix}"))):
+            load_image_sequence(str(tmp_path / f"f_{{t}}{suffix}"))
 
     def test_comment_in_header(self, tmp_path):
         raw = b"P5\n# a comment\n2 2\n255\n" + bytes([10, 20, 30, 40])
