@@ -37,6 +37,7 @@ from .features import (  # noqa: F401
     CLAMP_EPS,
     FilterBank,
     as_grid,
+    clip_patches,
     convolution_tap_gradient,
     convolve_features,
     probability_vjp,
@@ -292,18 +293,22 @@ def _constraint_penalty_act_gradient(act: np.ndarray, measure: np.ndarray, scale
 # ---------------------------------------------------------------------------
 # Composite objective and its analytic tap gradient.
 #
-# ``ActionInputs`` holds what stays fixed while a layer learns, and the
-# step's workspace.  One step (``_evaluate``) runs in place on feature-major
-# (n, T, H, W) buffers: the activations become log p, then the activation
-# gradient; the probabilities and the transport residual have a buffer each.
-# One convolution adjoint maps the activation gradient to the taps.  The
-# returned breakdown and tap gradient never alias the workspace, which the
-# next evaluation overwrites.
+# ``ActionInputs`` holds what stays fixed while a layer learns: its inputs,
+# the grid's patch matrix and the step's workspace.  One step (``_evaluate``)
+# runs in place on feature-major (n, T, H, W) buffers: the activations become
+# log p, then the activation gradient; the probabilities and the transport
+# residual have a buffer each.  One convolution adjoint maps the activation
+# gradient to the taps.  The returned breakdown and tap gradient never alias
+# the workspace, which the next evaluation overwrites.
 
 class ActionInputs:
     """The fixed inputs of one objective, checked and derived once: the input
     grid, the space-time measures of ``weights``, the warp plan of ``flow``;
-    and the workspace every evaluation on them reuses."""
+    and what every evaluation on them reuses, built once per layer: the
+    workspace and the grid's patch matrix.
+
+    The grid is checked finite here and its patches are taken from it once,
+    so it must not change after construction."""
 
     def __init__(self, data, flow: VelocityField, weights: TemporalWeights):
         self.grid = as_grid(data)
@@ -317,6 +322,7 @@ class ActionInputs:
         self.residual_measure = weights.residual_measure(height, width)
         self.plan = _WarpPlan(flow)
         self._workspace = None
+        self._patches = None
 
     def workspace(self, n: int):
         """(act, probs, residual, site) for ``n`` features: (n, T, H, W) twice,
@@ -329,6 +335,14 @@ class ActionInputs:
                                np.empty((n, frames - 1, height, width)),
                                np.empty((3, frames, height, width)))
         return self._workspace
+
+    def patches(self, kernel: int) -> np.ndarray | None:
+        """The grid's ``clip_patches`` for a K = ``kernel`` bank, None when the
+        clip exceeds the patch budget.  Built at the first evaluation and
+        again only when the kernel changes."""
+        if self._patches is None or self._patches[0] != kernel:
+            self._patches = (kernel, clip_patches(self.grid, kernel))
+        return self._patches[1]
 
 
 def _entropies(act: np.ndarray, probs: np.ndarray, site: np.ndarray, measure: np.ndarray,
@@ -411,8 +425,9 @@ def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
     of another shape and ``dtau <= 0``.
     """
     act, probs, residual, site = inputs.workspace(bank.n)
+    patches = inputs.patches(bank.kernel)
     linear = bank.mode == "linear-penalty"
-    convolve_features(bank, inputs.grid, out=act.transpose(1, 2, 3, 0))
+    convolve_features(bank, inputs.grid, out=act.transpose(1, 2, 3, 0), patches=patches)
 
     inputs.plan.gather(act[:, 1:], residual)
     residual -= act[:, :-1]
@@ -445,7 +460,8 @@ def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
         act[:, :-1] -= residual
         inputs.plan.scatter(residual, act[:, 1:])
 
-    tap_grad = convolution_tap_gradient(inputs.grid, act.transpose(1, 2, 3, 0), bank.kernel)
+    tap_grad = convolution_tap_gradient(inputs.grid, act.transpose(1, 2, 3, 0), bank.kernel,
+                                        patches=patches)
     if lam.spatial != 0.0:
         tap_grad += lam.spatial * spatial_parsimony_gradient(bank.taps)
     if lam.temporal != 0.0:

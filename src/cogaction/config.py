@@ -20,7 +20,14 @@ from .action import Multipliers
 from .features import MODES
 from .flow import VelocityField, constant_flow, horn_schunck
 from .optimizer import LayerPlan, TrainConfig
-from .video import PatternSpec, VideoClip, expand_path_pattern, load_image_sequence, synth_translating_clip
+from .video import (
+    PatternSpec,
+    VideoClip,
+    check_velocity,
+    expand_path_pattern,
+    load_image_sequence,
+    synth_translating_clip,
+)
 
 
 class ConfigError(ValueError):
@@ -209,6 +216,10 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
                         velocity=data_sec.vector2("velocity", (0.0, 0.0)))
         if data.frames < 2 or data.height < 1 or data.width < 1:
             raise ConfigError("[data] frames must be >= 2 and the retina non-empty")
+        try:
+            check_velocity(data.velocity, data.frames, data.height, data.width)
+        except ValueError as exc:
+            raise ConfigError(f"[data] {exc}") from None
     else:
         pattern_str = data_sec.text("path_pattern", required=True)
         try:

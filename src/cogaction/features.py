@@ -20,8 +20,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 MODES = ("softmax", "linear-penalty")
 CLAMP_EPS = 1e-6
-# bytes of one chunk's patch matrix in the convolution and its tap adjoint
-PATCH_CHUNK_BYTES = 256 * 1024
+# bytes of one chunk's patch matrix in the convolution and its tap adjoint;
+# a clip whose whole matrix fits is kept once per layer (``clip_patches``)
+PATCH_CHUNK_BYTES = 2 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -78,35 +79,57 @@ def as_grid(data) -> np.ndarray:
     return arr
 
 
-def _frame_patches(grid: np.ndarray, kernel: int):
+def _frame_patches(grid: np.ndarray, kernel: int, patches: np.ndarray | None = None):
     """Yield ``(frames, patches)`` per chunk of frames, as many as fit in
     PATCH_CHUNK_BYTES and at least one.  Row ``(u, v, j)``, column ``(t, r, c)``
-    of the reused patch buffer holds ``grid[t, r + u - reach, c + v - reach, j]``,
-    so each row is a copy of shifted frame rows."""
+    of the patch matrix holds ``grid[t, r + u - reach, c + v - reach, j]``, so
+    each row is a copy of shifted frame rows.  Each chunk is copied into one
+    reused buffer, or, given the whole clip's matrix as ``patches``, sliced
+    from it; the chunking is the same either way."""
+    frames = len(grid)
+    frame_size = kernel * kernel * grid[0].size
+    chunk = min(frames, max(1, PATCH_CHUNK_BYTES // (8 * frame_size)))
+    if patches is not None:
+        sites = grid.shape[1] * grid.shape[2]
+        if patches.shape != (kernel * kernel * grid.shape[3], frames * sites):
+            raise ValueError(f"patches of shape {patches.shape} are not the K={kernel} "
+                             f"patch matrix of a {grid.shape} grid")
+        for start in range(0, frames, chunk):
+            stop = min(start + chunk, frames)
+            yield slice(start, stop), patches[:, start * sites:stop * sites]
+        return
     reach = (kernel - 1) // 2
     padded = np.pad(grid.transpose(3, 0, 1, 2), ((0, 0), (0, 0), (reach, reach), (reach, reach)),
                     mode="wrap")
     windows = sliding_window_view(padded, (kernel, kernel), (2, 3)).transpose(4, 5, 0, 1, 2, 3)
-    frames = len(grid)
-    frame_size = windows[:, :, :, 0].size
-    chunk = min(frames, max(1, PATCH_CHUNK_BYTES // (8 * frame_size)))
     buffer = np.empty(chunk * frame_size)
     for start in range(0, frames, chunk):
         count = min(chunk, frames - start)
-        patches = buffer[:count * frame_size].reshape(windows.shape[:3] + (count,) + grid.shape[1:3])
-        patches[...] = windows[:, :, :, start:start + count]
-        yield slice(start, start + count), patches.reshape(kernel * kernel * grid.shape[3], -1)
+        fill = buffer[:count * frame_size].reshape(windows.shape[:3] + (count,) + grid.shape[1:3])
+        fill[...] = windows[:, :, :, start:start + count]
+        yield slice(start, start + count), fill.reshape(kernel * kernel * grid.shape[3], -1)
 
 
-def convolve_features(bank: FilterBank, data, out: np.ndarray | None = None) -> np.ndarray:
+def clip_patches(grid: np.ndarray, kernel: int) -> np.ndarray | None:
+    """The patch matrix of the whole (T, H, W, c) grid, to pass as ``patches=``
+    to ``convolve_features`` and ``convolution_tap_gradient``; None when it
+    exceeds PATCH_CHUNK_BYTES, so that those stream chunks of frames."""
+    if 8 * kernel * kernel * grid.size > PATCH_CHUNK_BYTES:
+        return None
+    return next(_frame_patches(grid, kernel))[1]
+
+
+def convolve_features(bank: FilterBank, data, out: np.ndarray | None = None,
+                      patches: np.ndarray | None = None) -> np.ndarray:
     """Activation field (T, H, W, n) of the bank over a clip or feature field.
 
     The field is held feature-major: it is a (T, H, W, n) view of (n, T, H, W)
     storage, new unless ``out`` (such a view) is given to write into.
     Toroidal boundary.  Each chunk of frames is one matrix product of the
-    flipped taps with its patch matrix; the chunking is fixed by the grid shape
-    and every call takes this one path, so repeated evaluations are
-    bit-identical.
+    flipped taps with its patch matrix, taken from ``patches`` (the
+    ``clip_patches`` of ``data``) when given and built otherwise.  The
+    chunking is fixed by the grid shape and both sources hold the same
+    numbers, so repeated evaluations are bit-identical.
     """
     grid = as_grid(data)
     if grid.shape[3] != bank.m_in:
@@ -120,22 +143,24 @@ def convolve_features(bank: FilterBank, data, out: np.ndarray | None = None) -> 
     rows = out.transpose(3, 0, 1, 2)
     if rows.shape != (n,) + grid.shape[:3] or not rows.flags.c_contiguous:
         raise ValueError("out must be a (T, H, W, n) view of (n, T, H, W) storage")
-    for frames, patches in _frame_patches(grid, bank.kernel):
+    for frames, chunk_patches in _frame_patches(grid, bank.kernel, patches):
         chunk = rows[:, frames].reshape(n, -1)
-        np.matmul(taps, patches, out=chunk)
+        np.matmul(taps, chunk_patches, out=chunk)
         chunk += 1.0 / n
     return out
 
 
-def convolution_tap_gradient(data, act_grad: np.ndarray, kernel: int) -> np.ndarray:
+def convolution_tap_gradient(data, act_grad: np.ndarray, kernel: int,
+                             patches: np.ndarray | None = None) -> np.ndarray:
     """Adjoint of ``convolve_features`` in the taps: maps an activation-shaped
-    (T, H, W, n) gradient to a (n, m_in, K, K) tap-shaped gradient."""
+    (T, H, W, n) gradient to a (n, m_in, K, K) tap-shaped gradient.
+    ``patches`` is as in ``convolve_features``."""
     grid = as_grid(data)
     rows = np.asarray(act_grad, dtype=np.float64).transpose(3, 0, 1, 2)
     n = len(rows)
     total = np.zeros((kernel * kernel * grid.shape[3], n), dtype=np.float64)
-    for frames, patches in _frame_patches(grid, kernel):
-        total += patches @ rows[:, frames].reshape(n, -1).T
+    for frames, chunk_patches in _frame_patches(grid, kernel, patches):
+        total += chunk_patches @ rows[:, frames].reshape(n, -1).T
     return total.T.reshape(n, kernel, kernel, -1)[:, ::-1, ::-1].transpose(0, 3, 2, 1).copy()
 
 

@@ -120,6 +120,17 @@ def translate_frame(frame: np.ndarray, d1: float, d2: float) -> np.ndarray:
     return out
 
 
+def check_velocity(velocity, frames: int, height: int, width: int) -> None:
+    """Reject a translation of ``frames`` frames that is too fast for the
+    retina: each component must stay below its smaller side over the clip."""
+    v1, v2 = float(velocity[0]), float(velocity[1])
+    limit = min(height, width) / frames
+    if abs(v1) >= limit or abs(v2) >= limit:
+        raise ValueError(
+            f"velocity ({v1}, {v2}) too fast for a {height}x{width} retina over {frames} frames"
+        )
+
+
 def synth_translating_clip(pattern: PatternSpec, velocity, frames: int, height: int, width: int):
     """Synthesize a clip whose content moves rigidly at ``velocity`` pixels/frame.
 
@@ -135,11 +146,7 @@ def synth_translating_clip(pattern: PatternSpec, velocity, frames: int, height: 
         raise ValueError(f"need at least 2 frames, got {frames}")
     if height < 1 or width < 1:
         raise ValueError("zero-sized retina")
-    limit = min(height, width) / frames
-    if abs(v1) >= limit or abs(v2) >= limit:
-        raise ValueError(
-            f"velocity ({v1}, {v2}) too fast for a {height}x{width} retina over {frames} frames"
-        )
+    check_velocity((v1, v2), frames, height, width)
     base = pattern_frame(pattern, height, width)
     stack = np.empty((frames, height, width, pattern.channels), dtype=np.float64)
     stack[0] = base

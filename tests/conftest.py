@@ -1,5 +1,6 @@
 import pytest
 
+from cogaction import features
 from cogaction.action import _WarpPlan
 
 
@@ -15,3 +16,20 @@ def plan_builds(monkeypatch):
 
     monkeypatch.setattr(_WarpPlan, "__init__", counted)
     return builds
+
+
+@pytest.fixture
+def patch_fills(monkeypatch):
+    """A list that gains the frames of each chunk of patches filled from a
+    grid; chunks sliced from a kept patch matrix are not counted."""
+    fills = []
+    frame_patches = features._frame_patches
+
+    def counted(grid, kernel, patches=None):
+        for frames, chunk in frame_patches(grid, kernel, patches):
+            if patches is None:
+                fills.append((frames.start, frames.stop))
+            yield frames, chunk
+
+    monkeypatch.setattr(features, "_frame_patches", counted)
+    return fills

@@ -412,15 +412,17 @@ class TestWorkspaceReuse:
         lam = Multipliers(motion=1.1, spatial=0.2, temporal=0.3, constraint=0.7)
         a = init_bank(4, 1, 3, "softmax", seed=22, scale=0.2)
         # b shares a's feature count (and so its buffers) but not its mode;
-        # c has another feature count
+        # c has another feature count; d shares a's feature count but not its
+        # kernel (and so not its patches)
         b = init_bank(4, 1, 3, "linear-penalty", seed=23, scale=0.08)
         c = init_bank(3, 1, 5, "softmax", seed=24, scale=0.2)
-        return clip, flow, lam, a, b, c
+        d = init_bank(4, 1, 5, "softmax", seed=25, scale=0.2)
+        return clip, flow, lam, a, b, c, d
 
-    @pytest.mark.parametrize("other", ["same-n", "other-n"])
+    @pytest.mark.parametrize("other", ["same-n", "other-n", "same-n-other-k"])
     def test_a_b_a_on_one_inputs(self, other):
-        clip, flow, lam, a, b, c = self._banks()
-        b = b if other == "same-n" else c
+        clip, flow, lam, a, b, c, d = self._banks()
+        b = {"same-n": b, "other-n": c, "same-n-other-k": d}[other]
         inputs = ActionInputs(clip, flow, TemporalWeights.uniform(5))
         first, grad = step(a, a, inputs, lam, 0.5)
         kept = grad.copy()
@@ -432,7 +434,7 @@ class TestWorkspaceReuse:
         assert cognitive_action(a, a, inputs, lam, 0.5).values() == first
 
     def test_two_inputs_interleaved(self):
-        clip, flow, lam, a, b, _ = self._banks()
+        clip, flow, lam, a, b, _, _ = self._banks()
         one = ActionInputs(clip, flow, TemporalWeights.uniform(5))
         two = ActionInputs(clip, flow, build_weights("exp:0.9", 5))
         a_one, grad_a_one = step(a, a, one, lam, 0.5)

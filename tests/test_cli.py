@@ -216,6 +216,18 @@ class TestTrainCommand:
         assert f"{key}: not a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    def test_velocity_too_fast_exit_1(self, tmp_path, capsys, command):
+        # 6 frames on a 12x12 retina allow less than 2 pixels per frame
+        body = BASE.format(steps=1, save_features="false").replace("velocity = 1.0 0.0",
+                                                                   "velocity = 2.0 0.0")
+        path = write_config(tmp_path / "fast.ini", body)
+        out = tmp_path / "x"
+        assert main([command, "--config", path, "--out", str(out)]) == 1
+        assert ("config error: [data] velocity (2.0, 0.0) too fast for a 12x12 retina "
+                "over 6 frames") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_flag_changes_outputs(self, tmp_path, config_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["train", "--config", config_path, "--out", str(a)]) == 0
@@ -458,9 +470,17 @@ save_features = true
 """
 
 
+# 32x32x16, m=1, K=3 at sub-pixel velocity: the whole clip's patch matrix
+# fits the budget, so the tap adjoint is one GEMM over 16,384 sites
+ONE_CHUNK = BASE.format(steps=20, save_features="true").replace(
+    "frames = 6\nheight = 12\nwidth = 12\nvelocity = 1.0 0.0",
+    "frames = 16\nheight = 32\nwidth = 32\nvelocity = 0.5 0.25")
+
+
 class TestBlasThreadsAreInert:
-    @pytest.mark.parametrize("body", [BASE.format(steps=3, save_features="true"), TWO_LAYER_RGB],
-                             ids=["m1-k3", "two-layer-m3-k5"])
+    @pytest.mark.parametrize("body", [BASE.format(steps=3, save_features="true"), TWO_LAYER_RGB,
+                                      ONE_CHUNK],
+                             ids=["m1-k3", "two-layer-m3-k5", "one-chunk-32x32x16"])
     def test_train_tree_independent_of_blas_threads(self, tmp_path, body):
         path = write_config(tmp_path / "exp.ini", body)
         src = str(Path(cogaction.__file__).parents[1])

@@ -142,6 +142,39 @@ class TestPatchKernels:
         rhs = np.vdot(bank.taps, convolution_tap_gradient(grid, g, kernel))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
+    @pytest.mark.parametrize("m_in,kernel,frames,height,width", KERNEL_CASES)
+    def test_kept_patches_match_fresh_calls(self, chunk_frames, monkeypatch, m_in, kernel,
+                                            frames, height, width):
+        rng = np.random.default_rng(m_in * 100 + kernel + 2)
+        grid = rng.uniform(size=(frames, height, width, m_in))
+        bank = init_bank(4, m_in, kernel, "softmax", seed=kernel + 2, scale=0.5)
+        act_grad = rng.normal(size=(frames, height, width, 4))
+        monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 1 << 40)
+        kept = features.clip_patches(grid, kernel)
+        before = kept.copy()
+        chunk_frames(m_in, kernel, height, width)
+        # one kept matrix serves convolve, tap adjoint and convolve again
+        act = convolve_features(bank, grid, patches=kept)
+        tap = convolution_tap_gradient(grid, act_grad, kernel, patches=kept)
+        again = convolve_features(bank, grid, patches=kept)
+        assert np.array_equal(act, convolve_features(bank, grid))
+        assert np.array_equal(tap, convolution_tap_gradient(grid, act_grad, kernel))
+        assert np.array_equal(again, act)
+        assert np.array_equal(kept, before)
+
+    def test_patches_over_budget_not_kept(self, monkeypatch):
+        grid = np.zeros((4, 5, 6, 2))
+        monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 8 * 9 * grid.size)
+        assert features.clip_patches(grid, 3).shape == (18, 120)
+        monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 8 * 9 * grid.size - 1)
+        assert features.clip_patches(grid, 3) is None
+
+    def test_patches_of_another_kernel_rejected(self):
+        grid = np.zeros((4, 5, 6, 2))
+        bank = init_bank(3, 2, 5, "softmax", seed=1)
+        with pytest.raises(ValueError, match="K=5 patch matrix"):
+            convolve_features(bank, grid, patches=features.clip_patches(grid, 3))
+
 
 class TestDenseOracle:
     def test_zero_table(self, small_clip):

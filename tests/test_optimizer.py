@@ -19,7 +19,7 @@ from cogaction import (
     train_layer,
 )
 from cogaction.action import TemporalWeights, action_value_and_gradient
-from cogaction import optimizer
+from cogaction import features, optimizer
 from cogaction.optimizer import build_weights, finite_diff_breakdowns
 
 
@@ -166,6 +166,23 @@ class TestTrainLayer:
         inputs = ActionInputs(clip, flow, TemporalWeights.uniform(6))
         finite_diff_breakdowns(bank, bank, inputs, Multipliers(motion=1.0), 1.0)
         assert len(plan_builds) == 1  # for 2 * 18 evaluations
+
+    def test_one_patch_fill_per_layer(self, texture_instance, patch_fills):
+        clip, flow = texture_instance
+        bank = init_bank(3, 1, 3, "softmax", seed=13, scale=0.1)
+        config = TrainConfig(step_size=0.1, steps=5, lam=Multipliers(motion=1.0), seed=13)
+        train_layer(bank, clip, flow, config)
+        assert patch_fills == [(0, 6)]  # for 5 steps and the final evaluation
+
+    def test_patches_streamed_over_budget(self, texture_instance, patch_fills, monkeypatch):
+        clip, flow = texture_instance
+        frame_bytes = 8 * 3 * 3 * clip.height * clip.width
+        monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 2 * frame_bytes)
+        bank = init_bank(3, 1, 3, "softmax", seed=13, scale=0.1)
+        config = TrainConfig(step_size=0.1, steps=5, lam=Multipliers(motion=1.0), seed=13)
+        train_layer(bank, clip, flow, config)
+        # a convolve and a tap adjoint per step, and the final convolve
+        assert patch_fills == [(0, 2), (2, 4), (4, 6)] * 11
 
 
 def standalone_breakdown(bank, grid, flow, config):
