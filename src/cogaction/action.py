@@ -20,6 +20,10 @@ Public fields are (T, H, W, n).  The objective itself works feature-major, on
 every reduction over the features runs over contiguous rows.  Each step
 computes log p once; in softmax mode log p = a - logsumexp(a) stays finite
 where p underflows, which gives 0 log 0 = 0 without a special case.
+
+A layer whose patch matrix is kept also keeps its transport matrix, and its
+steps take the motion residual and the motion term's tap gradient as one
+matrix product each, with no warp gather or scatter (``_WarpPlan.transport``).
 """
 
 from dataclasses import dataclass
@@ -36,6 +40,8 @@ import numpy as np
 from .features import (  # noqa: F401
     CLAMP_EPS,
     FilterBank,
+    _flat_taps,
+    _unflat_taps,
     as_grid,
     clip_patches,
     convolution_tap_gradient,
@@ -181,6 +187,12 @@ def symbol_marginal(field: np.ndarray, weights: TemporalWeights) -> np.ndarray:
 # exact for any bank because convolution commutes with translation.  The
 # residual is evaluated on raw activations; both probability maps are
 # pointwise, so transported activations imply transported probabilities.
+#
+# The activations are the flipped taps times the patch matrix P, plus the bias
+# 1/n, and the gather is linear, so the residual of the activations is the
+# flipped taps times the residual of P, plus the bias's own residual.  A
+# streamed clip keeps no P; it gathers the activations and scatters their
+# gradient on every step.
 
 class _WarpPlan:
     """Bilinear corners of the advected samples as flat sites ``t*H*W + row*W + col``
@@ -188,7 +200,8 @@ class _WarpPlan:
     the flow gives no weight anywhere are dropped: integer flow keeps one.
 
     ``gather`` and ``scatter`` take feature-major fields, (n, T-1, H, W), and
-    work one feature's contiguous rows at a time."""
+    work one feature's contiguous rows at a time; ``transport`` applies
+    ``gather`` once to the rows of a patch matrix."""
 
     def __init__(self, flow: VelocityField):
         data = flow.data
@@ -232,6 +245,22 @@ class _WarpPlan:
         index = self.index.ravel()
         for row, dest in zip(grad, out):
             dest += np.bincount(index, (self.weight * row).ravel(), row.size).reshape(row.shape)
+
+    def transport(self, patches: np.ndarray) -> np.ndarray:
+        """Transport matrix D of a (rows, T*H*W) patch matrix: (rows + 1,
+        (T-1)*H*W).  Row k is patch row k gathered from frames 1..T-1 minus
+        its frames 0..T-2; the last row is sum_k w_k - 1, the residual of a
+        constant 1.  So ``[flat taps, 1/n] @ D`` is the gathered residual of
+        the activations ``flat taps @ P + 1/n`` in exact arithmetic, for any n.
+        With integer flow both are exactly 0 on an exactly translating clip."""
+        sites = self.weight.shape[1:]
+        frames = patches.reshape((len(patches), sites[0] + 1) + sites[1:])
+        out = np.empty((len(patches) + 1,) + sites)
+        self.gather(frames[:, 1:], out[:-1])
+        out[:-1] -= frames[:, :-1]
+        self.gather(np.ones((1,) + sites), out[-1:])
+        out[-1] -= 1.0
+        return out.reshape(len(out), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -294,18 +323,20 @@ def _constraint_penalty_act_gradient(act: np.ndarray, measure: np.ndarray, scale
 # Composite objective and its analytic tap gradient.
 #
 # ``ActionInputs`` holds what stays fixed while a layer learns: its inputs,
-# the grid's patch matrix and the step's workspace.  One step (``_evaluate``)
-# runs in place on feature-major (n, T, H, W) buffers: the activations become
-# log p, then the activation gradient; the probabilities and the transport
-# residual have a buffer each.  One convolution adjoint maps the activation
-# gradient to the taps.  The returned breakdown and tap gradient never alias
-# the workspace, which the next evaluation overwrites.
+# the grid's patch and transport matrices and the step's workspace.  One step
+# (``_evaluate``) runs in place on feature-major (n, T, H, W) buffers: the
+# activations become log p, then the activation gradient; the probabilities
+# and the transport residual have a buffer each.  One convolution adjoint maps
+# the activation gradient to the taps; with a kept transport matrix the motion
+# term's tap gradient is one more matrix product, added after it.  The
+# returned breakdown and tap gradient never alias the workspace, which the
+# next evaluation overwrites.
 
 class ActionInputs:
     """The fixed inputs of one objective, checked and derived once: the input
     grid, the space-time measures of ``weights``, the warp plan of ``flow``;
     and what every evaluation on them reuses, built once per layer: the
-    workspace and the grid's patch matrix.
+    workspace and the grid's patch and transport matrices.
 
     The grid is checked finite here and its patches are taken from it once,
     so it must not change after construction."""
@@ -339,10 +370,18 @@ class ActionInputs:
     def patches(self, kernel: int) -> np.ndarray | None:
         """The grid's ``clip_patches`` for a K = ``kernel`` bank, None when the
         clip exceeds the patch budget.  Built at the first evaluation and
-        again only when the kernel changes."""
+        again only when the kernel changes; the budget is read then."""
         if self._patches is None or self._patches[0] != kernel:
-            self._patches = (kernel, clip_patches(self.grid, kernel))
+            patches = clip_patches(self.grid, kernel)
+            self._patches = (kernel, patches,
+                             None if patches is None else self.plan.transport(patches))
         return self._patches[1]
+
+    def transport(self, kernel: int) -> np.ndarray | None:
+        """The warp plan's ``transport`` of ``patches(kernel)``, built with it;
+        None when the patches are not kept."""
+        self.patches(kernel)
+        return self._patches[2]
 
 
 def _entropies(act: np.ndarray, probs: np.ndarray, site: np.ndarray, measure: np.ndarray,
@@ -424,13 +463,21 @@ def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
     count that differs from the bank's, the temporal parsimony a previous bank
     of another shape and ``dtau <= 0``.
     """
-    act, probs, residual, site = inputs.workspace(bank.n)
+    n = bank.n
+    act, probs, residual, site = inputs.workspace(n)
     patches = inputs.patches(bank.kernel)
+    transport = inputs.transport(bank.kernel)
     linear = bank.mode == "linear-penalty"
     convolve_features(bank, inputs.grid, out=act.transpose(1, 2, 3, 0), patches=patches)
 
-    inputs.plan.gather(act[:, 1:], residual)
-    residual -= act[:, :-1]
+    if transport is None:
+        inputs.plan.gather(act[:, 1:], residual)
+        residual -= act[:, :-1]
+    else:
+        taps = np.empty((n, len(transport)))
+        taps[:, :-1] = _flat_taps(bank.taps)
+        taps[:, -1] = 1.0 / n
+        np.matmul(taps, transport, out=residual.reshape(n, -1))
     motion = float(np.dot(inputs.residual_measure, np.einsum("ithw,ithw->t", residual, residual)))
     penalty = _constraint_penalty(act, inputs.frame_measure, probs) if linear else 0.0
 
@@ -457,11 +504,14 @@ def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
         act[...] = neg_index
     if lam.motion != 0.0:
         residual *= (2.0 * lam.motion) * inputs.residual_measure[:, None, None]
-        act[:, :-1] -= residual
-        inputs.plan.scatter(residual, act[:, 1:])
+        if transport is None:
+            act[:, :-1] -= residual
+            inputs.plan.scatter(residual, act[:, 1:])
 
     tap_grad = convolution_tap_gradient(inputs.grid, act.transpose(1, 2, 3, 0), bank.kernel,
                                         patches=patches)
+    if lam.motion != 0.0 and transport is not None:
+        tap_grad += _unflat_taps(residual.reshape(n, -1) @ transport[:-1].T, bank.kernel)
     if lam.spatial != 0.0:
         tap_grad += lam.spatial * spatial_parsimony_gradient(bank.taps)
     if lam.temporal != 0.0:

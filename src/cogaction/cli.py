@@ -84,8 +84,13 @@ def cmd_train(experiment: ExperimentConfig, out_dir: Path) -> int:
     flow = experiment.build_flow(clip, truth)
     with _locked_out_dir(out_dir):
         traces = train_deep(clip, flow, experiment.layers)
+        if experiment.save_features:
+            # train_deep kept the field of every layer but the last
+            last = traces[-1]
+            below = traces[-2].field if len(traces) > 1 else clip.data
+            last.field = to_probabilities(convolve_features(last.final_bank, below),
+                                          last.final_bank.mode)
         summary_rows = []
-        current = clip.data
         for index, trace in enumerate(traces, start=1):
             bank = trace.final_bank
             rows = [b.csv_row(step) for step, b in enumerate(trace.breakdowns)]
@@ -96,8 +101,7 @@ def cmd_train(experiment: ExperimentConfig, out_dir: Path) -> int:
             summary_rows.append(_summary_row(index, "initial", initial))
             summary_rows.append(_summary_row(index, "final", final))
             if experiment.save_features:
-                current = to_probabilities(convolve_features(bank, current), bank.mode)
-                save_feature_maps(current, out_dir / "features" / f"layer{index}")
+                save_feature_maps(trace.field, out_dir / "features" / f"layer{index}")
         _write_rows(out_dir / "summary.csv", SUMMARY_HEADER, summary_rows)
     print(f"trained {len(traces)} layer(s); outputs in {out_dir}")
     return 0

@@ -267,6 +267,10 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
         values = _train_settings(sec, shared)
         sec.reject_unknown()
         config = _build_train_config(values, master_seed ^ index, f"layer{index}")
+        # a file sequence's frame count is known only once it is loaded
+        if data.source == "synth" and config.window is not None and config.window > data.frames:
+            raise ConfigError(f"[layer{index}] window = {config.window} exceeds the clip's "
+                              f"{data.frames} frames")
         layers.append(LayerPlan(features, kernel, config))
         index += 1
     if not layers:

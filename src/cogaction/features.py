@@ -119,6 +119,18 @@ def clip_patches(grid: np.ndarray, kernel: int) -> np.ndarray | None:
     return next(_frame_patches(grid, kernel))[1]
 
 
+def _flat_taps(taps: np.ndarray) -> np.ndarray:
+    """Taps (n, m_in, K, K) as the (n, K*K*m_in) matrix that multiplies a patch
+    matrix: flipped on both kernel axes, columns in the patch rows' (u, v, j)
+    order."""
+    return taps[:, :, ::-1, ::-1].transpose(0, 3, 2, 1).reshape(len(taps), -1)
+
+
+def _unflat_taps(flat: np.ndarray, kernel: int) -> np.ndarray:
+    """Inverse of ``_flat_taps``: a new (n, m_in, K, K) array."""
+    return flat.reshape(len(flat), kernel, kernel, -1)[:, ::-1, ::-1].transpose(0, 3, 2, 1).copy()
+
+
 def convolve_features(bank: FilterBank, data, out: np.ndarray | None = None,
                       patches: np.ndarray | None = None) -> np.ndarray:
     """Activation field (T, H, W, n) of the bank over a clip or feature field.
@@ -137,7 +149,7 @@ def convolve_features(bank: FilterBank, data, out: np.ndarray | None = None,
             f"layer {bank.layer} bank expects {bank.m_in} input channels, grid has {grid.shape[3]}"
         )
     n = bank.n
-    taps = bank.taps[:, :, ::-1, ::-1].transpose(0, 3, 2, 1).reshape(n, -1)
+    taps = _flat_taps(bank.taps)
     if out is None:
         out = np.empty((n,) + grid.shape[:3]).transpose(1, 2, 3, 0)
     rows = out.transpose(3, 0, 1, 2)
@@ -161,7 +173,7 @@ def convolution_tap_gradient(data, act_grad: np.ndarray, kernel: int,
     total = np.zeros((kernel * kernel * grid.shape[3], n), dtype=np.float64)
     for frames, chunk_patches in _frame_patches(grid, kernel, patches):
         total += chunk_patches @ rows[:, frames].reshape(n, -1).T
-    return total.T.reshape(n, kernel, kernel, -1)[:, ::-1, ::-1].transpose(0, 3, 2, 1).copy()
+    return _unflat_taps(total.T, kernel)
 
 
 def to_probabilities(act: np.ndarray, mode: str) -> np.ndarray:

@@ -82,12 +82,15 @@ class LayerPlan:
 @dataclass
 class TrainTrace:
     """Per-step breakdowns (recorded before each update), gradient max-norms,
-    the bank after the final update and its standalone breakdown (K = 0)."""
+    the bank after the final update and its standalone breakdown (K = 0).
+    ``train_deep`` adds ``field``, the final bank's probability field over the
+    layer's input, to every layer that a next layer trained on."""
 
     breakdowns: list[ActionBreakdown]
     grad_norms: list[float]
     final_bank: FilterBank
     final_breakdown: ActionBreakdown
+    field: np.ndarray | None = None
 
 
 def build_weights(spec: str, frames: int) -> TemporalWeights:
@@ -162,13 +165,14 @@ def train_layer(bank: FilterBank, data, flow: VelocityField, config: TrainConfig
 
 def train_deep(clip, flow: VelocityField, plans: list[LayerPlan]) -> list[TrainTrace]:
     """Greedy layer-wise training: layer z trains against the frozen feature
-    field of layer z-1 (the clip for z=1)."""
+    field of layer z-1 (the clip for z=1), kept as that layer's ``field``."""
     traces: list[TrainTrace] = []
     current = as_grid(clip)
     for index, plan in enumerate(plans, start=1):
         if traces:
             below = traces[-1].final_bank
             current = to_probabilities(convolve_features(below, current), below.mode)
+            traces[-1].field = current
         config = plan.config
         bank = init_bank(plan.features, current.shape[3], plan.kernel, config.mode,
                          config.seed, config.init_scale, layer=index)

@@ -164,24 +164,29 @@ def test_a2_exact_transport(monkeypatch):
             motion = cognitive_action(bank, bank, inputs, Multipliers(), 1.0).motion
             worst = max(worst, motion)
     # multi-channel clips on the full retina, the convolution taking its
-    # patches 1, 3 and 16 frames at a time
+    # patches 1, 3 and 16 frames at a time; inputs decide once whether to keep
+    # the patch matrix, so each chunking gets its own, and at 16 frames the
+    # step takes M from the kept transport matrix
+    kept = 0
     for m_in, kernel in ((3, 5), (8, 3)):
         frame_bytes = 64 * 64 * m_in * kernel * kernel * 8
         for velocity in ((1, 0), (-1, 1)):
             clip, flow = synth_translating_clip(
                 PatternSpec("random-texture", 16, seed=m_in, channels=m_in), velocity, 16, 64, 64)
-            inputs = ActionInputs(clip, flow, TemporalWeights.uniform(16))
             for chunk in (1, 3, 16):
                 monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", chunk * frame_bytes)
+                inputs = ActionInputs(clip, flow, TemporalWeights.uniform(16))
+                kept += inputs.transport(kernel) is not None
                 for seed in range(3):
                     bank = init_bank(4, m_in, kernel, "softmax", seed=seed, scale=0.5)
                     motion = cognitive_action(bank, bank, inputs, Multipliers(), 1.0).motion
                     worst = max(worst, motion)
     elapsed = time.monotonic() - start
-    ok = worst <= 1e-18 and elapsed <= 5.0
+    ok = worst <= 1e-18 and elapsed <= 5.0 and kept == 4
     report("A2", ok, f"the step's M on integer-translating clips, 2 velocities: "
                      f"checkerboard x 10 banks, "
                      f"64x64x16 (m=3, K=5) and (m=8, K=3) x 3 banks x 3 chunkings, "
+                     f"{kept} of 12 with a kept transport matrix, "
                      f"max M {worst:.1e} <= 1e-18", elapsed)
 
 

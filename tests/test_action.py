@@ -14,6 +14,7 @@ from cogaction import (
     conditional_entropy,
     constant_flow,
     convolve_features,
+    horn_schunck,
     evaluate_bank,
     init_bank,
     spatial_parsimony,
@@ -28,6 +29,7 @@ from cogaction.action import (
     symbol_marginal,
     term_gradients,
 )
+from cogaction import features
 from cogaction.features import FilterBank, stack_layers, to_probabilities
 from cogaction.optimizer import build_weights, finite_diff_breakdowns, gradient_check_instances
 from identity_probe import identity_probe
@@ -498,6 +500,78 @@ class TestOracleParity:
         assert 0.1 < np.mean((act > 1e-6) & (act < 1.0)) < 0.9  # the clamp cuts in places
         lam = Multipliers(motion=1.0, spatial=1e-3, temporal=1e-3, constraint=1.0)
         assert_matches_oracle(bank, prev, field, flow, build_weights("exp:0.9", 16), lam, 0.5)
+
+
+def kept_and_streamed(monkeypatch, bank, prev, data, flow, weights, lam, dtau):
+    """(breakdown values, step gradient, motion term gradient), first on fresh
+    inputs under the default patch budget, which keep the patch and transport
+    matrices, then on fresh inputs under a budget below one frame, which
+    stream one frame of patches at a time through gather and scatter."""
+    results = []
+    for budget, kept in ((features.PATCH_CHUNK_BYTES, True), (1, False)):
+        monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", budget)
+        inputs = ActionInputs(data, flow, weights)
+        breakdown, grad = action_value_and_gradient(bank, prev, inputs, lam, dtau)
+        motion = term_gradients(bank, prev, inputs, dtau)["motion"]
+        assert (inputs.transport(bank.kernel) is not None) == kept
+        results.append((breakdown.values(), grad, motion))
+    return results
+
+
+def parity_cases():
+    """name -> (bank, prev, data, flow, weights, lam, dtau)."""
+    cases = {}
+    for number, inst in enumerate(gradient_check_instances(20)):
+        cases[f"check-grad-{number}"] = (inst["bank"], inst["bank_prev"], inst["data"],
+                                         inst["flow"], inst["weights"], inst["lam"], inst["dtau"])
+    lam = Multipliers(motion=1.0, spatial=1e-3, temporal=1e-3)
+    rng = np.random.default_rng(51)
+    clip, flow = synth_translating_clip(PatternSpec("random-texture", 8, seed=51), (0.5, 0.25),
+                                        16, 32, 32)
+    bank = init_bank(4, 1, 3, "softmax", seed=52, scale=0.1)
+    prev = bank.with_taps(bank.taps + rng.uniform(-0.01, 0.01, size=bank.taps.shape))
+    cases["subpixel-32x32x16"] = (bank, prev, clip.data, flow, TemporalWeights.uniform(16),
+                                  lam, 1.0)
+    clip, _ = synth_translating_clip(PatternSpec("random-texture", 8, seed=53, channels=3),
+                                     (1.0, 0.5), 8, 16, 16)
+    bank = init_bank(4, 3, 5, "softmax", seed=54, scale=0.1)
+    cases["horn-schunck-m3-k5"] = (bank, bank, clip.data, horn_schunck(clip, 1.0, 20),
+                                   TemporalWeights.uniform(8), lam, 1.0)
+    clip, flow = synth_translating_clip(PatternSpec("random-texture", 4, seed=55, channels=2),
+                                        (0.5, -0.25), 8, 24, 24)
+    bank = init_bank(4, 2, 3, "linear-penalty", seed=56, scale=0.2)
+    prev = bank.with_taps(bank.taps + rng.uniform(-0.01, 0.01, size=bank.taps.shape))
+    cases["linear-penalty-exp"] = (bank, prev, clip.data, flow, build_weights("exp:0.9", 8),
+                                   Multipliers(motion=1.0, spatial=1e-3, temporal=1e-3,
+                                               constraint=1.0), 0.5)
+    # a zero bank (init_scale = 0): the residual is only the bias's, the
+    # rounding of the bilinear weights' sum; n = 4 keeps 1/n exact
+    inst = gradient_check_instances(20)[1]
+    bank = init_bank(4, inst["bank"].m_in, 3, "softmax", seed=0, scale=0.0)
+    cases["zero-bank"] = (bank, bank, inst["data"], inst["flow"], inst["weights"], lam, 1.0)
+    return cases
+
+
+PARITY_CASES = parity_cases()
+
+
+class TestKeptTransportParity:
+    """The kept transport matrix takes the motion residual and its tap
+    gradient as matrix products; the streamed path gathers the activations
+    and scatters their gradient.  Both give the same numbers."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY_CASES))
+    def test_kept_matches_streamed(self, monkeypatch, name):
+        kept, streamed = kept_and_streamed(monkeypatch, *PARITY_CASES[name])
+        for got, want in zip(kept[0], streamed[0]):
+            assert abs(got - want) <= 1e-12 * abs(want)
+        for got, want in zip(kept[1:], streamed[1:]):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_zero_bank_residual_is_the_bias_rounding(self):
+        # the zero-bank case above reaches the bias row of the transport matrix
+        bank, prev, data, flow, weights, lam, dtau = PARITY_CASES["zero-bank"]
+        assert cognitive_action(bank, prev, ActionInputs(data, flow, weights), lam, dtau).motion > 0.0
 
 
 ENTRY_POINTS = {

@@ -57,6 +57,23 @@ def read_tree(root):
             for p in sorted(Path(root).rglob("*")) if p.is_file() and p.name != ".lock"}
 
 
+def files_config(tmp_path, name, tail):
+    """A config that reads BASE's 6 frames back from image files, with
+    Horn-Schunck flow, followed by ``tail`` (its [train], layer and [output]
+    sections).  The frame count of such a clip is known only once it is
+    loaded, so a window beyond it is a runtime error."""
+    frames = tmp_path / "frames"
+    if not frames.exists():
+        synth = write_config(tmp_path / "synth.ini", BASE.format(steps=1, save_features="false"))
+        assert main(["synth", "--config", synth, "--out", str(frames)]) == 0
+    body = (f"[data]\nsource = files\npath_pattern = {frames}/frame_{{t}}.pgm\n"
+            "[flow]\nsource = horn-schunck\nalpha = 1.0\niters = 5\n" + tail)
+    return write_config(tmp_path / name, body)
+
+
+WINDOW_9 = "[train]\nsteps = 1\nwindow = 9\n[layer1]\nn = 4\nk = 3\n[output]\nsave_features = false\n"
+
+
 @pytest.fixture
 def config_path(tmp_path):
     return write_config(tmp_path / "exp.ini", BASE.format(steps=4, save_features="true"))
@@ -179,6 +196,27 @@ class TestTrainCommand:
         bank2 = load_bank(out / "layer2_bank.txt")
         assert bank2.m_in == 4  # consumes layer 1's feature field
 
+    def test_two_layer_maps_convolve_each_bank_once(self, tmp_path, monkeypatch):
+        # besides the objective's steps: layer 1's bank once, to feed layer 2
+        # (its maps reuse that field), and layer 2's once, for its maps
+        from cogaction import optimizer, save_feature_maps, stack_layers
+
+        convolved = []
+        for module in (optimizer, cli):
+            monkeypatch.setattr(module, "convolve_features",
+                                lambda bank, data, convolve=module.convolve_features:
+                                convolved.append(bank.layer) or convolve(bank, data))
+        body = BASE.format(steps=2, save_features="true") + "\n[layer2]\nn = 3\nk = 3\nsteps = 1\n"
+        path = write_config(tmp_path / "deep.ini", body)
+        out = tmp_path / "deep"
+        assert main(["train", "--config", path, "--out", str(out)]) == 0
+        assert convolved == [1, 2]
+        banks = [load_bank(out / f"layer{z}_bank.txt") for z in (1, 2)]
+        clip, _ = parse_config(path).build_clip()
+        for z, field in enumerate(stack_layers(banks, clip), start=1):
+            save_feature_maps(field, tmp_path / "maps" / f"layer{z}")
+        assert read_tree(out / "features") == read_tree(tmp_path / "maps")
+
     def test_missing_input_file_exit_1(self, tmp_path, capsys):
         body = "[data]\nsource = files\npath_pattern = gone_{t}.pgm\n[layer1]\nn = 2\nk = 3\n"
         path = write_config(tmp_path / "bad.ini", body)
@@ -214,6 +252,23 @@ class TestTrainCommand:
         out = tmp_path / "x"
         assert main(["train", "--config", path, "--out", str(out)]) == 1
         assert f"{key}: not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("layer", [1, 2], ids=["train-section", "layer2-section"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_window_beyond_synth_clip_exit_1(self, tmp_path, capsys, command, layer):
+        # a window set in [train] reaches layer 1 first; one set in [layer2] only layer 2
+        body = BASE.format(steps=1, save_features="false") + "\n[layer2]\nn = 3\nk = 3\n"
+        if layer == 1:
+            body = body.replace("[layer1]", "window = 9\n\n[layer1]")
+        else:
+            body += "window = 9\n"
+        path = write_config(tmp_path / "window.ini", body)
+        out = tmp_path / "x"
+        bank = ["--bank", "unread.txt"] if command == "eval" else []
+        assert main([command, "--config", path, "--out", str(out)] + bank) == 1
+        assert (f"config error: [layer{layer}] window = 9 exceeds the clip's 6 frames"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "synth"])
@@ -341,9 +396,7 @@ class TestEvalCommand:
     def test_window_beyond_clip_same_error_as_train(self, tmp_path, capsys):
         from cogaction import init_bank, save_bank
 
-        body = BASE.format(steps=1, save_features="false").replace("[layer1]",
-                                                                   "window = 9\n\n[layer1]")
-        path = write_config(tmp_path / "window.ini", body)
+        path = files_config(tmp_path, "window.ini", WINDOW_9)
         bank = tmp_path / "b1.txt"
         save_bank(init_bank(4, 1, 3, "softmax", seed=0), bank)
         message = "evaluation window 9 exceeds the clip's 6 frames"
@@ -359,14 +412,12 @@ class TestFailedRunOutput:
     def failing_runs(self, tmp_path):
         from cogaction import init_bank, save_bank
 
-        body = BASE.format(steps=1, save_features="false").replace("[layer1]",
-                                                                   "window = 9\n\n[layer1]")
-        window = write_config(tmp_path / "window.ini", body)
+        window = files_config(tmp_path, "window.ini", WINDOW_9)
         base = write_config(tmp_path / "exp.ini", BASE.format(steps=1, save_features="false"))
         bank = tmp_path / "bad_bank.txt"
         save_bank(init_bank(3, 5, 3, "softmax", seed=0, scale=0.1), bank)  # clip has 1 channel
-        body = BASE.format(steps=1, save_features="true") + "\n[layer2]\nn = 3\nk = 3\nwindow = 9\n"
-        deep = write_config(tmp_path / "deep.ini", body)
+        deep = files_config(tmp_path, "deep.ini", "[train]\nsteps = 1\n[layer1]\nn = 4\nk = 3\n"
+                            "[layer2]\nn = 3\nk = 3\nwindow = 9\n")
         banks = [tmp_path / "b1.txt", tmp_path / "b2.txt"]
         save_bank(init_bank(4, 1, 3, "softmax", seed=0), banks[0])
         save_bank(init_bank(3, 4, 3, "softmax", seed=0, layer=2), banks[1])

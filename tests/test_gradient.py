@@ -12,12 +12,14 @@ from cogaction import (
     init_bank,
     synth_translating_clip,
 )
+from cogaction import features
 from cogaction.action import action_value_and_gradient, term_gradients
 from cogaction.features import CLAMP_EPS
 from cogaction.optimizer import (
     _clamp_margin,
     build_weights,
     finite_diff_breakdowns,
+    gradient_check_instances,
     run_gradient_check,
 )
 
@@ -27,6 +29,36 @@ def weighted_terms(terms, lam):
     return (-terms["info_index"] + lam.motion * terms["motion"]
             + lam.spatial * terms["spatial"] + lam.temporal * terms["temporal"]
             + lam.constraint * terms["penalty"])
+
+
+def beyond_the_clamp_instance() -> dict:
+    """A linear-penalty instance whose activations leave [0, 1] on both sides."""
+    rng = np.random.Generator(np.random.PCG64(7))
+    frames, height, width = 3, 6, 5
+    pattern = PatternSpec("random-texture", 4, seed=7, channels=2)
+    clip, _ = synth_translating_clip(pattern, (0.5, -0.25), frames, height, width)
+    bank = init_bank(3, 2, 3, "linear-penalty", seed=57, scale=0.3)
+    return {"bank": bank,
+            "flow": VelocityField(rng.uniform(-1.5, 1.5, size=(frames, height, width, 2))),
+            "bank_prev": bank.with_taps(bank.taps + rng.uniform(-0.05, 0.05, size=bank.taps.shape)),
+            "data": clip.data, "weights": build_weights("exp:0.9", frames),
+            "lam": Multipliers(motion=0.8, spatial=0.3, temporal=0.6, constraint=1.2),
+            "dtau": 0.5}
+
+
+def assert_terms_match_finite_differences(instance) -> dict:
+    """Every term's tap gradient, and the step's, within 1e-5 of the central
+    differences of the breakdown; returns the analytic gradients."""
+    args = (instance["bank"], instance["bank_prev"],
+            ActionInputs(instance["data"], instance["flow"], instance["weights"]))
+    lam, dtau = instance["lam"], instance["dtau"]
+    numeric = finite_diff_breakdowns(*args, lam, dtau)
+    analytic = term_gradients(*args, dtau)
+    analytic["total"] = action_value_and_gradient(*args, lam, dtau)[1]
+    for name, grad in analytic.items():
+        err = np.abs(grad - numeric[name]) / (1.0 + np.abs(grad))
+        assert err.max() <= 1e-5, name
+    return analytic
 
 
 class TestGradientOracle:
@@ -139,25 +171,25 @@ class TestGradientOracle:
         # activations on both sides of [0, 1], so the projection's inactive
         # branch and both penalty excesses carry gradient; the seeded suite
         # keeps every activation inside the clamp's active range
-        rng = np.random.Generator(np.random.PCG64(7))
-        frames, height, width = 3, 6, 5
-        pattern = PatternSpec("random-texture", 4, seed=7, channels=2)
-        clip, _ = synth_translating_clip(pattern, (0.5, -0.25), frames, height, width)
-        flow = VelocityField(rng.uniform(-1.5, 1.5, size=(frames, height, width, 2)))
-        bank = init_bank(3, 2, 3, "linear-penalty", seed=57, scale=0.3)
-        prev = bank.with_taps(bank.taps + rng.uniform(-0.05, 0.05, size=bank.taps.shape))
-        act = convolve_features(bank, clip)
+        instance = beyond_the_clamp_instance()
+        act = convolve_features(instance["bank"], instance["data"])
         assert np.mean(act < 0.0) > 0.05 and np.mean(act > 1.0) > 0.05
         # no kink within reach of the finite-difference step
         assert min(np.abs(act - kink).min() for kink in (0.0, CLAMP_EPS, 1.0)) >= 1e-4
-
-        lam = Multipliers(motion=0.8, spatial=0.3, temporal=0.6, constraint=1.2)
-        dtau = 0.5
-        inputs = ActionInputs(clip, flow, build_weights("exp:0.9", frames))
-        numeric = finite_diff_breakdowns(bank, prev, inputs, lam, dtau)
-        analytic = term_gradients(bank, prev, inputs, dtau)
-        analytic["total"] = action_value_and_gradient(bank, prev, inputs, lam, dtau)[1]
+        analytic = assert_terms_match_finite_differences(instance)
         for name, grad in analytic.items():
             assert np.abs(grad).max() > 0.0, name
-            err = np.abs(grad - numeric[name]) / (1.0 + np.abs(grad))
-            assert err.max() <= 1e-5, name
+
+
+@pytest.mark.parametrize("case", ["instance0", "instance1", "instance2", "instance3",
+                                  "beyond-the-clamp"])
+def test_streamed_patches_match_finite_differences(monkeypatch, case):
+    # every check-grad instance keeps its patch and transport matrices; under a
+    # budget below one frame the step streams its patches and takes the motion
+    # term through the warp plan's gather and scatter instead
+    monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 1)
+    instance = (beyond_the_clamp_instance() if case == "beyond-the-clamp"
+                else gradient_check_instances(4)[int(case[-1])])
+    assert_terms_match_finite_differences(instance)
+    inputs = ActionInputs(instance["data"], instance["flow"], instance["weights"])
+    assert inputs.transport(instance["bank"].kernel) is None
