@@ -21,9 +21,11 @@ every reduction over the features runs over contiguous rows.  Each step
 computes log p once; in softmax mode log p = a - logsumexp(a) stays finite
 where p underflows, which gives 0 log 0 = 0 without a special case.
 
-A layer whose patch matrix is kept also keeps its transport matrix, and its
-steps take the motion residual and the motion term's tap gradient as one
-matrix product each, with no warp gather or scatter (``_WarpPlan.transport``).
+The motion term is a quadratic form in the taps.  A layer whose patch matrix
+is kept also keeps the form's matrix G, (K*K*m + 1)^2, and its steps take M
+and M's tap gradient from G alone: no transport residual, warp gather or
+scatter.  A streamed layer gathers its activations along the flow and
+scatters the residual's gradient back on every step.
 """
 
 from dataclasses import dataclass
@@ -189,10 +191,12 @@ def symbol_marginal(field: np.ndarray, weights: TemporalWeights) -> np.ndarray:
 # pointwise, so transported activations imply transported probabilities.
 #
 # The activations are the flipped taps times the patch matrix P, plus the bias
-# 1/n, and the gather is linear, so the residual of the activations is the
-# flipped taps times the residual of P, plus the bias's own residual.  A
-# streamed clip keeps no P; it gathers the activations and scatters their
-# gradient on every step.
+# 1/n, and the gather is linear, so the residual of the activations is
+# x_i = [flipped taps_i, 1/n] times the transport matrix D of P.  With D's
+# columns scaled by the square root of their frame's residual measure, M is
+# sum_i x_i^T G x_i for G = D D^T, and its gradient in the taps is 2 (G x_i)
+# without the last entry.  A streamed clip keeps no P; it gathers the
+# activations and scatters their gradient on every step.
 
 class _WarpPlan:
     """Bilinear corners of the advected samples as flat sites ``t*H*W + row*W + col``
@@ -200,8 +204,9 @@ class _WarpPlan:
     the flow gives no weight anywhere are dropped: integer flow keeps one.
 
     ``gather`` and ``scatter`` take feature-major fields, (n, T-1, H, W), and
-    work one feature's contiguous rows at a time; ``transport`` applies
-    ``gather`` once to the rows of a patch matrix."""
+    work one feature's contiguous rows at a time: a streamed clip's step.
+    ``transport`` applies ``gather`` once to the rows of a kept patch matrix,
+    to build the motion term's matrix."""
 
     def __init__(self, flow: VelocityField):
         data = flow.data
@@ -252,7 +257,8 @@ class _WarpPlan:
         its frames 0..T-2; the last row is sum_k w_k - 1, the residual of a
         constant 1.  So ``[flat taps, 1/n] @ D`` is the gathered residual of
         the activations ``flat taps @ P + 1/n`` in exact arithmetic, for any n.
-        With integer flow both are exactly 0 on an exactly translating clip."""
+        With integer flow both are exactly 0 on an exactly translating clip.
+        ``ActionInputs`` builds G from D and keeps only G."""
         sites = self.weight.shape[1:]
         frames = patches.reshape((len(patches), sites[0] + 1) + sites[1:])
         out = np.empty((len(patches) + 1,) + sites)
@@ -270,17 +276,17 @@ def spatial_parsimony(bank) -> float:
     """Half the summed squared first differences of the taps along both kernel
     axes; neighbor pairs inside the support only (no wrap across the edge)."""
     taps = bank.taps if isinstance(bank, FilterBank) else np.asarray(bank, dtype=np.float64)
-    da = np.diff(taps, axis=2)
-    db = np.diff(taps, axis=3)
+    da = taps[:, :, 1:] - taps[:, :, :-1]
+    db = taps[:, :, :, 1:] - taps[:, :, :, :-1]
     return 0.5 * (float((da * da).sum()) + float((db * db).sum()))
 
 
 def spatial_parsimony_gradient(taps: np.ndarray) -> np.ndarray:
     grad = np.zeros_like(taps)
-    da = np.diff(taps, axis=2)
+    da = taps[:, :, 1:] - taps[:, :, :-1]
     grad[:, :, :-1, :] -= da
     grad[:, :, 1:, :] += da
-    db = np.diff(taps, axis=3)
+    db = taps[:, :, :, 1:] - taps[:, :, :, :-1]
     grad[:, :, :, :-1] -= db
     grad[:, :, :, 1:] += db
     return grad
@@ -323,20 +329,22 @@ def _constraint_penalty_act_gradient(act: np.ndarray, measure: np.ndarray, scale
 # Composite objective and its analytic tap gradient.
 #
 # ``ActionInputs`` holds what stays fixed while a layer learns: its inputs,
-# the grid's patch and transport matrices and the step's workspace.  One step
-# (``_evaluate``) runs in place on feature-major (n, T, H, W) buffers: the
-# activations become log p, then the activation gradient; the probabilities
-# and the transport residual have a buffer each.  One convolution adjoint maps
-# the activation gradient to the taps; with a kept transport matrix the motion
-# term's tap gradient is one more matrix product, added after it.  The
-# returned breakdown and tap gradient never alias the workspace, which the
-# next evaluation overwrites.
+# the grid's patch matrix and the motion term's matrix G when the clip is
+# kept, and the step's workspace.  One step (``_evaluate``) runs in place on
+# feature-major (n, T, H, W) buffers: the activations become log p, then the
+# activation gradient; the probabilities have a buffer, and so has the
+# transport residual of a streamed clip.  One convolution adjoint maps the
+# activation gradient to the taps; with G the motion term's tap gradient is
+# 2 x G, added after it.  The returned breakdown and tap gradient never alias
+# the workspace, which the next evaluation overwrites.
 
 class ActionInputs:
     """The fixed inputs of one objective, checked and derived once: the input
     grid, the space-time measures of ``weights``, the warp plan of ``flow``;
     and what every evaluation on them reuses, built once per layer: the
-    workspace and the grid's patch and transport matrices.
+    workspace, and for a kept clip the grid's patch matrix and the motion
+    term's matrix G.  A streamed clip keeps neither; its steps gather and
+    scatter along the warp plan.
 
     The grid is checked finite here and its patches are taken from it once,
     so it must not change after construction."""
@@ -355,15 +363,17 @@ class ActionInputs:
         self._workspace = None
         self._patches = None
 
-    def workspace(self, n: int):
+    def workspace(self, n: int, streamed: bool):
         """(act, probs, residual, site) for ``n`` features: (n, T, H, W) twice,
-        (n, T-1, H, W) and three (T, H, W) site arrays.  Allocated at the first
-        evaluation and again only when n changes."""
-        if self._workspace is None or len(self._workspace[0]) != n:
+        the (n, T-1, H, W) transport residual of a ``streamed`` clip (else
+        None) and three (T, H, W) site arrays.  Allocated at the first
+        evaluation and again only when n or ``streamed`` changes."""
+        if (self._workspace is None or len(self._workspace[0]) != n
+                or (self._workspace[2] is None) == streamed):
             frames, height, width = self.grid.shape[:3]
             self._workspace = (np.empty((n, frames, height, width)),
                                np.empty((n, frames, height, width)),
-                               np.empty((n, frames - 1, height, width)),
+                               np.empty((n, frames - 1, height, width)) if streamed else None,
                                np.empty((3, frames, height, width)))
         return self._workspace
 
@@ -373,15 +383,23 @@ class ActionInputs:
         again only when the kernel changes; the budget is read then."""
         if self._patches is None or self._patches[0] != kernel:
             patches = clip_patches(self.grid, kernel)
-            self._patches = (kernel, patches,
-                             None if patches is None else self.plan.transport(patches))
+            self._patches = (kernel, patches, None if patches is None else self._gram(patches))
         return self._patches[1]
 
-    def transport(self, kernel: int) -> np.ndarray | None:
-        """The warp plan's ``transport`` of ``patches(kernel)``, built with it;
-        None when the patches are not kept."""
+    def gram(self, kernel: int) -> np.ndarray | None:
+        """The motion term's matrix G for a K = ``kernel`` bank, built with
+        ``patches(kernel)``; None when the patches are not kept."""
         self.patches(kernel)
         return self._patches[2]
+
+    def _gram(self, patches: np.ndarray) -> np.ndarray:
+        """G = Ds Ds^T, Ds the warp plan's ``transport`` of ``patches`` with
+        each frame's columns scaled by the square root of its residual
+        measure; (K*K*m + 1)^2, and exactly 0 where the transport is."""
+        scaled = self.plan.transport(patches)
+        frames = scaled.reshape(len(scaled), len(self.residual_measure), -1)
+        frames *= np.sqrt(self.residual_measure)[:, None]
+        return scaled @ scaled.T
 
 
 def _entropies(act: np.ndarray, probs: np.ndarray, site: np.ndarray, measure: np.ndarray,
@@ -451,6 +469,18 @@ def _neg_index_act_gradient(act: np.ndarray, probs: np.ndarray, site: np.ndarray
     return out
 
 
+def _motion_form(bank: FilterBank, gram: np.ndarray) -> tuple[float, np.ndarray]:
+    """M = sum_i x_i^T G x_i over the rows x_i = [flat taps_i, 1/n], and x G.
+
+    A sum of squares cannot be negative, but the form can round below 0 on
+    a nearly invariant bank; M is held at 0 there."""
+    x = np.empty((bank.n, len(gram)))
+    x[:, :-1] = _flat_taps(bank.taps)
+    x[:, -1] = 1.0 / bank.n
+    gx = x @ gram
+    return max(float((x * gx).sum()), 0.0), gx
+
+
 def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
               lam: Multipliers, dtau: float, grad: bool = False, index: bool = True):
     """One objective step on the workspace of ``inputs``: the breakdown, and
@@ -463,22 +493,19 @@ def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
     count that differs from the bank's, the temporal parsimony a previous bank
     of another shape and ``dtau <= 0``.
     """
-    n = bank.n
-    act, probs, residual, site = inputs.workspace(n)
     patches = inputs.patches(bank.kernel)
-    transport = inputs.transport(bank.kernel)
+    gram = inputs.gram(bank.kernel)
+    act, probs, residual, site = inputs.workspace(bank.n, streamed=gram is None)
     linear = bank.mode == "linear-penalty"
     convolve_features(bank, inputs.grid, out=act.transpose(1, 2, 3, 0), patches=patches)
 
-    if transport is None:
+    if gram is None:
         inputs.plan.gather(act[:, 1:], residual)
         residual -= act[:, :-1]
+        motion = float(np.dot(inputs.residual_measure,
+                              np.einsum("ithw,ithw->t", residual, residual)))
     else:
-        taps = np.empty((n, len(transport)))
-        taps[:, :-1] = _flat_taps(bank.taps)
-        taps[:, -1] = 1.0 / n
-        np.matmul(taps, transport, out=residual.reshape(n, -1))
-    motion = float(np.dot(inputs.residual_measure, np.einsum("ithw,ithw->t", residual, residual)))
+        motion, gram_taps = _motion_form(bank, gram)
     penalty = _constraint_penalty(act, inputs.frame_measure, probs) if linear else 0.0
 
     log_q, s_marg, s_cond = _entropies(act, probs, site, inputs.frame_measure, bank.mode)
@@ -502,16 +529,15 @@ def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
         act.fill(0.0)
     elif neg_index is not act:
         act[...] = neg_index
-    if lam.motion != 0.0:
+    if lam.motion != 0.0 and gram is None:
         residual *= (2.0 * lam.motion) * inputs.residual_measure[:, None, None]
-        if transport is None:
-            act[:, :-1] -= residual
-            inputs.plan.scatter(residual, act[:, 1:])
+        act[:, :-1] -= residual
+        inputs.plan.scatter(residual, act[:, 1:])
 
     tap_grad = convolution_tap_gradient(inputs.grid, act.transpose(1, 2, 3, 0), bank.kernel,
                                         patches=patches)
-    if lam.motion != 0.0 and transport is not None:
-        tap_grad += _unflat_taps(residual.reshape(n, -1) @ transport[:-1].T, bank.kernel)
+    if lam.motion != 0.0 and gram is not None:
+        tap_grad += _unflat_taps((2.0 * lam.motion) * gram_taps[:, :-1], bank.kernel)
     if lam.spatial != 0.0:
         tap_grad += lam.spatial * spatial_parsimony_gradient(bank.taps)
     if lam.temporal != 0.0:
@@ -537,13 +563,20 @@ def term_gradients(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs
 
     Keys: info_index, motion, spatial, temporal, penalty.  Intended for
     oracle comparisons against finite differences of the breakdown fields.
+    A kept clip's motion gradient is 2 x G, with no step of its own.
     """
     def tap_gradient(lam: Multipliers, index: bool = False) -> np.ndarray:
         return _evaluate(bank, bank_prev, inputs, lam, dtau, grad=True, index=index)[1]
 
+    def motion_gradient() -> np.ndarray:
+        gram = inputs.gram(bank.kernel)
+        if gram is None:
+            return tap_gradient(Multipliers(motion=1.0))
+        return _unflat_taps(2.0 * _motion_form(bank, gram)[1][:, :-1], bank.kernel)
+
     return {
         "info_index": -tap_gradient(Multipliers(), index=True),
-        "motion": tap_gradient(Multipliers(motion=1.0)),
+        "motion": motion_gradient(),
         "spatial": spatial_parsimony_gradient(bank.taps),
         "temporal": (bank.taps - bank_prev.taps) / (dtau * dtau),
         "penalty": (tap_gradient(Multipliers(constraint=1.0))

@@ -156,13 +156,15 @@ def test_a1_gradient_oracle():
 
 
 def test_a2_exact_transport(monkeypatch):
-    # M as the training step computes it: convolution, warp-plan gather and
-    # residual measure
+    # M as the training step computes it: from the motion term's matrix G on
+    # a kept clip, which must be exactly 0, else by the warp-plan gather
     start = time.monotonic()
     worst = 0.0
+    gram_zero = True
     for velocity in ((1, 0), (-1, 1)):
         clip, flow = synth_translating_clip(PatternSpec("checkerboard", 8), velocity, 6, 24, 24)
         inputs = ActionInputs(clip, flow, TemporalWeights.uniform(6))
+        gram_zero &= not inputs.gram(3).any()
         for seed in range(10):
             bank = init_bank(4, 1, 3, "softmax", seed=seed, scale=0.5)
             motion = cognitive_action(bank, bank, inputs, Multipliers(), 1.0).motion
@@ -170,7 +172,7 @@ def test_a2_exact_transport(monkeypatch):
     # multi-channel clips on the full retina, the convolution taking its
     # patches 1, 3 and 16 frames at a time; inputs decide once whether to keep
     # the patch matrix, so each chunking gets its own, and at 16 frames the
-    # step takes M from the kept transport matrix
+    # step takes M from G
     kept = 0
     for m_in, kernel in ((3, 5), (8, 3)):
         frame_bytes = 64 * 64 * m_in * kernel * kernel * 8
@@ -180,17 +182,20 @@ def test_a2_exact_transport(monkeypatch):
             for chunk in (1, 3, 16):
                 monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", chunk * frame_bytes)
                 inputs = ActionInputs(clip, flow, TemporalWeights.uniform(16))
-                kept += inputs.transport(kernel) is not None
+                gram = inputs.gram(kernel)
+                if gram is not None:
+                    kept += 1
+                    gram_zero &= not gram.any()
                 for seed in range(3):
                     bank = init_bank(4, m_in, kernel, "softmax", seed=seed, scale=0.5)
                     motion = cognitive_action(bank, bank, inputs, Multipliers(), 1.0).motion
                     worst = max(worst, motion)
     elapsed = time.monotonic() - start
-    ok = worst <= 1e-18 and elapsed <= 5.0 and kept == 4
+    ok = worst <= 1e-18 and elapsed <= 5.0 and kept == 4 and gram_zero
     report("A2", ok, f"the step's M on integer-translating clips, 2 velocities: "
                      f"checkerboard x 10 banks, "
                      f"64x64x16 (m=3, K=5) and (m=8, K=3) x 3 banks x 3 chunkings, "
-                     f"{kept} of 12 with a kept transport matrix, "
+                     f"{kept} of 12 with a kept G, every kept G exactly 0: {gram_zero}, "
                      f"max M {worst:.1e} <= 1e-18", elapsed)
 
 

@@ -288,6 +288,19 @@ class TestParsimony:
         row[0, 0, 1, 0] = 1.0
         assert np.array_equal(spatial_parsimony_gradient(row).ravel(), [-1.0, 2.0, -1.0])
 
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_matches_np_diff_forms(self, kernel):
+        # the differences are taken as slices; np.diff does the same arithmetic
+        taps = np.random.default_rng(kernel).uniform(-1, 1, size=(3, 2, kernel, kernel))
+        da, db = np.diff(taps, axis=2), np.diff(taps, axis=3)
+        assert spatial_parsimony(taps) == 0.5 * (float((da * da).sum()) + float((db * db).sum()))
+        grad = np.zeros_like(taps)
+        grad[:, :, :-1, :] -= da
+        grad[:, :, 1:, :] += da
+        grad[:, :, :, :-1] -= db
+        grad[:, :, :, 1:] += db
+        assert np.array_equal(spatial_parsimony_gradient(taps), grad)
+
     def test_temporal_zero_at_rest(self):
         bank = init_bank(3, 1, 3, "softmax", seed=3, scale=0.2)
         assert temporal_parsimony(bank, bank, 0.5) == 0.0
@@ -421,10 +434,14 @@ class TestWorkspaceReuse:
         d = init_bank(4, 1, 5, "softmax", seed=25, scale=0.2)
         return clip, flow, lam, a, b, c, d
 
-    @pytest.mark.parametrize("other", ["same-n", "other-n", "same-n-other-k"])
-    def test_a_b_a_on_one_inputs(self, other):
+    @pytest.mark.parametrize("other", ["same-n", "other-n", "same-n-other-k",
+                                       "same-n-streamed-k"])
+    def test_a_b_a_on_one_inputs(self, monkeypatch, other):
         clip, flow, lam, a, b, c, d = self._banks()
-        b = {"same-n": b, "other-n": c, "same-n-other-k": d}[other]
+        b = {"same-n": b, "other-n": c, "same-n-other-k": d, "same-n-streamed-k": d}[other]
+        if other == "same-n-streamed-k":
+            # a budget that keeps a's K=3 patches (25,920 bytes), not d's K=5
+            monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 40_000)
         inputs = ActionInputs(clip, flow, TemporalWeights.uniform(5))
         first, grad = step(a, a, inputs, lam, 0.5)
         kept = grad.copy()
@@ -504,16 +521,17 @@ class TestOracleParity:
 
 def kept_and_streamed(monkeypatch, bank, prev, data, flow, weights, lam, dtau):
     """(breakdown values, step gradient, motion term gradient), first on fresh
-    inputs under the default patch budget, which keep the patch and transport
-    matrices, then on fresh inputs under a budget below one frame, which
-    stream one frame of patches at a time through gather and scatter."""
+    inputs under the default patch budget, which keep the patch matrix and the
+    motion term's matrix G, then on fresh inputs under a budget below one
+    frame, which stream one frame of patches at a time through gather and
+    scatter."""
     results = []
     for budget, kept in ((features.PATCH_CHUNK_BYTES, True), (1, False)):
         monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", budget)
         inputs = ActionInputs(data, flow, weights)
         breakdown, grad = action_value_and_gradient(bank, prev, inputs, lam, dtau)
         motion = term_gradients(bank, prev, inputs, dtau)["motion"]
-        assert (inputs.transport(bank.kernel) is not None) == kept
+        assert (inputs.gram(bank.kernel) is not None) == kept
         results.append((breakdown.values(), grad, motion))
     return results
 
@@ -556,9 +574,9 @@ PARITY_CASES = parity_cases()
 
 
 class TestKeptTransportParity:
-    """The kept transport matrix takes the motion residual and its tap
-    gradient as matrix products; the streamed path gathers the activations
-    and scatters their gradient.  Both give the same numbers."""
+    """A kept clip takes M and its tap gradient from the matrix G; the
+    streamed path gathers the activations and scatters their gradient, and
+    so checks G.  Both give the same numbers."""
 
     @pytest.mark.parametrize("name", sorted(PARITY_CASES))
     def test_kept_matches_streamed(self, monkeypatch, name):
@@ -569,9 +587,34 @@ class TestKeptTransportParity:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_zero_bank_residual_is_the_bias_rounding(self):
-        # the zero-bank case above reaches the bias row of the transport matrix
+        # the zero-bank case above reaches the bias row and column of G
         bank, prev, data, flow, weights, lam, dtau = PARITY_CASES["zero-bank"]
         assert cognitive_action(bank, prev, ActionInputs(data, flow, weights), lam, dtau).motion > 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nearly_invariant_bank_keeps_m_non_negative(self, monkeypatch, seed):
+        # two channels 1e-10 apart: the bank that cancels one against the
+        # other is nearly invariant, G's smallest eigenvalue rounds to about
+        # -1e-17 of its largest, and the quadratic form x G x^T rounds below
+        # 0 at three of these four seeds
+        n, kernel = 4, 3
+        clip, flow = synth_translating_clip(PatternSpec("random-texture", 4, seed=seed),
+                                            (0.5, 0.25), 8, 16, 16)
+        noise = np.random.default_rng(seed).standard_normal(clip.data.shape)
+        data = np.concatenate([clip.data, clip.data * (1.0 + 1e-10 * noise)], axis=3)
+        weights = TemporalWeights.uniform(8)
+        gram = ActionInputs(data, flow, weights).gram(kernel)
+        # the bilinear weights sum to exactly 1, so the bias entry of x meets
+        # only zeros and x is the eigenvector wherever G reads it
+        assert not gram[-1].any()
+        values, vectors = np.linalg.eigh(gram)
+        x = np.tile(vectors[:, 0], (n, 1))
+        x[:, -1] = 1.0 / n
+        bank = FilterBank(features._unflat_taps(x[:, :-1], kernel))
+        kept, streamed = kept_and_streamed(monkeypatch, bank, bank, data, flow, weights,
+                                           Multipliers(), 1.0)
+        assert kept[0][3] >= 0.0
+        assert abs(kept[0][3] - streamed[0][3]) <= 1e-15 * values[-1] * (x * x).sum()
 
 
 ENTRY_POINTS = {

@@ -184,7 +184,7 @@ class TestGradientOracle:
 @pytest.mark.parametrize("case", ["instance0", "instance1", "instance2", "instance3",
                                   "beyond-the-clamp"])
 def test_streamed_patches_match_finite_differences(monkeypatch, case):
-    # every check-grad instance keeps its patch and transport matrices; under a
+    # every check-grad instance keeps its patch matrix and G; under a
     # budget below one frame the step streams its patches and takes the motion
     # term through the warp plan's gather and scatter instead
     monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 1)
@@ -192,4 +192,4 @@ def test_streamed_patches_match_finite_differences(monkeypatch, case):
                 else gradient_check_instances(4)[int(case[-1])])
     assert_terms_match_finite_differences(instance)
     inputs = ActionInputs(instance["data"], instance["flow"], instance["weights"])
-    assert inputs.transport(instance["bank"].kernel) is None
+    assert inputs.gram(instance["bank"].kernel) is None
