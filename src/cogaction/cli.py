@@ -11,12 +11,16 @@ Exit codes: 0 success, 1 configuration error, 2 runtime or divergence error.
 Outputs are deterministic: identical configs produce bit-identical trees (a
 ``--threads`` hint is accepted for interface compatibility and ignored; no
 output depends on it).  An output directory is guarded by a ``.lock`` file
-against concurrent runs.
+against concurrent runs; it records the owning run's pid, host and UTC start
+time, is removed when the run ends, and is never broken automatically.
 """
 
 import argparse
 import contextlib
+import os
+import platform
 import sys
+import time
 from pathlib import Path
 
 from .action import BREAKDOWN_CSV_HEADER, ActionBreakdown
@@ -29,8 +33,27 @@ from .video import save_clip, save_feature_maps
 SUMMARY_HEADER = "layer,phase," + BREAKDOWN_CSV_HEADER.split(",", 1)[1]
 
 
+_LOCK_FIELDS = ("pid", "host", "started")
+
+
+def _lock_owner(lock: Path) -> str:
+    """The run a lock names, as written by ``_locked_out_dir``; a lock left
+    empty (older versions wrote none) or unreadable names no owner."""
+    try:
+        lines = lock.read_text(encoding="utf-8", errors="replace").splitlines()
+    except OSError:
+        lines = []
+    fields = dict(line.split("=", 1) for line in lines if "=" in line)
+    if not any(key in fields for key in _LOCK_FIELDS):
+        return "owner unknown"
+    return ", ".join(f"{key} {fields.get(key, '?')}" for key in _LOCK_FIELDS)
+
+
 @contextlib.contextmanager
 def _locked_out_dir(out_dir: Path):
+    """Hold ``out_dir/.lock`` for the run, recording its pid, host and UTC
+    start time.  A lock that exists is never broken: the run stops with the
+    owner in the message, and removing a stale lock is left to the user."""
     try:
         out_dir.mkdir(parents=True)
         created = True
@@ -38,13 +61,16 @@ def _locked_out_dir(out_dir: Path):
         created = False
     lock = out_dir / ".lock"
     try:
-        handle = open(lock, "x")
+        handle = open(lock, "x", encoding="utf-8")
     except FileExistsError:
         raise RuntimeError(
-            f"output directory {out_dir} is locked by another run (stale? remove {lock})"
+            f"output directory {out_dir} is locked by another run ({_lock_owner(lock)}); "
+            f"if that run is gone, remove {lock}"
         ) from None
     try:
-        handle.close()
+        with handle:
+            started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+            handle.write(f"pid={os.getpid()}\nhost={platform.node()}\nstarted={started}\n")
         yield out_dir
     finally:
         lock.unlink(missing_ok=True)

@@ -1,11 +1,14 @@
 import math
 import os
+import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from flow_oracle import roll_horn_schunck
 
 import cogaction
 from cogaction import cli, features, load_bank, load_flow, parse_config
@@ -224,11 +227,46 @@ class TestTrainCommand:
         assert "gone_0000.pgm" in capsys.readouterr().err
 
     def test_locked_output_exit_2(self, tmp_path, config_path, capsys):
+        # an empty lock, as older versions left, still blocks the run
         out = tmp_path / "busy"
         out.mkdir()
         (out / ".lock").touch()
         assert main(["train", "--config", config_path, "--out", str(out)]) == 2
-        assert "lock" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "lock" in err and "owner unknown" in err
+        assert sorted(p.name for p in out.iterdir()) == [".lock"]
+        assert (out / ".lock").read_bytes() == b""
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_stale_lock_names_owner_and_is_kept(self, tmp_path, config_path, capsys, command):
+        out = tmp_path / "busy"
+        out.mkdir()
+        lock = out / ".lock"
+        lock.write_text("pid=4242\nhost=render-07\nstarted=2026-01-02T03:04:05Z\n")
+        os.utime(lock, (1_000_000_000, 1_000_000_000))
+        assert main([command, "--config", config_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "pid 4242, host render-07, started 2026-01-02T03:04:05Z" in err
+        assert f"remove {lock}" in err
+        assert lock.read_text() == "pid=4242\nhost=render-07\nstarted=2026-01-02T03:04:05Z\n"
+        assert lock.stat().st_mtime == 1_000_000_000
+        assert sorted(p.name for p in out.iterdir()) == [".lock"]
+
+    def test_lock_records_the_running_process(self, tmp_path, config_path, monkeypatch):
+        out = tmp_path / "run"
+        seen = []
+        train_deep = cli.train_deep
+
+        def spy(*args):
+            seen.append((out / ".lock").read_text())
+            return train_deep(*args)
+
+        monkeypatch.setattr(cli, "train_deep", spy)
+        assert main(["train", "--config", config_path, "--out", str(out)]) == 0
+        fields = dict(line.split("=", 1) for line in seen[0].splitlines())
+        assert fields["pid"] == str(os.getpid())
+        assert fields["host"] == platform.node()
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", fields["started"])
 
     def test_lock_released_after_run(self, tmp_path, config_path):
         out = tmp_path / "run"
@@ -459,6 +497,24 @@ class TestFilesPipeline:
         assert (out / "layer1_bank.txt").exists()
         rows = (out / "layer1_trace.csv").read_text().splitlines()
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("budget", [None, 1], ids=["default-blocks", "one-pair-blocks"])
+    def test_estimated_flow_tree_matches_roll_oracle(self, tmp_path, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr("cogaction.flow._SWEEP_BLOCK_BYTES", budget)
+        body = (BASE.format(steps=2, save_features="true")
+                .replace("source = ground-truth", "source = horn-schunck\nalpha = 1.0\niters = 30")
+                + "\n[layer2]\nn = 3\nk = 3\nsteps = 2\n")
+        path = write_config(tmp_path / "hs.ini", body)
+        assert main(["train", "--config", path, "--out", str(tmp_path / "fast")]) == 0
+        calls = []
+        monkeypatch.setattr("cogaction.config.horn_schunck",
+                            lambda *args: calls.append(args) or roll_horn_schunck(*args))
+        assert main(["train", "--config", path, "--out", str(tmp_path / "oracle")]) == 0
+        assert len(calls) == 1
+        fast = read_tree(tmp_path / "fast")
+        assert "features/layer2/feat0_t0000.pgm" in fast
+        assert fast == read_tree(tmp_path / "oracle")
 
 
 class TestCheckGrad:

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from flow_oracle import roll_horn_schunck
 
 from cogaction import (
     ActionInputs,
@@ -15,6 +16,7 @@ from cogaction import (
     save_flow,
     synth_translating_clip,
 )
+from cogaction import flow as flow_module
 
 
 def shear_clip(seed, frames=3, height=16, width=16):
@@ -112,6 +114,62 @@ class TestHornSchunck:
             horn_schunck(clip, alpha=0.0, iters=10)
         with pytest.raises(ValueError):
             horn_schunck(clip, alpha=1.0, iters=0)
+
+    @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_alpha(self, alpha):
+        # inf used to return an all-zero flow, nan to sweep and then report
+        # a diverged estimate
+        clip, _ = synth_translating_clip(PatternSpec("sinusoid", 4), (1, 0), 2, 4, 4)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            horn_schunck(clip, alpha=alpha, iters=10)
+
+
+def random_clip(seed, frames, height, width, channels=2):
+    return VideoClip(np.random.default_rng(seed).uniform(size=(frames, height, width, channels)))
+
+
+class TestHornSchunckOracle:
+    """The blocked in-place sweeps against the roll-based oracle: the same
+    float operations in the same order, so the flows must be equal."""
+
+    def test_deep_clip(self):
+        # the shape and motion of the deep workload: 16x64x64 RGB moving (1, 0.5)
+        clip, _ = synth_translating_clip(PatternSpec("random-texture", 8, seed=5, channels=3),
+                                         (1.0, 0.5), 16, 64, 64)
+        assert np.array_equal(horn_schunck(clip, 1.0, 200).data,
+                              roll_horn_schunck(clip, 1.0, 200).data)
+
+    @pytest.mark.parametrize("shape", [(2, 6, 5), (2, 16, 16), (4, 1, 6), (4, 6, 1),
+                                       (3, 2, 2), (5, 9, 7), (6, 9, 7), (8, 9, 7)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_shapes(self, shape):
+        clip = random_clip(sum(shape), *shape)
+        assert np.array_equal(horn_schunck(clip, 1.0, 25).data,
+                              roll_horn_schunck(clip, 1.0, 25).data)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 8.0])
+    @pytest.mark.parametrize("iters", [1, 25, 200])
+    def test_alpha_and_iters(self, alpha, iters):
+        clip = shear_clip(4, frames=6)
+        assert np.array_equal(horn_schunck(clip, alpha, iters).data,
+                              roll_horn_schunck(clip, alpha, iters).data)
+
+    @pytest.mark.parametrize("budget", [1, 1 << 30], ids=["one-pair", "all-pairs"])
+    @pytest.mark.parametrize("frames", [2, 6, 8])
+    def test_block_sizes(self, monkeypatch, budget, frames):
+        monkeypatch.setattr(flow_module, "_SWEEP_BLOCK_BYTES", budget)
+        clip = random_clip(frames, frames, 9, 7)
+        assert np.array_equal(horn_schunck(clip, 1.0, 25).data,
+                              roll_horn_schunck(clip, 1.0, 25).data)
+
+    def test_default_block_leaves_a_partial_last_block(self):
+        # 64x64 sweeps 4 pairs per block, so 5 and 7 pairs end on a short one
+        block = flow_module._SWEEP_BLOCK_BYTES // (flow_module._SWEEP_ROWS * 8 * 66 * 66)
+        assert block == 4
+        for frames in (6, 8):
+            clip = random_clip(frames, frames, 64, 64, channels=1)
+            assert np.array_equal(horn_schunck(clip, 1.0, 25).data,
+                                  roll_horn_schunck(clip, 1.0, 25).data)
 
 
 class TestFlowFile:
