@@ -35,10 +35,10 @@ import numpy as np
 # The step computes the probability map, its adjoint and the entropies in
 # place: it calls none of probability_vjp, to_probabilities,
 # conditional_entropy and symbol_marginal.  The benchmark under perfbench/
-# looks up these four in this module by name, and evaluate_bank,
-# cognitive_action, action_value_and_gradient, term_gradients, stack_layers
-# and cli._windowed_eval in theirs, so all of them stay until it moves to
-# other seams.
+# still uses them by name: its tracer patches these four in this module, and
+# cognitive_action, action_value_and_gradient, term_gradients and
+# cli._windowed_eval in theirs; its output checks call evaluate_bank and
+# stack_layers.  All of them stay until the benchmark moves to other seams.
 from .features import (  # noqa: F401
     CLAMP_EPS,
     FilterBank,
@@ -339,17 +339,20 @@ def _constraint_penalty_act_gradient(act: np.ndarray, measure: np.ndarray, scale
 # the workspace, which the next evaluation overwrites.
 
 class ActionInputs:
-    """The fixed inputs of one objective, checked and derived once: the input
-    grid, the space-time measures of ``weights``, the warp plan of ``flow``;
-    and what every evaluation on them reuses, built once per layer: the
-    workspace, and for a kept clip the grid's patch matrix and the motion
-    term's matrix G.  A streamed clip keeps neither; its steps gather and
-    scatter along the warp plan.
+    """The fixed inputs of one objective, checked and built once for banks
+    of ``bank``'s shape (n, K): the input grid, the space-time measures of
+    ``weights``, the warp plan of ``flow``, the grid's ``patches`` and the
+    motion term's matrix ``gram``, and the step's workspace.  ``patches``
+    and ``gram`` are None when the clip exceeds the patch budget; such a
+    streamed clip gathers and scatters along the warp plan on every step.
+    The workspace is ``act`` and ``probs``, (n, T, H, W), the (n, T-1, H, W)
+    transport ``residual`` of a streamed clip (else None) and ``site``,
+    three (T, H, W) arrays.
 
-    The grid is checked finite here and its patches are taken from it once,
-    so it must not change after construction."""
+    The grid must not change after construction, and an evaluation rejects
+    a bank of another n or K."""
 
-    def __init__(self, data, flow: VelocityField, weights: TemporalWeights):
+    def __init__(self, data, flow: VelocityField, weights: TemporalWeights, bank: FilterBank):
         self.grid = as_grid(data)
         frames, height, width = self.grid.shape[:3]
         require_matching(flow, frames, height, width)
@@ -360,37 +363,14 @@ class ActionInputs:
         self.frame_measure = weights.frame_measure(height, width)
         self.residual_measure = weights.residual_measure(height, width)
         self.plan = _WarpPlan(flow)
-        self._workspace = None
-        self._patches = None
-
-    def workspace(self, n: int, streamed: bool):
-        """(act, probs, residual, site) for ``n`` features: (n, T, H, W) twice,
-        the (n, T-1, H, W) transport residual of a ``streamed`` clip (else
-        None) and three (T, H, W) site arrays.  Allocated at the first
-        evaluation and again only when n or ``streamed`` changes."""
-        if (self._workspace is None or len(self._workspace[0]) != n
-                or (self._workspace[2] is None) == streamed):
-            frames, height, width = self.grid.shape[:3]
-            self._workspace = (np.empty((n, frames, height, width)),
-                               np.empty((n, frames, height, width)),
-                               np.empty((n, frames - 1, height, width)) if streamed else None,
-                               np.empty((3, frames, height, width)))
-        return self._workspace
-
-    def patches(self, kernel: int) -> np.ndarray | None:
-        """The grid's ``clip_patches`` for a K = ``kernel`` bank, None when the
-        clip exceeds the patch budget.  Built at the first evaluation and
-        again only when the kernel changes; the budget is read then."""
-        if self._patches is None or self._patches[0] != kernel:
-            patches = clip_patches(self.grid, kernel)
-            self._patches = (kernel, patches, None if patches is None else self._gram(patches))
-        return self._patches[1]
-
-    def gram(self, kernel: int) -> np.ndarray | None:
-        """The motion term's matrix G for a K = ``kernel`` bank, built with
-        ``patches(kernel)``; None when the patches are not kept."""
-        self.patches(kernel)
-        return self._patches[2]
+        n, kernel = bank.n, bank.kernel
+        self.bank_shape = (n, kernel)
+        self.patches = clip_patches(self.grid, kernel)
+        self.gram = None if self.patches is None else self._gram(self.patches)
+        self.act = np.empty((n, frames, height, width))
+        self.probs = np.empty((n, frames, height, width))
+        self.residual = np.empty((n, frames - 1, height, width)) if self.gram is None else None
+        self.site = np.empty((3, frames, height, width))
 
     def _gram(self, patches: np.ndarray) -> np.ndarray:
         """G = Ds Ds^T, Ds the warp plan's ``transport`` of ``patches`` with
@@ -488,14 +468,17 @@ def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
     leaves -I out of the gradient, so that a term's gradient can be taken
     alone.
 
-    ``inputs`` checked the grid, flow and weights.  The calls below reject the
+    ``inputs`` checked the grid, flow and weights, and a bank of another n or
+    K than it was built for is rejected first.  The calls below reject the
     other bad inputs where they first use them: the convolution a channel
     count that differs from the bank's, the temporal parsimony a previous bank
     of another shape and ``dtau <= 0``.
     """
-    patches = inputs.patches(bank.kernel)
-    gram = inputs.gram(bank.kernel)
-    act, probs, residual, site = inputs.workspace(bank.n, streamed=gram is None)
+    if (bank.n, bank.kernel) != inputs.bank_shape:
+        raise ValueError(f"a bank of (n, K) = {(bank.n, bank.kernel)} on inputs built for "
+                         f"(n, K) = {inputs.bank_shape}")
+    patches, gram = inputs.patches, inputs.gram
+    act, probs, residual, site = inputs.act, inputs.probs, inputs.residual, inputs.site
     linear = bank.mode == "linear-penalty"
     convolve_features(bank, inputs.grid, out=act.transpose(1, 2, 3, 0), patches=patches)
 
@@ -569,10 +552,9 @@ def term_gradients(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs
         return _evaluate(bank, bank_prev, inputs, lam, dtau, grad=True, index=index)[1]
 
     def motion_gradient() -> np.ndarray:
-        gram = inputs.gram(bank.kernel)
-        if gram is None:
+        if inputs.gram is None:
             return tap_gradient(Multipliers(motion=1.0))
-        return _unflat_taps(2.0 * _motion_form(bank, gram)[1][:, :-1], bank.kernel)
+        return _unflat_taps(2.0 * _motion_form(bank, inputs.gram)[1][:, :-1], bank.kernel)
 
     return {
         "info_index": -tap_gradient(Multipliers(), index=True),

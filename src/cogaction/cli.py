@@ -152,10 +152,11 @@ def cmd_eval(experiment: ExperimentConfig, bank_paths: list[str], out_dir: Path)
         grids = [clip.data] + fields
         rows = [_summary_row(index, "eval", _windowed_eval(bank, grid, flow, plan.config))
                 for index, (bank, grid, plan) in enumerate(zip(banks, grids, plans), start=1)]
-        _write_rows(out_dir / "eval.csv", SUMMARY_HEADER, rows)
         if experiment.save_features:
             for index, field in enumerate(fields, start=1):
                 save_feature_maps(field, out_dir / "features" / f"layer{index}")
+        # written last, so a tree with eval.csv is complete
+        _write_rows(out_dir / "eval.csv", SUMMARY_HEADER, rows)
     print(f"evaluated {len(banks)} bank(s); outputs in {out_dir}")
     return 0
 

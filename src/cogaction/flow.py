@@ -140,7 +140,7 @@ def horn_schunck(clip: VideoClip, alpha: float, iters: int) -> VelocityField:
             np.add(up, down, out=avg)
             avg += left
             avg += right
-            avg /= 4.0
+            avg *= 0.25
             np.multiply(grad, avg, out=swept)
             np.add(swept[0], swept[1], out=shared)
             shared += rate

@@ -20,7 +20,10 @@ from .action import (
     action_value_and_gradient,
     cognitive_action,
 )
-from .features import CLAMP_EPS, MODES, FilterBank, as_grid, convolve_features, to_probabilities
+# nothing here calls to_probabilities; the benchmark under perfbench/ patches
+# it in this module by name
+from .features import (CLAMP_EPS, MODES, FilterBank, as_grid, convolve_features,  # noqa: F401
+                       stack_layers, to_probabilities)
 from .flow import VelocityField
 from .video import PatternSpec, synth_translating_clip
 
@@ -139,7 +142,7 @@ def train_layer(bank: FilterBank, data, flow: VelocityField, config: TrainConfig
     final bank is evaluated once more as its own predecessor, as
     ``evaluate_bank`` would on the same inputs.
     """
-    inputs = ActionInputs(*_windowed(as_grid(data), flow, config))
+    inputs = ActionInputs(*_windowed(as_grid(data), flow, config), bank)
     dtau = config.effective_dtau()
     current = bank
     previous = bank
@@ -170,9 +173,7 @@ def train_deep(clip, flow: VelocityField, plans: list[LayerPlan]) -> list[TrainT
     current = as_grid(clip)
     for index, plan in enumerate(plans, start=1):
         if traces:
-            below = traces[-1].final_bank
-            current = to_probabilities(convolve_features(below, current), below.mode)
-            traces[-1].field = current
+            current = traces[-1].field = stack_layers([traces[-1].final_bank], current)[0]
         config = plan.config
         bank = init_bank(plan.features, current.shape[3], plan.kernel, config.mode,
                          config.seed, config.init_scale, layer=index)
@@ -187,7 +188,7 @@ def train_deep(clip, flow: VelocityField, plans: list[LayerPlan]) -> list[TrainT
 def evaluate_bank(bank: FilterBank, data, flow: VelocityField, weights: TemporalWeights,
                   lam: Multipliers, dtau: float) -> ActionBreakdown:
     """Breakdown at a standalone bank: no predecessor iterate, so K = 0."""
-    return cognitive_action(bank, bank, ActionInputs(data, flow, weights), lam, dtau)
+    return cognitive_action(bank, bank, ActionInputs(data, flow, weights, bank), lam, dtau)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +278,8 @@ def run_gradient_check(count: int = 20, eps: float = 1e-5, tol: float = 1e-5) ->
         if instance["mode"] == "linear-penalty" and _clamp_margin(instance) < 1e-4:
             raise RuntimeError(f"instance {number} sits on a projection kink; reseed the suite")
         args = (instance["bank"], instance["bank_prev"],
-                ActionInputs(instance["data"], instance["flow"], instance["weights"]))
+                ActionInputs(instance["data"], instance["flow"], instance["weights"],
+                             instance["bank"]))
         lam, dtau = instance["lam"], instance["dtau"]
         fd = finite_diff_breakdowns(*args, lam, dtau, eps=eps)
         analytic = term_gradients(*args, dtau)

@@ -2,7 +2,10 @@
 
 The sweep loop as ``np.roll`` shifts on (pairs, H, W) stacks, all pairs at
 once.  ``horn_schunck`` must agree with it bit for bit: both apply the same
-float operations, in the same order, to every site.
+float operations, in the same order, to every site.  The one difference is
+that ``horn_schunck`` multiplies the neighbour sums by 0.25 where this
+divides them by 4.0; either is one correctly rounded scaling by a power of
+two, so the bits are the same.
 """
 
 import numpy as np

@@ -15,5 +15,5 @@ def identity_probe(field, weights):
     its motion term is that of log p under zero flow."""
     n = field.shape[3]
     bank = FilterBank(np.eye(n)[:, :, None, None])
-    inputs = ActionInputs(np.log(field), constant_flow((0, 0), *field.shape[:3]), weights)
+    inputs = ActionInputs(np.log(field), constant_flow((0, 0), *field.shape[:3]), weights, bank)
     return cognitive_action(bank, bank, inputs, Multipliers(), 1.0)

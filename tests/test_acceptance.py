@@ -163,10 +163,10 @@ def test_a2_exact_transport(monkeypatch):
     gram_zero = True
     for velocity in ((1, 0), (-1, 1)):
         clip, flow = synth_translating_clip(PatternSpec("checkerboard", 8), velocity, 6, 24, 24)
-        inputs = ActionInputs(clip, flow, TemporalWeights.uniform(6))
-        gram_zero &= not inputs.gram(3).any()
-        for seed in range(10):
-            bank = init_bank(4, 1, 3, "softmax", seed=seed, scale=0.5)
+        banks = [init_bank(4, 1, 3, "softmax", seed=seed, scale=0.5) for seed in range(10)]
+        inputs = ActionInputs(clip, flow, TemporalWeights.uniform(6), banks[0])
+        gram_zero &= not inputs.gram.any()
+        for bank in banks:
             motion = cognitive_action(bank, bank, inputs, Multipliers(), 1.0).motion
             worst = max(worst, motion)
     # multi-channel clips on the full retina, the convolution taking its
@@ -181,13 +181,13 @@ def test_a2_exact_transport(monkeypatch):
                 PatternSpec("random-texture", 16, seed=m_in, channels=m_in), velocity, 16, 64, 64)
             for chunk in (1, 3, 16):
                 monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", chunk * frame_bytes)
-                inputs = ActionInputs(clip, flow, TemporalWeights.uniform(16))
-                gram = inputs.gram(kernel)
-                if gram is not None:
+                banks = [init_bank(4, m_in, kernel, "softmax", seed=seed, scale=0.5)
+                         for seed in range(3)]
+                inputs = ActionInputs(clip, flow, TemporalWeights.uniform(16), banks[0])
+                if inputs.gram is not None:
                     kept += 1
-                    gram_zero &= not gram.any()
-                for seed in range(3):
-                    bank = init_bank(4, m_in, kernel, "softmax", seed=seed, scale=0.5)
+                    gram_zero &= not inputs.gram.any()
+                for bank in banks:
                     motion = cognitive_action(bank, bank, inputs, Multipliers(), 1.0).motion
                     worst = max(worst, motion)
     elapsed = time.monotonic() - start
@@ -344,9 +344,11 @@ def test_a6_invariant_suites(a3_runs):
     lam = Multipliers(motion=1.0, spatial=0.5, temporal=0.5)
     h = np.array([1.0, 0.5, 2.0, 1.5])
     a = cognitive_action(scale_bank, scale_bank,
-                         ActionInputs(scale_clip, scale_flow, TemporalWeights(h)), lam, 0.5)
+                         ActionInputs(scale_clip, scale_flow, TemporalWeights(h), scale_bank),
+                         lam, 0.5)
     b = cognitive_action(scale_bank, scale_bank,
-                         ActionInputs(scale_clip, scale_flow, TemporalWeights(h * 41.0)), lam, 0.5)
+                         ActionInputs(scale_clip, scale_flow, TemporalWeights(h * 41.0), scale_bank),
+                         lam, 0.5)
     measure_worst = max(abs(x - y) for x, y in zip(a.values(), b.values()))
 
     rerun_ok = read_tree(outs[0]) == read_tree(outs[1])

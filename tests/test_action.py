@@ -71,7 +71,7 @@ def transport_residual(act, flow):
 
 def step_motion(bank, data, flow, weights):
     """M as the objective step computes it."""
-    return cognitive_action(bank, bank, ActionInputs(data, flow, weights), Multipliers(), 1.0).motion
+    return cognitive_action(bank, bank, ActionInputs(data, flow, weights, bank), Multipliers(), 1.0).motion
 
 
 class TestTemporalWeights:
@@ -346,7 +346,7 @@ class TestCompositeAction:
         bank = init_bank(4, 1, 3, "softmax", seed=0, scale=0.0)
         w = TemporalWeights.uniform(3)
         lam = Multipliers(1, 1, 1, 1)
-        result = cognitive_action(bank, bank, ActionInputs(clip, flow, w), lam, 1.0)
+        result = cognitive_action(bank, bank, ActionInputs(clip, flow, w, bank), lam, 1.0)
         assert abs(result.info_index) <= 1e-12
         assert result.motion == 0.0
         assert result.spatial == 0.0
@@ -355,12 +355,12 @@ class TestCompositeAction:
 
     def test_zero_multipliers_leave_neg_index(self):
         bank, prev, clip, flow, w, _ = self._instance()
-        result = cognitive_action(bank, prev, ActionInputs(clip, flow, w), Multipliers(), 0.5)
+        result = cognitive_action(bank, prev, ActionInputs(clip, flow, w, bank), Multipliers(), 0.5)
         assert abs(result.total + result.info_index) <= 1e-15
 
     def test_composite_matches_sum_of_parts(self):
         bank, prev, clip, flow, w, lam = self._instance(seed=5)
-        result = cognitive_action(bank, prev, ActionInputs(clip, flow, w), lam, 0.5)
+        result = cognitive_action(bank, prev, ActionInputs(clip, flow, w, bank), lam, 0.5)
         act = convolve_features(bank, clip)
         index = identity_probe(to_probabilities(act, bank.mode), w).info_index
         m_val = motion_term_loop_oracle(act, flow, w.weights)
@@ -373,7 +373,7 @@ class TestCompositeAction:
 
     def test_penalty_populated_in_linear_mode(self):
         bank, prev, clip, flow, w, lam = self._instance(mode="linear-penalty", seed=7)
-        result = cognitive_action(bank, prev, ActionInputs(clip, flow, w), lam, 0.5)
+        result = cognitive_action(bank, prev, ActionInputs(clip, flow, w, bank), lam, 0.5)
         assert result.penalty > 0.0
         base = -result.info_index + lam.motion * result.motion + lam.spatial * result.spatial \
             + lam.temporal * result.temporal + lam.constraint * result.penalty
@@ -381,7 +381,7 @@ class TestCompositeAction:
 
     def test_entropy_bounds_in_breakdown(self):
         bank, prev, clip, flow, w, lam = self._instance(seed=11)
-        result = cognitive_action(bank, prev, ActionInputs(clip, flow, w), lam, 0.5)
+        result = cognitive_action(bank, prev, ActionInputs(clip, flow, w, bank), lam, 0.5)
         n = bank.n
         assert 0.0 <= result.marginal_entropy <= math.log(n) + 1e-12
         assert 0.0 <= result.conditional_entropy <= math.log(n) + 1e-12
@@ -391,15 +391,15 @@ class TestCompositeAction:
         bank, prev, clip, flow, _, lam = self._instance(seed=13)
         w1 = TemporalWeights(np.array([1.0, 0.5, 2.0, 1.5]))
         w2 = TemporalWeights(np.array([1.0, 0.5, 2.0, 1.5]) * 37.0)
-        a = cognitive_action(bank, prev, ActionInputs(clip, flow, w1), lam, 0.5)
-        b = cognitive_action(bank, prev, ActionInputs(clip, flow, w2), lam, 0.5)
+        a = cognitive_action(bank, prev, ActionInputs(clip, flow, w1, bank), lam, 0.5)
+        b = cognitive_action(bank, prev, ActionInputs(clip, flow, w2, bank), lam, 0.5)
         for x, y in zip(a.values(), b.values()):
             assert abs(x - y) <= 1e-12
 
     def test_bit_identical_reruns(self):
         bank, prev, clip, flow, w, lam = self._instance(seed=17)
-        a = cognitive_action(bank, prev, ActionInputs(clip, flow, w), lam, 0.5)
-        b = cognitive_action(bank, prev, ActionInputs(clip, flow, w), lam, 0.5)
+        a = cognitive_action(bank, prev, ActionInputs(clip, flow, w, bank), lam, 0.5)
+        b = cognitive_action(bank, prev, ActionInputs(clip, flow, w, bank), lam, 0.5)
         assert a.values() == b.values()
 
     def test_csv_row_format(self):
@@ -426,23 +426,17 @@ class TestWorkspaceReuse:
                                             (0.5, 0.25), 5, 9, 8)
         lam = Multipliers(motion=1.1, spatial=0.2, temporal=0.3, constraint=0.7)
         a = init_bank(4, 1, 3, "softmax", seed=22, scale=0.2)
-        # b shares a's feature count (and so its buffers) but not its mode;
-        # c has another feature count; d shares a's feature count but not its
-        # kernel (and so not its patches)
+        # b shares a's shape (n, K), and so its buffers, but not its mode; c
+        # has another feature count, d another kernel
         b = init_bank(4, 1, 3, "linear-penalty", seed=23, scale=0.08)
-        c = init_bank(3, 1, 5, "softmax", seed=24, scale=0.2)
+        c = init_bank(3, 1, 3, "softmax", seed=24, scale=0.2)
         d = init_bank(4, 1, 5, "softmax", seed=25, scale=0.2)
         return clip, flow, lam, a, b, c, d
 
-    @pytest.mark.parametrize("other", ["same-n", "other-n", "same-n-other-k",
-                                       "same-n-streamed-k"])
-    def test_a_b_a_on_one_inputs(self, monkeypatch, other):
-        clip, flow, lam, a, b, c, d = self._banks()
-        b = {"same-n": b, "other-n": c, "same-n-other-k": d, "same-n-streamed-k": d}[other]
-        if other == "same-n-streamed-k":
-            # a budget that keeps a's K=3 patches (25,920 bytes), not d's K=5
-            monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 40_000)
-        inputs = ActionInputs(clip, flow, TemporalWeights.uniform(5))
+    @pytest.mark.parametrize("other", ["same-n"])
+    def test_a_b_a_on_one_inputs(self, other):
+        clip, flow, lam, a, b, _, _ = self._banks()
+        inputs = ActionInputs(clip, flow, TemporalWeights.uniform(5), a)
         first, grad = step(a, a, inputs, lam, 0.5)
         kept = grad.copy()
         step(b, b, inputs, lam, 0.5)
@@ -452,10 +446,24 @@ class TestWorkspaceReuse:
         assert np.array_equal(grad_again, kept)
         assert cognitive_action(a, a, inputs, lam, 0.5).values() == first
 
+    def test_bank_of_another_shape_is_rejected(self):
+        clip, flow, lam, a, _, c, d = self._banks()
+        inputs = ActionInputs(clip, flow, TemporalWeights.uniform(5), a)
+        first = step(a, a, inputs, lam, 0.5)
+        for other, shape in ((c, r"\(3, 3\)"), (d, r"\(4, 5\)")):
+            message = rf"a bank of \(n, K\) = {shape} on inputs built for \(n, K\) = \(4, 3\)"
+            for entry in (cognitive_action, action_value_and_gradient):
+                with pytest.raises(ValueError, match=message):
+                    entry(other, other, inputs, lam, 0.5)
+            with pytest.raises(ValueError, match=message):
+                term_gradients(other, other, inputs, 0.5)
+        again = step(a, a, inputs, lam, 0.5)
+        assert again[0] == first[0] and np.array_equal(again[1], first[1])
+
     def test_two_inputs_interleaved(self):
         clip, flow, lam, a, b, _, _ = self._banks()
-        one = ActionInputs(clip, flow, TemporalWeights.uniform(5))
-        two = ActionInputs(clip, flow, build_weights("exp:0.9", 5))
+        one = ActionInputs(clip, flow, TemporalWeights.uniform(5), a)
+        two = ActionInputs(clip, flow, build_weights("exp:0.9", 5), b)
         a_one, grad_a_one = step(a, a, one, lam, 0.5)
         b_two, grad_b_two = step(b, b, two, lam, 0.5)
         kept = grad_a_one.copy(), grad_b_two.copy()
@@ -471,8 +479,8 @@ class TestWorkspaceReuse:
 def assert_matches_oracle(bank, prev, data, flow, weights, lam, dtau, rel=1e-12):
     """Breakdown terms and tap gradient of the step against the (T, H, W, n)
     oracle, each within ``rel`` of the oracle's magnitude."""
-    breakdown, grad = action_value_and_gradient(bank, prev, ActionInputs(data, flow, weights),
-                                                lam, dtau)
+    breakdown, grad = action_value_and_gradient(bank, prev,
+                                                ActionInputs(data, flow, weights, bank), lam, dtau)
     expected, expected_grad = objective_step(bank, prev, data, flow, weights, lam, dtau)
     assert np.all(np.isfinite(breakdown.values())) and np.all(np.isfinite(grad))
     for got, want in zip(breakdown.values(), expected.values()):
@@ -528,10 +536,10 @@ def kept_and_streamed(monkeypatch, bank, prev, data, flow, weights, lam, dtau):
     results = []
     for budget, kept in ((features.PATCH_CHUNK_BYTES, True), (1, False)):
         monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", budget)
-        inputs = ActionInputs(data, flow, weights)
+        inputs = ActionInputs(data, flow, weights, bank)
         breakdown, grad = action_value_and_gradient(bank, prev, inputs, lam, dtau)
         motion = term_gradients(bank, prev, inputs, dtau)["motion"]
-        assert (inputs.gram(bank.kernel) is not None) == kept
+        assert (inputs.gram is not None) == kept
         results.append((breakdown.values(), grad, motion))
     return results
 
@@ -589,7 +597,8 @@ class TestKeptTransportParity:
     def test_zero_bank_residual_is_the_bias_rounding(self):
         # the zero-bank case above reaches the bias row and column of G
         bank, prev, data, flow, weights, lam, dtau = PARITY_CASES["zero-bank"]
-        assert cognitive_action(bank, prev, ActionInputs(data, flow, weights), lam, dtau).motion > 0.0
+        inputs = ActionInputs(data, flow, weights, bank)
+        assert cognitive_action(bank, prev, inputs, lam, dtau).motion > 0.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_nearly_invariant_bank_keeps_m_non_negative(self, monkeypatch, seed):
@@ -603,7 +612,8 @@ class TestKeptTransportParity:
         noise = np.random.default_rng(seed).standard_normal(clip.data.shape)
         data = np.concatenate([clip.data, clip.data * (1.0 + 1e-10 * noise)], axis=3)
         weights = TemporalWeights.uniform(8)
-        gram = ActionInputs(data, flow, weights).gram(kernel)
+        shape = FilterBank(np.zeros((n, data.shape[3], kernel, kernel)))
+        gram = ActionInputs(data, flow, weights, shape).gram
         # the bilinear weights sum to exactly 1, so the bias entry of x meets
         # only zeros and x is the eigenvector wherever G reads it
         assert not gram[-1].any()
@@ -619,13 +629,13 @@ class TestKeptTransportParity:
 
 ENTRY_POINTS = {
     "cognitive_action": lambda bank, prev, data, flow, w, lam, dtau:
-        cognitive_action(bank, prev, ActionInputs(data, flow, w), lam, dtau),
+        cognitive_action(bank, prev, ActionInputs(data, flow, w, bank), lam, dtau),
     "action_value_and_gradient": lambda bank, prev, data, flow, w, lam, dtau:
-        action_value_and_gradient(bank, prev, ActionInputs(data, flow, w), lam, dtau),
+        action_value_and_gradient(bank, prev, ActionInputs(data, flow, w, bank), lam, dtau),
     "term_gradients": lambda bank, prev, data, flow, w, lam, dtau:
-        term_gradients(bank, prev, ActionInputs(data, flow, w), dtau),
+        term_gradients(bank, prev, ActionInputs(data, flow, w, bank), dtau),
     "finite_diff_breakdowns": lambda bank, prev, data, flow, w, lam, dtau:
-        finite_diff_breakdowns(bank, prev, ActionInputs(data, flow, w), lam, dtau),
+        finite_diff_breakdowns(bank, prev, ActionInputs(data, flow, w, bank), lam, dtau),
     # a standalone bank is its own predecessor, so it has no bank_prev case
     "evaluate_bank": lambda bank, prev, data, flow, w, lam, dtau:
         evaluate_bank(bank, data, flow, w, lam, dtau),

@@ -201,11 +201,12 @@ class TestTrainCommand:
 
     def test_two_layer_maps_convolve_each_bank_once(self, tmp_path, monkeypatch):
         # besides the objective's steps: layer 1's bank once, to feed layer 2
-        # (its maps reuse that field), and layer 2's once, for its maps
-        from cogaction import optimizer, save_feature_maps, stack_layers
+        # (its maps reuse that field), and layer 2's once, for its maps;
+        # train_deep propagates through features.stack_layers
+        from cogaction import features, optimizer, save_feature_maps, stack_layers
 
         convolved = []
-        for module in (optimizer, cli):
+        for module in (features, optimizer, cli):
             monkeypatch.setattr(module, "convolve_features",
                                 lambda bank, data, convolve=module.convolve_features:
                                 convolved.append(bank.layer) or convolve(bank, data))
@@ -481,6 +482,48 @@ class TestFailedRunOutput:
         out.mkdir()
         assert main(argv + ["--out", str(out)]) == 2
         assert out.is_dir() and not any(out.iterdir())
+
+    def test_failed_map_write_leaves_no_eval_csv(self, tmp_path, monkeypatch, capsys):
+        # eval.csv is written last: a run that fails at its second map
+        # directory leaves layer 1's maps, but no tree that looks finished
+        two_layer = BASE + "\n[layer2]\nn = 3\nk = 3\nsteps = 1\n"
+        path = write_config(tmp_path / "deep.ini", two_layer.format(steps=1, save_features="true"))
+        run = tmp_path / "run"
+        assert main(["train", "--config", path, "--out", str(run)]) == 0
+        calls = []
+        save = cli.save_feature_maps
+
+        def failing(field, directory):
+            calls.append(directory)
+            if len(calls) == 2:
+                raise OSError(f"cannot write {directory}")
+            save(field, directory)
+
+        monkeypatch.setattr(cli, "save_feature_maps", failing)
+        out = tmp_path / "eval"
+        assert main(["eval", "--config", path, "--bank", str(run / "layer1_bank.txt"),
+                     "--bank", str(run / "layer2_bank.txt"), "--out", str(out)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert len(calls) == 2
+        assert not (out / "eval.csv").exists() and not (out / ".lock").exists()
+
+    def test_interrupt_releases_lock_and_keeps_out_dir(self, tmp_path, monkeypatch):
+        two_layer = BASE + "\n[layer2]\nn = 3\nk = 3\nsteps = 1\n"
+        path = write_config(tmp_path / "deep.ini", two_layer.format(steps=1, save_features="false"))
+        save = cli.save_bank
+
+        def interrupted(bank, target):
+            if bank.layer == 2:
+                raise KeyboardInterrupt
+            save(bank, target)
+
+        monkeypatch.setattr(cli, "save_bank", interrupted)
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(KeyboardInterrupt):
+            main(["train", "--config", path, "--out", str(out)])
+        assert out.is_dir() and (out / "layer1_bank.txt").exists()
+        assert not (out / ".lock").exists() and not (out / "summary.csv").exists()
 
 
 class TestFilesPipeline:

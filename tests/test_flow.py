@@ -12,6 +12,7 @@ from cogaction import (
     VideoClip,
     constant_flow,
     horn_schunck,
+    init_bank,
     load_flow,
     save_flow,
     synth_translating_clip,
@@ -43,7 +44,8 @@ class TestConstantFlow:
         clip, _ = synth_translating_clip(PatternSpec("sinusoid", 4), (0, 0), 3, 8, 8)
         bad = constant_flow((0, 0), 3, 8, 6)
         with pytest.raises(ValueError, match="does not match"):
-            ActionInputs(clip, bad, TemporalWeights.uniform(3))
+            ActionInputs(clip, bad, TemporalWeights.uniform(3),
+                         init_bank(2, 1, 3, "softmax", seed=0))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

@@ -50,7 +50,7 @@ def assert_terms_match_finite_differences(instance) -> dict:
     """Every term's tap gradient, and the step's, within 1e-5 of the central
     differences of the breakdown; returns the analytic gradients."""
     args = (instance["bank"], instance["bank_prev"],
-            ActionInputs(instance["data"], instance["flow"], instance["weights"]))
+            ActionInputs(instance["data"], instance["flow"], instance["weights"], instance["bank"]))
     lam, dtau = instance["lam"], instance["dtau"]
     numeric = finite_diff_breakdowns(*args, lam, dtau)
     analytic = term_gradients(*args, dtau)
@@ -84,7 +84,7 @@ class TestGradientOracle:
         bank = init_bank(3, 1, 3, "softmax", seed=0, scale=0.0)
         w = TemporalWeights.uniform(4)
         lam = Multipliers()  # A = -I only
-        inputs = ActionInputs(clip, flow, w)
+        inputs = ActionInputs(clip, flow, w, bank)
         analytic = action_value_and_gradient(bank, bank, inputs, lam, 1.0)[1]
         numeric = finite_diff_breakdowns(bank, bank, inputs, lam, 1.0, eps=1e-5)["total"]
         assert np.abs(analytic).max() <= 1e-12
@@ -94,7 +94,7 @@ class TestGradientOracle:
         clip, flow = synth_translating_clip(PatternSpec("checkerboard", 8), (1, 0), 4, 16, 16)
         bank = init_bank(3, 1, 3, "softmax", seed=2, scale=0.4)
         w = TemporalWeights.uniform(4)
-        grads = term_gradients(bank, bank, ActionInputs(clip, flow, w), 1.0)
+        grads = term_gradients(bank, bank, ActionInputs(clip, flow, w, bank), 1.0)
         assert np.abs(grads["motion"]).max() == 0.0
 
     def test_epsilon_halving_shrinks_error_quadratically(self):
@@ -103,7 +103,7 @@ class TestGradientOracle:
         prev = bank.with_taps(bank.taps + 0.03)
         w = TemporalWeights.uniform(4)
         lam = Multipliers(motion=1.0, spatial=0.5, temporal=0.5)
-        inputs = ActionInputs(clip, flow, w)
+        inputs = ActionInputs(clip, flow, w, bank)
         analytic = action_value_and_gradient(bank, prev, inputs, lam, 0.3)[1]
         errors = []
         for eps in (4e-3, 2e-3, 1e-3):
@@ -115,7 +115,7 @@ class TestGradientOracle:
     def test_eps_must_be_positive(self):
         clip, flow = synth_translating_clip(PatternSpec("sinusoid", 4), (0, 0), 2, 4, 4)
         bank = init_bank(2, 1, 3, "softmax", seed=0, scale=0.1)
-        inputs = ActionInputs(clip, flow, TemporalWeights.uniform(2))
+        inputs = ActionInputs(clip, flow, TemporalWeights.uniform(2), bank)
         with pytest.raises(ValueError):
             finite_diff_breakdowns(bank, bank, inputs, Multipliers(), 1.0, eps=0.0)
 
@@ -125,7 +125,7 @@ class TestGradientOracle:
         prev = bank.with_taps(bank.taps * 0.9)
         w = TemporalWeights.uniform(3)
         lam = Multipliers(motion=0.7, spatial=0.2, temporal=1.1, constraint=0.4)
-        inputs = ActionInputs(clip, flow, w)
+        inputs = ActionInputs(clip, flow, w, bank)
         combined = action_value_and_gradient(bank, prev, inputs, lam, 0.6)[1]
         expected = weighted_terms(term_gradients(bank, prev, inputs, 0.6), lam)
         assert np.abs(combined - expected).max() <= 1e-12
@@ -134,7 +134,7 @@ class TestGradientOracle:
         clip, flow = synth_translating_clip(PatternSpec("random-texture", 4, seed=6), (0.5, 0), 3, 6, 6)
         bank = init_bank(2, 1, 3, "softmax", seed=7, scale=0.15)
         w = TemporalWeights.uniform(3)
-        grads = finite_diff_breakdowns(bank, bank, ActionInputs(clip, flow, w), Multipliers(), 1.0)
+        grads = finite_diff_breakdowns(bank, bank, ActionInputs(clip, flow, w, bank), Multipliers(), 1.0)
         assert set(grads) == {"info_index", "motion", "spatial", "temporal", "penalty", "total"}
         # softmax mode never produces a constraint penalty
         assert np.abs(grads["penalty"]).max() <= 1e-9
@@ -159,7 +159,7 @@ class TestGradientOracle:
             # would invalidate the oracle, as in run_gradient_check
             assert _clamp_margin({"bank": bank, "data": clip.data}) >= 1e-4
 
-        inputs = ActionInputs(clip, flow, w)
+        inputs = ActionInputs(clip, flow, w, bank)
         analytic = action_value_and_gradient(bank, prev, inputs, lam, dtau)[1]
         numeric = finite_diff_breakdowns(bank, prev, inputs, lam, dtau)["total"]
         assert (np.abs(analytic - numeric) / (1.0 + np.abs(analytic))).max() <= 1e-5
@@ -191,5 +191,5 @@ def test_streamed_patches_match_finite_differences(monkeypatch, case):
     instance = (beyond_the_clamp_instance() if case == "beyond-the-clamp"
                 else gradient_check_instances(4)[int(case[-1])])
     assert_terms_match_finite_differences(instance)
-    inputs = ActionInputs(instance["data"], instance["flow"], instance["weights"])
-    assert inputs.gram(instance["bank"].kernel) is None
+    inputs = ActionInputs(instance["data"], instance["flow"], instance["weights"], instance["bank"])
+    assert inputs.gram is None

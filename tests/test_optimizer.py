@@ -19,7 +19,7 @@ from cogaction import (
     train_layer,
 )
 from cogaction.action import TemporalWeights, action_value_and_gradient
-from cogaction import features, optimizer
+from cogaction import features
 from cogaction.optimizer import build_weights, finite_diff_breakdowns
 
 
@@ -75,7 +75,7 @@ class TestTrainLayer:
         config = TrainConfig(step_size=0.2, steps=1, lam=lam, seed=5)
         trace = train_layer(bank, clip, flow, config)
         w = TemporalWeights.uniform(6)
-        grad = action_value_and_gradient(bank, bank, ActionInputs(clip.data, flow, w), lam,
+        grad = action_value_and_gradient(bank, bank, ActionInputs(clip.data, flow, w, bank), lam,
                                          config.effective_dtau())[1]
         assert np.array_equal(trace.final_bank.taps, bank.taps - 0.2 * grad)
 
@@ -96,7 +96,7 @@ class TestTrainLayer:
         from cogaction import cognitive_action
 
         w = TemporalWeights.uniform(6)
-        first = cognitive_action(bank, bank, ActionInputs(clip.data, flow, w), Multipliers(), 0.1)
+        first = cognitive_action(bank, bank, ActionInputs(clip.data, flow, w, bank), Multipliers(), 0.1)
         assert trace.breakdowns[0].values() == first.values()
         # temporal term starts at zero: the first reference iterate is the init
         assert trace.breakdowns[0].temporal == 0.0
@@ -163,7 +163,7 @@ class TestTrainLayer:
     def test_one_warp_plan_per_finite_difference(self, texture_instance, plan_builds):
         clip, flow = texture_instance
         bank = init_bank(2, 1, 3, "softmax", seed=14, scale=0.1)
-        inputs = ActionInputs(clip, flow, TemporalWeights.uniform(6))
+        inputs = ActionInputs(clip, flow, TemporalWeights.uniform(6), bank)
         finite_diff_breakdowns(bank, bank, inputs, Multipliers(motion=1.0), 1.0)
         assert len(plan_builds) == 1  # for 2 * 18 evaluations
 
@@ -263,9 +263,10 @@ class TestTrainDeep:
 
     def test_propagates_only_into_a_next_layer(self, texture_instance, monkeypatch):
         clip, flow = texture_instance
+        # train_deep propagates through features.stack_layers
         convolved = []
-        convolve = optimizer.convolve_features
-        monkeypatch.setattr(optimizer, "convolve_features",
+        convolve = features.convolve_features
+        monkeypatch.setattr(features, "convolve_features",
                             lambda bank, data: convolved.append(bank) or convolve(bank, data))
         traces = train_deep(clip, flow, self._plans())
         assert convolved == [traces[0].final_bank]
