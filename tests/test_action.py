@@ -433,32 +433,36 @@ class TestWorkspaceReuse:
         d = init_bank(4, 1, 5, "softmax", seed=25, scale=0.2)
         return clip, flow, lam, a, b, c, d
 
-    @pytest.mark.parametrize("other", ["same-n"])
-    def test_a_b_a_on_one_inputs(self, other):
-        clip, flow, lam, a, b, _, _ = self._banks()
+    @pytest.mark.parametrize("other", ["same-n", "other-n", "same-n-other-k",
+                                       "same-n-streamed-k"])
+    def test_a_b_a_on_one_inputs(self, monkeypatch, other):
+        """A, then B, then A again: B of a's shape runs on a's buffers; B of
+        another shape is rejected, naming both shapes. Either way A repeats
+        bit for bit and its returned gradient is left alone."""
+        clip, flow, lam, a, b, c, d = self._banks()
+        b = {"same-n": b, "other-n": c, "same-n-other-k": d, "same-n-streamed-k": d}[other]
+        if other == "same-n-streamed-k":
+            # a budget that keeps a's K=3 patches (25,920 bytes), not d's K=5
+            monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 40_000)
         inputs = ActionInputs(clip, flow, TemporalWeights.uniform(5), a)
+        assert inputs.gram is not None
         first, grad = step(a, a, inputs, lam, 0.5)
         kept = grad.copy()
-        step(b, b, inputs, lam, 0.5)
+        if other == "same-n":
+            step(b, b, inputs, lam, 0.5)
+        else:
+            shape = r"\(3, 3\)" if other == "other-n" else r"\(4, 5\)"
+            message = rf"a bank of \(n, K\) = {shape} on inputs built for \(n, K\) = \(4, 3\)"
+            for entry in (cognitive_action, action_value_and_gradient):
+                with pytest.raises(ValueError, match=message):
+                    entry(b, b, inputs, lam, 0.5)
+            with pytest.raises(ValueError, match=message):
+                term_gradients(b, b, inputs, 0.5)
         assert np.array_equal(grad, kept)
         again, grad_again = step(a, a, inputs, lam, 0.5)
         assert again == first
         assert np.array_equal(grad_again, kept)
         assert cognitive_action(a, a, inputs, lam, 0.5).values() == first
-
-    def test_bank_of_another_shape_is_rejected(self):
-        clip, flow, lam, a, _, c, d = self._banks()
-        inputs = ActionInputs(clip, flow, TemporalWeights.uniform(5), a)
-        first = step(a, a, inputs, lam, 0.5)
-        for other, shape in ((c, r"\(3, 3\)"), (d, r"\(4, 5\)")):
-            message = rf"a bank of \(n, K\) = {shape} on inputs built for \(n, K\) = \(4, 3\)"
-            for entry in (cognitive_action, action_value_and_gradient):
-                with pytest.raises(ValueError, match=message):
-                    entry(other, other, inputs, lam, 0.5)
-            with pytest.raises(ValueError, match=message):
-                term_gradients(other, other, inputs, 0.5)
-        again = step(a, a, inputs, lam, 0.5)
-        assert again[0] == first[0] and np.array_equal(again[1], first[1])
 
     def test_two_inputs_interleaved(self):
         clip, flow, lam, a, b, _, _ = self._banks()
