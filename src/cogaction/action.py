@@ -22,10 +22,10 @@ computes log p once; in softmax mode log p = a - logsumexp(a) stays finite
 where p underflows, which gives 0 log 0 = 0 without a special case.
 
 The motion term is a quadratic form in the taps.  A layer whose patch matrix
-is kept also keeps the form's matrix G, (K*K*m + 1)^2, and its steps take M
-and M's tap gradient from G alone: no transport residual, warp gather or
-scatter.  A streamed layer gathers its activations along the flow and
-scatters the residual's gradient back on every step.
+is kept also keeps the form's matrix G, (K*K*m + 1)^2, from ``_WarpPlan.gram``,
+and its steps take M and M's tap gradient from G alone: no transport
+residual, warp gather or scatter.  A streamed layer gathers its activations
+along the flow and scatters the residual's gradient back on every step.
 """
 
 from dataclasses import dataclass
@@ -205,8 +205,8 @@ class _WarpPlan:
 
     ``gather`` and ``scatter`` take feature-major fields, (n, T-1, H, W), and
     work one feature's contiguous rows at a time: a streamed clip's step.
-    ``transport`` applies ``gather`` once to the rows of a kept patch matrix,
-    to build the motion term's matrix."""
+    ``gram`` applies ``gather`` once to the rows of a kept patch matrix, to
+    build the motion term's matrix."""
 
     def __init__(self, flow: VelocityField):
         data = flow.data
@@ -251,22 +251,25 @@ class _WarpPlan:
         for row, dest in zip(grad, out):
             dest += np.bincount(index, (self.weight * row).ravel(), row.size).reshape(row.shape)
 
-    def transport(self, patches: np.ndarray) -> np.ndarray:
-        """Transport matrix D of a (rows, T*H*W) patch matrix: (rows + 1,
-        (T-1)*H*W).  Row k is patch row k gathered from frames 1..T-1 minus
-        its frames 0..T-2; the last row is sum_k w_k - 1, the residual of a
-        constant 1.  So ``[flat taps, 1/n] @ D`` is the gathered residual of
-        the activations ``flat taps @ P + 1/n`` in exact arithmetic, for any n.
-        With integer flow both are exactly 0 on an exactly translating clip.
-        ``ActionInputs`` builds G from D and keeps only G."""
+    def gram(self, patches: np.ndarray, residual_measure: np.ndarray) -> np.ndarray:
+        """G = Ds Ds^T, (rows + 1)^2, of a (rows, T*H*W) patch matrix.  Row k
+        of the transport matrix D is patch row k gathered from frames 1..T-1
+        minus its frames 0..T-2; the last row is sum_k w_k - 1, the residual
+        of a constant 1.  So ``[flat taps, 1/n] @ D`` is the gathered residual
+        of the activations ``flat taps @ P + 1/n`` in exact arithmetic, for
+        any n.  With integer flow both, and G, are exactly 0 on an exactly
+        translating clip.  Ds is D with each frame's columns scaled by the
+        square root of its ``residual_measure``; only G is kept."""
         sites = self.weight.shape[1:]
         frames = patches.reshape((len(patches), sites[0] + 1) + sites[1:])
-        out = np.empty((len(patches) + 1,) + sites)
-        self.gather(frames[:, 1:], out[:-1])
-        out[:-1] -= frames[:, :-1]
-        self.gather(np.ones((1,) + sites), out[-1:])
-        out[-1] -= 1.0
-        return out.reshape(len(out), -1)
+        scaled = np.empty((len(patches) + 1,) + sites)
+        self.gather(frames[:, 1:], scaled[:-1])
+        scaled[:-1] -= frames[:, :-1]
+        self.gather(np.ones((1,) + sites), scaled[-1:])
+        scaled[-1] -= 1.0
+        scaled *= np.sqrt(residual_measure)[:, None, None]
+        flat = scaled.reshape(len(scaled), -1)
+        return flat @ flat.T
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +318,16 @@ def _constraint_penalty(act: np.ndarray, measure: np.ndarray, scratch: np.ndarra
     return float(np.dot(measure, per_frame))
 
 
-def _constraint_penalty_act_gradient(act: np.ndarray, measure: np.ndarray, scale: float) -> None:
-    """Overwrite the activations with ``scale`` times the penalty's gradient."""
+def _constraint_penalty_act_gradient(act: np.ndarray, measure: np.ndarray, scale: float,
+                                     out: np.ndarray) -> None:
+    """Add ``scale`` times the penalty's gradient in the activations to ``out``."""
     sum_dev = act.sum(axis=0) - 1.0
     factor = (2.0 * scale) * measure[:, None, None]
-    for row in act:
+    for row, dest in zip(act, out):
         excess = row - np.clip(row, 0.0, 1.0)
-        np.add(sum_dev, excess, out=row)
-        row *= factor
+        excess += sum_dev
+        excess *= factor
+        dest += excess
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +336,22 @@ def _constraint_penalty_act_gradient(act: np.ndarray, measure: np.ndarray, scale
 # ``ActionInputs`` holds what stays fixed while a layer learns: its inputs,
 # the grid's patch matrix and the motion term's matrix G when the clip is
 # kept, and the step's workspace.  One step (``_evaluate``) runs in place on
-# feature-major (n, T, H, W) buffers: the activations become log p, then the
-# activation gradient; the probabilities have a buffer, and so has the
-# transport residual of a streamed clip.  One convolution adjoint maps the
-# activation gradient to the taps; with G the motion term's tap gradient is
-# 2 x G, added after it.  The returned breakdown and tap gradient never alias
+# feature-major (n, T, H, W) buffers: activations, probabilities and the
+# transport residual of a streamed clip.  The gradient of -I is written over
+# log p (``act`` in softmax mode, ``probs`` in linear-penalty mode; ``probs``
+# zeroed when -I is left out), and the other activation-space terms add into
+# that one buffer.  One convolution adjoint maps it to the taps, and the
+# tap-space terms are added after it: with G the motion term's 2 x G, and the
+# parsimony gradients.  The returned breakdown and tap gradient never alias
 # the workspace, which the next evaluation overwrites.
 
 class ActionInputs:
     """The fixed inputs of one objective, checked and built once for banks
     of ``bank``'s shape (n, K): the input grid, the space-time measures of
     ``weights``, the warp plan of ``flow``, the grid's ``patches`` and the
-    motion term's matrix ``gram``, and the step's workspace.  ``patches``
-    and ``gram`` are None when the clip exceeds the patch budget; such a
+    motion term's matrix ``gram`` (``_WarpPlan.gram``), and the step's
+    workspace.  ``patches`` and ``gram`` are None when the clip exceeds the
+    patch budget; such a
     streamed clip gathers and scatters along the warp plan on every step.
     The workspace is ``act`` and ``probs``, (n, T, H, W), the (n, T-1, H, W)
     transport ``residual`` of a streamed clip (else None) and ``site``,
@@ -366,20 +374,12 @@ class ActionInputs:
         n, kernel = bank.n, bank.kernel
         self.bank_shape = (n, kernel)
         self.patches = clip_patches(self.grid, kernel)
-        self.gram = None if self.patches is None else self._gram(self.patches)
+        self.gram = (None if self.patches is None
+                     else self.plan.gram(self.patches, self.residual_measure))
         self.act = np.empty((n, frames, height, width))
         self.probs = np.empty((n, frames, height, width))
         self.residual = np.empty((n, frames - 1, height, width)) if self.gram is None else None
         self.site = np.empty((3, frames, height, width))
-
-    def _gram(self, patches: np.ndarray) -> np.ndarray:
-        """G = Ds Ds^T, Ds the warp plan's ``transport`` of ``patches`` with
-        each frame's columns scaled by the square root of its residual
-        measure; (K*K*m + 1)^2, and exactly 0 where the transport is."""
-        scaled = self.plan.transport(patches)
-        frames = scaled.reshape(len(scaled), len(self.residual_measure), -1)
-        frames *= np.sqrt(self.residual_measure)[:, None]
-        return scaled @ scaled.T
 
 
 def _entropies(act: np.ndarray, probs: np.ndarray, site: np.ndarray, measure: np.ndarray,
@@ -502,29 +502,26 @@ def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
     if not grad:
         return breakdown, None
 
-    neg_index = (_neg_index_act_gradient(act, probs, site, log_q, inputs.frame_measure,
-                                         bank.mode) if index else None)
+    if index:
+        act_grad = _neg_index_act_gradient(act, probs, site, log_q, inputs.frame_measure,
+                                           bank.mode)
+    else:
+        act_grad = probs
+        act_grad.fill(0.0)
+    # the activation-space terms each cost a full pass: skipped at a zero multiplier
     if linear and lam.constraint != 0.0:
-        _constraint_penalty_act_gradient(act, inputs.frame_measure, lam.constraint)
-        if neg_index is not None:
-            act += neg_index
-    elif neg_index is None:
-        act.fill(0.0)
-    elif neg_index is not act:
-        act[...] = neg_index
+        _constraint_penalty_act_gradient(act, inputs.frame_measure, lam.constraint, act_grad)
     if lam.motion != 0.0 and gram is None:
         residual *= (2.0 * lam.motion) * inputs.residual_measure[:, None, None]
-        act[:, :-1] -= residual
-        inputs.plan.scatter(residual, act[:, 1:])
+        act_grad[:, :-1] -= residual
+        inputs.plan.scatter(residual, act_grad[:, 1:])
 
-    tap_grad = convolution_tap_gradient(inputs.grid, act.transpose(1, 2, 3, 0), bank.kernel,
-                                        patches=patches)
-    if lam.motion != 0.0 and gram is not None:
+    tap_grad = convolution_tap_gradient(inputs.grid, act_grad.transpose(1, 2, 3, 0),
+                                        bank.kernel, patches=patches)
+    if gram is not None:
         tap_grad += _unflat_taps((2.0 * lam.motion) * gram_taps[:, :-1], bank.kernel)
-    if lam.spatial != 0.0:
-        tap_grad += lam.spatial * spatial_parsimony_gradient(bank.taps)
-    if lam.temporal != 0.0:
-        tap_grad += lam.temporal * (bank.taps - bank_prev.taps) / (dtau * dtau)
+    tap_grad += lam.spatial * spatial_parsimony_gradient(bank.taps)
+    tap_grad += lam.temporal * (bank.taps - bank_prev.taps) / (dtau * dtau)
     return breakdown, tap_grad
 
 

@@ -31,6 +31,7 @@ from .optimizer import DivergenceError, _windowed, evaluate_bank, run_gradient_c
 from .video import save_clip, save_feature_maps
 
 SUMMARY_HEADER = "layer,phase," + BREAKDOWN_CSV_HEADER.split(",", 1)[1]
+TRACE_HEADER = BREAKDOWN_CSV_HEADER + ",grad_max"  # grad_max: the step's max |tap gradient|
 
 
 _LOCK_FIELDS = ("pid", "host", "started")
@@ -119,8 +120,9 @@ def cmd_train(experiment: ExperimentConfig, out_dir: Path) -> int:
         summary_rows = []
         for index, trace in enumerate(traces, start=1):
             bank = trace.final_bank
-            rows = [b.csv_row(step) for step, b in enumerate(trace.breakdowns)]
-            _write_rows(out_dir / f"layer{index}_trace.csv", BREAKDOWN_CSV_HEADER, rows)
+            rows = [f"{b.csv_row(step)},{norm:.17g}"
+                    for step, (b, norm) in enumerate(zip(trace.breakdowns, trace.grad_norms))]
+            _write_rows(out_dir / f"layer{index}_trace.csv", TRACE_HEADER, rows)
             save_bank(bank, out_dir / f"layer{index}_bank.txt")
             final = trace.final_breakdown
             initial = trace.breakdowns[0] if trace.breakdowns else final

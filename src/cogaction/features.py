@@ -206,15 +206,12 @@ def probability_vjp(act: np.ndarray, probs: np.ndarray, probs_grad: np.ndarray) 
 
 
 def stack_layers(banks, clip) -> list[np.ndarray]:
-    """Feature fields of a chain of banks: layer z consumes layer z-1's field."""
+    """Feature fields of a chain of banks: layer z consumes layer z-1's field.
+    A bank whose channel count differs from its input's is rejected by
+    ``convolve_features``, with the bank's layer index."""
     fields = []
     current = as_grid(clip)
-    for index, bank in enumerate(banks, start=1):
-        if bank.m_in != current.shape[3]:
-            raise ValueError(
-                f"layer {index}: bank expects {bank.m_in} input channels, "
-                f"previous layer provides {current.shape[3]}"
-            )
+    for bank in banks:
         current = to_probabilities(convolve_features(bank, current), bank.mode)
         fields.append(current)
     return fields

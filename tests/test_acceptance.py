@@ -32,7 +32,7 @@ from cogaction import (
     train_layer,
 )
 from cogaction import features
-from cogaction.action import BREAKDOWN_CSV_HEADER
+from cogaction.action import BREAKDOWN_CSV_HEADER, action_value_and_gradient
 from cogaction.cli import main
 from cogaction.optimizer import run_gradient_check
 from dense_oracle import dense_kernel_oracle, dense_table_from_bank
@@ -53,6 +53,7 @@ REFERENCE_EVERY = 50
 REFERENCE_REL = 1e-9
 REFERENCE_ABS = 1e-14
 LINEAR_PREFIX_STEPS = 10
+A4_REPORT_LAM = Multipliers(motion=1.0, spatial=1e-3, temporal=1e-3)
 
 A3_CONFIG = f"""
 [data]
@@ -220,30 +221,38 @@ def test_a3_descent_and_index(a3_runs):
            f"worst per-step rise {worst_rise:.2e} <= 1e-9", elapsed)
 
 
+def a4_clip(seed):
+    """(clip, flow) of the A4 setup: seed 7 trains, seed 8 is held out, a
+    fresh texture from the same pattern family.  The velocity is sub-pixel,
+    so transport is inexact and the motion term has teeth."""
+    return synth_translating_clip(PatternSpec("random-texture", 8, seed=seed), (0.5, 0.25),
+                                  16, 32, 32)
+
+
+def a4_train(lam_m, steps=A3_STEPS):
+    """The A4 softmax run at ``lambda_m``: the trace of ``steps`` steps."""
+    lam = Multipliers(motion=lam_m, spatial=1e-3, temporal=1e-3)
+    config = TrainConfig(step_size=FROZEN_STEP_SIZE, steps=steps, lam=lam,
+                         mode="softmax", seed=12345, init_scale=0.1)
+    bank = init_bank(4, 1, 3, "softmax", seed=config.seed, scale=config.init_scale)
+    return train_layer(bank, *a4_clip(7), config)
+
+
+def a4_held_out(trace):
+    """The breakdown of a run's final bank on the held-out clip; its M and I
+    do not depend on the multipliers it is reported under."""
+    clip, flow = a4_clip(8)
+    return evaluate_bank(trace.final_bank, clip.data, flow, TemporalWeights.uniform(16),
+                         A4_REPORT_LAM, FROZEN_STEP_SIZE)
+
+
 @pytest.fixture(scope="module")
 def a4_runs():
     """The ablation pair, trained once: the motion-on and motion-off traces and
     their held-out breakdowns."""
     start = time.monotonic()
-    # sub-pixel velocity: transport is inexact, so the motion term has teeth;
-    # held-out clip draws a fresh texture from the same pattern family
-    velocity = (0.5, 0.25)
-    train_clip, train_flow = synth_translating_clip(
-        PatternSpec("random-texture", 8, seed=7), velocity, 16, 32, 32)
-    held_clip, held_flow = synth_translating_clip(
-        PatternSpec("random-texture", 8, seed=8), velocity, 16, 32, 32)
-    weights = TemporalWeights.uniform(16)
-    report_lam = Multipliers(motion=1.0, spatial=1e-3, temporal=1e-3)
-
-    traces, held_out = {}, {}
-    for label, lam_m in (("motion-on", 1.0), ("motion-off", 0.0)):
-        lam = Multipliers(motion=lam_m, spatial=1e-3, temporal=1e-3)
-        config = TrainConfig(step_size=FROZEN_STEP_SIZE, steps=A3_STEPS, lam=lam,
-                             mode="softmax", seed=12345, init_scale=0.1)
-        bank = init_bank(4, 1, 3, "softmax", seed=config.seed, scale=config.init_scale)
-        traces[label] = train_layer(bank, train_clip, train_flow, config)
-        held_out[label] = evaluate_bank(traces[label].final_bank, held_clip.data, held_flow,
-                                        weights, report_lam, FROZEN_STEP_SIZE)
+    traces = {"motion-on": a4_train(1.0), "motion-off": a4_train(0.0)}
+    held_out = {label: a4_held_out(trace) for label, trace in traces.items()}
     return traces, held_out, time.monotonic() - start
 
 
@@ -362,17 +371,23 @@ def test_a6_invariant_suites(a3_runs):
            f"bit-identical CLI reruns of the descent instance", elapsed)
 
 
-@pytest.fixture(scope="module")
-def linear_penalty_prefix():
-    """The first LINEAR_PREFIX_STEPS steps of a linear-penalty run on the A4
-    training clip, at step 0.03 with lambda_c = 1."""
-    clip, flow = synth_translating_clip(
-        PatternSpec("random-texture", 8, seed=7), (0.5, 0.25), 16, 32, 32)
-    lam = Multipliers(motion=1.0, spatial=1e-3, temporal=1e-3, constraint=1.0)
-    config = TrainConfig(step_size=0.03, steps=LINEAR_PREFIX_STEPS, lam=lam,
+LINEAR_LAM = Multipliers(motion=1.0, spatial=1e-3, temporal=1e-3, constraint=1.0)
+LINEAR_STEP_SIZE = 0.03
+
+
+def linear_penalty_run(steps):
+    """A linear-penalty run on the A4 training clip, at step 0.03 with
+    lambda_c = 1."""
+    config = TrainConfig(step_size=LINEAR_STEP_SIZE, steps=steps, lam=LINEAR_LAM,
                          mode="linear-penalty", seed=12345, init_scale=0.1)
     bank = init_bank(4, 1, 3, "linear-penalty", seed=config.seed, scale=config.init_scale)
-    return train_layer(bank, clip, flow, config)
+    return train_layer(bank, *a4_clip(7), config)
+
+
+@pytest.fixture(scope="module")
+def linear_penalty_prefix():
+    """The first LINEAR_PREFIX_STEPS steps of the linear-penalty run."""
+    return linear_penalty_run(LINEAR_PREFIX_STEPS)
 
 
 def test_reference_traces(a3_runs, a4_runs, linear_penalty_prefix):
@@ -401,3 +416,87 @@ def test_reference_traces(a3_runs, a4_runs, linear_penalty_prefix):
            f"{LINEAR_PREFIX_STEPS} linear-penalty rows, final breakdowns and taps "
            f"within {REFERENCE_REL:.0e} relative (floor {REFERENCE_ABS:.0e}) of "
            f"{REFERENCE_TRACES.name}: worst at {worst:.2e} of the allowance", elapsed)
+
+
+def test_a4_streamed_run_matches_kept(a4_runs, monkeypatch):
+    # the whole 600-step motion-on run again, on inputs that stream one frame
+    # of patches at a time and take M by gather and scatter instead of from G
+    start = time.monotonic()
+    kept = a4_runs[0]["motion-on"]
+    monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 1)
+    assert ActionInputs(*a4_clip(7), TemporalWeights.uniform(16), kept.final_bank).gram is None
+    streamed = a4_train(1.0)
+    rows = zip(kept.breakdowns + [kept.final_breakdown],
+               streamed.breakdowns + [streamed.final_breakdown], strict=True)
+    row_worst = max(max(abs(a - b) for a, b in zip(k.values(), s.values()))
+                    / max(abs(v) for v in k.values()) for k, s in rows)
+    taps = kept.final_bank.taps
+    taps_worst = np.abs(streamed.final_bank.taps - taps).max() / np.abs(taps).max()
+    elapsed = time.monotonic() - start
+    report("PARITY", row_worst <= 1e-12 and taps_worst <= 1e-12,
+           f"A4 motion-on, {A3_STEPS} steps kept vs streamed: every trace row within "
+           f"{row_worst:.1e} of its largest |term|, final taps {taps_worst:.1e} relative, "
+           f"both <= 1e-12", elapsed)
+
+
+def smallest_hessian_eigenvalue(bank, lam, dtau, eps=1e-6):
+    """Smallest eigenvalue of the symmetrized Hessian of the step's analytic
+    tap gradient at ``bank`` on the A4 training clip, by central differences.
+    The temporal term's Hessian, lam_k / dtau^2, is the same for any previous
+    bank, so the bank is its own."""
+    inputs = ActionInputs(*a4_clip(7), TemporalWeights.uniform(16), bank)
+    flat = bank.taps.ravel()
+    columns = []
+    for index in range(flat.size):
+        grads = []
+        for sign in (1.0, -1.0):
+            taps = flat.copy()
+            taps[index] += sign * eps
+            probe = bank.with_taps(taps.reshape(bank.taps.shape))
+            grads.append(action_value_and_gradient(probe, bank, inputs, lam, dtau)[1].ravel())
+        columns.append((grads[0] - grads[1]) / (2.0 * eps))
+    hessian = np.array(columns)
+    return float(np.linalg.eigvalsh(0.5 * (hessian + hessian.T))[0])
+
+
+def test_linear_penalty_drift_is_negative_curvature():
+    # a perturbation along the Hessian's lowest eigenvector grows by
+    # 1 + step * |lambda_min| per descent step: more than fourfold by step 15
+    # of the linear-penalty run, where the clamp cuts into -I, while the
+    # softmax A4 run stays within 5% of neutral
+    start = time.monotonic()
+    linear = LINEAR_STEP_SIZE * abs(smallest_hessian_eigenvalue(
+        linear_penalty_run(15).final_bank, LINEAR_LAM, LINEAR_STEP_SIZE))
+    softmax = [FROZEN_STEP_SIZE * abs(smallest_hessian_eigenvalue(
+        a4_train(1.0, steps).final_bank, A4_REPORT_LAM, FROZEN_STEP_SIZE))
+        for steps in (0, 5, 10, 15)]
+    elapsed = time.monotonic() - start
+    report("DRIFT", linear > 3.0 and max(softmax) < 0.05,
+           f"step * |lambda_min| of the central-difference Hessian: linear-penalty "
+           f"{linear:.2f} > 3 at step 15, softmax A4 at most {max(softmax):.3f} < 0.05 at "
+           f"steps 0, 5, 10, 15", elapsed)
+
+
+# held-out (I, M) of the A4 run's final bank at three values of lambda_m
+HELD_OUT_TRADE_OFF = {
+    0.0: (0.3468408982227898, 1.828749411319118),
+    0.1: (0.26411688819023027, 0.9804410271422039),
+    1.0: (0.010355869618052793, 0.004751435479920825),
+}
+
+
+def test_held_out_trade_off(a4_runs):
+    start = time.monotonic()
+    held_out = {0.0: a4_runs[1]["motion-off"], 0.1: a4_held_out(a4_train(0.1)),
+                1.0: a4_runs[1]["motion-on"]}
+    got = {lam_m: (b.info_index, b.motion) for lam_m, b in held_out.items()}
+    pinned = all(abs(value - ref) <= 1e-9 * abs(ref)
+                 for lam_m, refs in HELD_OUT_TRADE_OFF.items()
+                 for value, ref in zip(got[lam_m], refs))
+    index = [got[lam_m][0] for lam_m in sorted(got)]
+    falls = all(a > b for a, b in zip(index, index[1:]))
+    elapsed = time.monotonic() - start
+    report("TRADE", pinned and falls,
+           "held-out I, M at lambda_m = 0, 0.1, 1: "
+           + ", ".join(f"{i:.4f}, {m:.4f}" for i, m in (got[k] for k in sorted(got)))
+           + " within 1e-9 of the pinned values; I falls as lambda_m rises", elapsed)

@@ -574,6 +574,11 @@ def parity_cases():
     cases["linear-penalty-exp"] = (bank, prev, clip.data, flow, build_weights("exp:0.9", 8),
                                    Multipliers(motion=1.0, spatial=1e-3, temporal=1e-3,
                                                constraint=1.0), 0.5)
+    # the -I gradient with no penalty gradient to add it to; and -I alone
+    cases["linear-penalty-no-constraint"] = (bank, prev, clip.data, flow,
+                                             build_weights("exp:0.9", 8), lam, 0.5)
+    case = cases["horn-schunck-m3-k5"]
+    cases["softmax-zero-multipliers"] = case[:5] + (Multipliers(),) + case[6:]
     # a zero bank (init_scale = 0): the residual is only the bias's, the
     # rounding of the bilinear weights' sum; n = 4 keeps 1/n exact
     inst = gradient_check_instances(20)[1]
@@ -597,6 +602,11 @@ class TestKeptTransportParity:
             assert abs(got - want) <= 1e-12 * abs(want)
         for got, want in zip(kept[1:], streamed[1:]):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", ["linear-penalty-no-constraint",
+                                      "softmax-zero-multipliers"])
+    def test_matches_oracle(self, name):
+        assert_matches_oracle(*PARITY_CASES[name])
 
     def test_zero_bank_residual_is_the_bias_rounding(self):
         # the zero-bank case above reaches the bias row and column of G

@@ -11,7 +11,7 @@ import pytest
 from flow_oracle import roll_horn_schunck
 
 import cogaction
-from cogaction import cli, features, load_bank, load_flow, parse_config
+from cogaction import cli, features, init_bank, load_bank, load_flow, parse_config, train_layer
 from cogaction.cli import main
 from cogaction.config import ConfigError
 
@@ -168,6 +168,25 @@ class TestTrainCommand:
         assert len(summary) == 3
         maps = list((out / "features" / "layer1").glob("feat*_t*.pgm"))
         assert len(maps) == 4 * 6
+
+    def test_trace_grad_max_is_train_layers(self, tmp_path, config_path):
+        # the trace's last column is each step's largest |tap gradient| as
+        # train_layer records it; the summary keeps the breakdown's columns
+        out = tmp_path / "run"
+        assert main(["train", "--config", config_path, "--out", str(out)]) == 0
+        header, *rows = (out / "layer1_trace.csv").read_text().splitlines()
+        assert header == "step,S_Y,S_cond,I,M,P,K,C_pen,A,grad_max"
+        assert "grad_max" not in (out / "summary.csv").read_text()
+        experiment = parse_config(config_path)
+        clip, truth = experiment.build_clip()
+        plan = experiment.layers[0]
+        bank = init_bank(plan.features, 1, plan.kernel, plan.config.mode, plan.config.seed,
+                         plan.config.init_scale)
+        trace = train_layer(bank, clip, experiment.build_flow(clip, truth), plan.config)
+        assert len(trace.grad_norms) == 4 and min(trace.grad_norms) > 0.0
+        assert [float(row.rsplit(",", 1)[1]) for row in rows] == trace.grad_norms
+        assert [row.rsplit(",", 1)[0] for row in rows] == [
+            b.csv_row(step) for step, b in enumerate(trace.breakdowns)]
 
     def test_zero_steps_summary_initial_equals_final(self, tmp_path):
         path = write_config(tmp_path / "zero.ini", BASE.format(steps=0, save_features="false"))
