@@ -21,16 +21,16 @@ every reduction over the features runs over contiguous rows.  Each step
 computes log p once; in softmax mode log p = a - logsumexp(a) stays finite
 where p underflows, which gives 0 log 0 = 0 without a special case.
 
-The motion term is a quadratic form in the taps.  A layer whose patch matrix
-is kept also keeps the form's matrix G, (K*K*m + 1)^2, from ``_WarpPlan.gram``,
-and its steps take M and M's tap gradient from G alone: no transport
-residual, warp gather or scatter.  A streamed layer gathers its activations
-along the flow and scatters the residual's gradient back on every step.
+The motion term is a quadratic form in the taps.  Every layer builds the
+form's matrix G, (K*K*m + 1)^2, once (``_WarpPlan.gram``), and its steps
+take M and M's tap gradient from G alone: no step holds a transport
+residual or gathers and scatters along the flow.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # The step computes the probability map, its adjoint and the entropies in
 # place: it calls none of probability_vjp, to_probabilities,
@@ -195,18 +195,21 @@ def symbol_marginal(field: np.ndarray, weights: TemporalWeights) -> np.ndarray:
 # x_i = [flipped taps_i, 1/n] times the transport matrix D of P.  With D's
 # columns scaled by the square root of their frame's residual measure, M is
 # sum_i x_i^T G x_i for G = D D^T, and its gradient in the taps is 2 (G x_i)
-# without the last entry.  A streamed clip keeps no P; it gathers the
-# activations and scatters their gradient on every step.
+# without the last entry.  G is summed one frame pair's block of D at a
+# time, so no layer holds D, and every layer, kept or streamed, takes M
+# from G.
 
 class _WarpPlan:
     """Bilinear corners of the advected samples as flat sites ``t*H*W + row*W + col``
     of frames 1..T-1, and their weights; both (corner, T-1, H, W).  Corners
     the flow gives no weight anywhere are dropped: integer flow keeps one.
 
-    ``gather`` and ``scatter`` take feature-major fields, (n, T-1, H, W), and
-    work one feature's contiguous rows at a time: a streamed clip's step.
-    ``gram`` applies ``gather`` once to the rows of a kept patch matrix, to
-    build the motion term's matrix."""
+    ``gram`` builds the motion term's matrix, which is all a step reads.
+    ``gather`` and ``scatter`` apply the transport and its adjoint to
+    feature-major fields, (n, T-1, H, W), one feature's contiguous rows at a
+    time.  The package no longer calls them: the tests use them as the
+    transport oracle of ``gram``, and the benchmark's tracer patches them by
+    name."""
 
     def __init__(self, flow: VelocityField):
         data = flow.data
@@ -232,6 +235,10 @@ class _WarpPlan:
         weight = np.stack(((1.0 - fr) * (1.0 - fc), (1.0 - fr) * fc, fr * (1.0 - fc), fr * fc))
         used = weight.reshape(4, -1).any(axis=1)
         self.index, self.weight = (index, weight) if used.all() else (index[used], weight[used])
+        # ``gram`` takes corners with np.take(mode="clip"), which would clamp
+        # a bad index silently: each must lie in its own frame
+        if not np.all(self.index // (height * width) == np.arange(t_res)[:, None, None]):
+            raise ValueError("warp plan has a corner outside its frame")
 
     def gather(self, tail: np.ndarray, out: np.ndarray) -> None:
         """Write the advected samples of ``tail`` (frames 1..T-1) into ``out``."""
@@ -251,25 +258,62 @@ class _WarpPlan:
         for row, dest in zip(grad, out):
             dest += np.bincount(index, (self.weight * row).ravel(), row.size).reshape(row.shape)
 
-    def gram(self, patches: np.ndarray, residual_measure: np.ndarray) -> np.ndarray:
-        """G = Ds Ds^T, (rows + 1)^2, of a (rows, T*H*W) patch matrix.  Row k
-        of the transport matrix D is patch row k gathered from frames 1..T-1
-        minus its frames 0..T-2; the last row is sum_k w_k - 1, the residual
-        of a constant 1.  So ``[flat taps, 1/n] @ D`` is the gathered residual
-        of the activations ``flat taps @ P + 1/n`` in exact arithmetic, for
-        any n.  With integer flow both, and G, are exactly 0 on an exactly
-        translating clip.  Ds is D with each frame's columns scaled by the
-        square root of its ``residual_measure``; only G is kept."""
-        sites = self.weight.shape[1:]
-        frames = patches.reshape((len(patches), sites[0] + 1) + sites[1:])
-        scaled = np.empty((len(patches) + 1,) + sites)
-        self.gather(frames[:, 1:], scaled[:-1])
-        scaled[:-1] -= frames[:, :-1]
-        self.gather(np.ones((1,) + sites), scaled[-1:])
-        scaled[-1] -= 1.0
-        scaled *= np.sqrt(residual_measure)[:, None, None]
-        flat = scaled.reshape(len(scaled), -1)
-        return flat @ flat.T
+    def gram(self, grid: np.ndarray, kernel: int, residual_measure: np.ndarray) -> np.ndarray:
+        """G = Ds Ds^T, (K*K*m + 1)^2, of a (T, H, W, m) grid, summed over
+        frame pairs.  A frame's patch rows, (H*W, K*K*m + 1), are the patch
+        matrix's columns for its sites, each with a last entry 1 for the
+        bias, taken from a wrap-padded copy of that one frame.  Frame pair
+        t's block of the transport matrix D is, at each site, frame t+1's
+        rows at the site's corners, weighted and summed, minus frame t's row:
+        a constant 1 leaves sum_k w_k - 1.  So ``[flat taps, 1/n] @ D`` is
+        the advected residual of the activations ``flat taps @ P + 1/n`` in
+        exact arithmetic, for any n.  With integer flow both, and G, are
+        exactly 0 on an exactly translating clip.  Ds is D with each frame's
+        block scaled by the square root of its ``residual_measure``.
+
+        Two frames' rows and the gathered rows of at most 1,024 sites are
+        held at a time, never the whole clip's D."""
+        frames, height, width, channels = grid.shape
+        sites = height * width
+        reach = (kernel - 1) // 2
+        columns = kernel * kernel * channels + 1
+        corners = len(self.index)
+        chunk = min(sites, 1024)
+        pair = np.empty((2, height, width, columns))
+        pair[..., -1] = 1.0
+        taken = np.empty(corners * chunk * columns)
+        block = np.empty((chunk, columns))
+        gram = np.zeros((columns, columns))
+        wrap_rows = np.arange(-reach, height + reach) % height
+        wrap_cols = np.arange(-reach, width + reach) % width
+        padded = np.empty((height + 2 * reach, width + 2 * reach, channels))
+        # [r, c, u, v, j] = padded[r + u, c + v, j]: entry (u, v, j) of site (r, c)
+        windows = sliding_window_view(padded, (kernel, kernel), (0, 1)).transpose(0, 1, 3, 4, 2)
+
+        def fill(t: int, out: np.ndarray) -> np.ndarray:
+            """Frame t's patch rows, written into ``out``, (H, W, K*K*m + 1)."""
+            padded[...] = grid[t][wrap_rows[:, None], wrap_cols]
+            out[..., :-1].reshape(windows.shape)[...] = windows
+            return out.reshape(sites, columns)
+
+        now = fill(0, pair[0])
+        for t in range(frames - 1):
+            nxt = fill(t + 1, pair[(t + 1) % 2])
+            index = self.index[:, t].reshape(corners, sites) - t * sites
+            weight = self.weight[:, t].reshape(corners, sites)
+            scale = np.sqrt(residual_measure[t])
+            for start in range(0, sites, chunk):
+                stop = min(start + chunk, sites)
+                rows = block[:stop - start]
+                gathered = taken[:corners * len(rows) * columns].reshape(corners, len(rows), columns)
+                # the plan checked every index against its frame
+                np.take(nxt, index[:, start:stop], axis=0, out=gathered, mode="clip")
+                np.einsum("cs,csk->sk", weight[:, start:stop], gathered, out=rows)
+                rows -= now[start:stop]
+                rows *= scale
+                gram += rows.T @ rows
+            now = nxt
+        return gram
 
 
 # ---------------------------------------------------------------------------
@@ -334,28 +378,26 @@ def _constraint_penalty_act_gradient(act: np.ndarray, measure: np.ndarray, scale
 # Composite objective and its analytic tap gradient.
 #
 # ``ActionInputs`` holds what stays fixed while a layer learns: its inputs,
-# the grid's patch matrix and the motion term's matrix G when the clip is
-# kept, and the step's workspace.  One step (``_evaluate``) runs in place on
-# feature-major (n, T, H, W) buffers: activations, probabilities and the
-# transport residual of a streamed clip.  The gradient of -I is written over
-# log p (``act`` in softmax mode, ``probs`` in linear-penalty mode; ``probs``
-# zeroed when -I is left out), and the other activation-space terms add into
-# that one buffer.  One convolution adjoint maps it to the taps, and the
-# tap-space terms are added after it: with G the motion term's 2 x G, and the
-# parsimony gradients.  The returned breakdown and tap gradient never alias
-# the workspace, which the next evaluation overwrites.
+# the motion term's matrix G, the grid's patch matrix when the clip is kept,
+# and the step's workspace.  One step (``_evaluate``) runs in place on
+# feature-major (n, T, H, W) buffers: activations and probabilities.  The
+# gradient of -I is written over log p (``act`` in softmax mode, ``probs`` in
+# linear-penalty mode; ``probs`` zeroed when -I is left out), and the
+# constraint penalty's gradient adds into that one buffer.  One convolution
+# adjoint maps it to the taps, and the tap-space terms are added after it:
+# the motion term's 2 x G, and the parsimony gradients.  The returned
+# breakdown and tap gradient never alias the workspace, which the next
+# evaluation overwrites.
 
 class ActionInputs:
     """The fixed inputs of one objective, checked and built once for banks
-    of ``bank``'s shape (n, K): the input grid, the space-time measures of
-    ``weights``, the warp plan of ``flow``, the grid's ``patches`` and the
-    motion term's matrix ``gram`` (``_WarpPlan.gram``), and the step's
-    workspace.  ``patches`` and ``gram`` are None when the clip exceeds the
-    patch budget; such a
-    streamed clip gathers and scatters along the warp plan on every step.
-    The workspace is ``act`` and ``probs``, (n, T, H, W), the (n, T-1, H, W)
-    transport ``residual`` of a streamed clip (else None) and ``site``,
-    three (T, H, W) arrays.
+    of ``bank``'s shape (n, K): the input grid, its ``frame_measure`` under
+    ``weights``, the motion term's matrix ``gram`` (``_WarpPlan.gram`` of
+    ``flow``'s warp plan, which is then dropped), the grid's ``patches``, and
+    the step's workspace.  ``patches`` is None when the clip exceeds the
+    patch budget; the convolution of such a streamed clip builds its patches
+    chunk by chunk on every step.  The workspace is ``act`` and ``probs``,
+    (n, T, H, W), and ``site``, three (T, H, W) arrays.
 
     The grid must not change after construction, and an evaluation rejects
     a bank of another n or K."""
@@ -369,16 +411,14 @@ class ActionInputs:
         if not np.all(np.isfinite(self.grid)):
             raise ValueError("input grid must be finite")
         self.frame_measure = weights.frame_measure(height, width)
-        self.residual_measure = weights.residual_measure(height, width)
-        self.plan = _WarpPlan(flow)
         n, kernel = bank.n, bank.kernel
         self.bank_shape = (n, kernel)
+        # G before the step's buffers: its build's temporaries are freed first
+        self.gram = _WarpPlan(flow).gram(self.grid, kernel,
+                                         weights.residual_measure(height, width))
         self.patches = clip_patches(self.grid, kernel)
-        self.gram = (None if self.patches is None
-                     else self.plan.gram(self.patches, self.residual_measure))
         self.act = np.empty((n, frames, height, width))
         self.probs = np.empty((n, frames, height, width))
-        self.residual = np.empty((n, frames - 1, height, width)) if self.gram is None else None
         self.site = np.empty((3, frames, height, width))
 
 
@@ -477,18 +517,11 @@ def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
     if (bank.n, bank.kernel) != inputs.bank_shape:
         raise ValueError(f"a bank of (n, K) = {(bank.n, bank.kernel)} on inputs built for "
                          f"(n, K) = {inputs.bank_shape}")
-    patches, gram = inputs.patches, inputs.gram
-    act, probs, residual, site = inputs.act, inputs.probs, inputs.residual, inputs.site
+    patches, act, probs, site = inputs.patches, inputs.act, inputs.probs, inputs.site
     linear = bank.mode == "linear-penalty"
     convolve_features(bank, inputs.grid, out=act.transpose(1, 2, 3, 0), patches=patches)
 
-    if gram is None:
-        inputs.plan.gather(act[:, 1:], residual)
-        residual -= act[:, :-1]
-        motion = float(np.dot(inputs.residual_measure,
-                              np.einsum("ithw,ithw->t", residual, residual)))
-    else:
-        motion, gram_taps = _motion_form(bank, gram)
+    motion, gram_taps = _motion_form(bank, inputs.gram)
     penalty = _constraint_penalty(act, inputs.frame_measure, probs) if linear else 0.0
 
     log_q, s_marg, s_cond = _entropies(act, probs, site, inputs.frame_measure, bank.mode)
@@ -508,18 +541,13 @@ def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
     else:
         act_grad = probs
         act_grad.fill(0.0)
-    # the activation-space terms each cost a full pass: skipped at a zero multiplier
+    # the penalty's gradient costs a full pass: skipped at a zero multiplier
     if linear and lam.constraint != 0.0:
         _constraint_penalty_act_gradient(act, inputs.frame_measure, lam.constraint, act_grad)
-    if lam.motion != 0.0 and gram is None:
-        residual *= (2.0 * lam.motion) * inputs.residual_measure[:, None, None]
-        act_grad[:, :-1] -= residual
-        inputs.plan.scatter(residual, act_grad[:, 1:])
 
     tap_grad = convolution_tap_gradient(inputs.grid, act_grad.transpose(1, 2, 3, 0),
                                         bank.kernel, patches=patches)
-    if gram is not None:
-        tap_grad += _unflat_taps((2.0 * lam.motion) * gram_taps[:, :-1], bank.kernel)
+    tap_grad += _unflat_taps((2.0 * lam.motion) * gram_taps[:, :-1], bank.kernel)
     tap_grad += lam.spatial * spatial_parsimony_gradient(bank.taps)
     tap_grad += lam.temporal * (bank.taps - bank_prev.taps) / (dtau * dtau)
     return breakdown, tap_grad
@@ -543,19 +571,14 @@ def term_gradients(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs
 
     Keys: info_index, motion, spatial, temporal, penalty.  Intended for
     oracle comparisons against finite differences of the breakdown fields.
-    A kept clip's motion gradient is 2 x G, with no step of its own.
+    The motion gradient is 2 x G, with no step of its own.
     """
     def tap_gradient(lam: Multipliers, index: bool = False) -> np.ndarray:
         return _evaluate(bank, bank_prev, inputs, lam, dtau, grad=True, index=index)[1]
 
-    def motion_gradient() -> np.ndarray:
-        if inputs.gram is None:
-            return tap_gradient(Multipliers(motion=1.0))
-        return _unflat_taps(2.0 * _motion_form(bank, inputs.gram)[1][:, :-1], bank.kernel)
-
     return {
         "info_index": -tap_gradient(Multipliers(), index=True),
-        "motion": motion_gradient(),
+        "motion": _unflat_taps(2.0 * _motion_form(bank, inputs.gram)[1][:, :-1], bank.kernel),
         "spatial": spatial_parsimony_gradient(bank.taps),
         "temporal": (bank.taps - bank_prev.taps) / (dtau * dtau),
         "penalty": (tap_gradient(Multipliers(constraint=1.0))

@@ -8,6 +8,11 @@ and its gradient.  The transport residual takes its bilinear corners straight
 from the flow and spreads its gradient with ``np.add.at``, without the warp
 plan.  The convolution and its tap adjoint are the package's own: their
 reference is in test_features.py.
+
+The warp plan's ``gather`` and ``scatter`` give two more references of the
+motion term, which the objective takes from the matrix G alone:
+``whole_clip_gram`` builds G from the whole clip's transport matrix, and
+``streamed_motion`` evaluates M and its activation gradient along the plan.
 """
 
 import numpy as np
@@ -103,3 +108,34 @@ def objective_step(bank, bank_prev, data, flow, weights, lam, dtau):
     tap_grad += lam.spatial * spatial_parsimony_gradient(bank.taps)
     tap_grad += lam.temporal * (bank.taps - bank_prev.taps) / (dtau * dtau)
     return breakdown, tap_grad
+
+
+def whole_clip_gram(plan, patches, residual_measure):
+    """G = Ds Ds^T of a (rows, T*H*W) patch matrix: every patch row gathered
+    from frames 1..T-1 at once, minus its frames 0..T-2, and a last row, the
+    residual of a constant 1; each frame's columns scaled by the square root
+    of its ``residual_measure``."""
+    sites = plan.weight.shape[1:]
+    frames = patches.reshape((len(patches), sites[0] + 1) + sites[1:])
+    scaled = np.empty((len(patches) + 1,) + sites)
+    plan.gather(frames[:, 1:], scaled[:-1])
+    scaled[:-1] -= frames[:, :-1]
+    plan.gather(np.ones((1,) + sites), scaled[-1:])
+    scaled[-1] -= 1.0
+    scaled *= np.sqrt(residual_measure)[:, None, None]
+    flat = scaled.reshape(len(scaled), -1)
+    return flat @ flat.T
+
+
+def streamed_motion(plan, act, residual_measure):
+    """M of feature-major (n, T, H, W) activations by the plan's gather, and
+    its gradient in the activations by the plan's scatter."""
+    residual = np.empty_like(act[:, 1:])
+    plan.gather(act[:, 1:], residual)
+    residual -= act[:, :-1]
+    motion = float(np.dot(residual_measure, np.einsum("ithw,ithw->t", residual, residual)))
+    residual *= 2.0 * residual_measure[:, None, None]
+    grad = np.zeros_like(act)
+    grad[:, :-1] -= residual
+    plan.scatter(residual, grad[:, 1:])
+    return motion, grad

@@ -9,6 +9,7 @@ import csv
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from cogaction import (
     PatternSpec,
     TemporalWeights,
     TrainConfig,
+    TrainTrace,
     VideoClip,
     cognitive_action,
     convolve_features,
@@ -32,11 +34,13 @@ from cogaction import (
     train_layer,
 )
 from cogaction import features
-from cogaction.action import BREAKDOWN_CSV_HEADER, action_value_and_gradient
+from cogaction.action import BREAKDOWN_CSV_HEADER, _WarpPlan, action_value_and_gradient
 from cogaction.cli import main
+from cogaction.features import convolution_tap_gradient
 from cogaction.optimizer import run_gradient_check
 from dense_oracle import dense_kernel_oracle, dense_table_from_bank
 from identity_probe import identity_probe
+from objective_oracle import streamed_motion
 
 FROZEN_STEP_SIZE = 1.0
 A3_STEPS = 600
@@ -157,8 +161,8 @@ def test_a1_gradient_oracle():
 
 
 def test_a2_exact_transport(monkeypatch):
-    # M as the training step computes it: from the motion term's matrix G on
-    # a kept clip, which must be exactly 0, else by the warp-plan gather
+    # M as the training step computes it: from the motion term's matrix G,
+    # which must be exactly 0
     start = time.monotonic()
     worst = 0.0
     gram_zero = True
@@ -172,9 +176,8 @@ def test_a2_exact_transport(monkeypatch):
             worst = max(worst, motion)
     # multi-channel clips on the full retina, the convolution taking its
     # patches 1, 3 and 16 frames at a time; inputs decide once whether to keep
-    # the patch matrix, so each chunking gets its own, and at 16 frames the
-    # step takes M from G
-    kept = 0
+    # the patch matrix, so each chunking gets its own inputs and G
+    zero = 0
     for m_in, kernel in ((3, 5), (8, 3)):
         frame_bytes = 64 * 64 * m_in * kernel * kernel * 8
         for velocity in ((1, 0), (-1, 1)):
@@ -185,18 +188,16 @@ def test_a2_exact_transport(monkeypatch):
                 banks = [init_bank(4, m_in, kernel, "softmax", seed=seed, scale=0.5)
                          for seed in range(3)]
                 inputs = ActionInputs(clip, flow, TemporalWeights.uniform(16), banks[0])
-                if inputs.gram is not None:
-                    kept += 1
-                    gram_zero &= not inputs.gram.any()
+                zero += not inputs.gram.any()
                 for bank in banks:
                     motion = cognitive_action(bank, bank, inputs, Multipliers(), 1.0).motion
                     worst = max(worst, motion)
     elapsed = time.monotonic() - start
-    ok = worst <= 1e-18 and elapsed <= 5.0 and kept == 4 and gram_zero
+    ok = worst <= 1e-18 and elapsed <= 5.0 and zero == 12 and gram_zero
     report("A2", ok, f"the step's M on integer-translating clips, 2 velocities: "
-                     f"checkerboard x 10 banks, "
-                     f"64x64x16 (m=3, K=5) and (m=8, K=3) x 3 banks x 3 chunkings, "
-                     f"{kept} of 12 with a kept G, every kept G exactly 0: {gram_zero}, "
+                     f"checkerboard x 10 banks (G exactly 0: {gram_zero}), "
+                     f"64x64x16 (m=3, K=5) and (m=8, K=3) x 3 banks x 3 chunkings "
+                     f"({zero} of 12 with G exactly 0), "
                      f"max M {worst:.1e} <= 1e-18", elapsed)
 
 
@@ -209,14 +210,19 @@ def test_a3_descent_and_index(a3_runs):
     final = next(r for r in summary if r["phase"] == "final")
 
     m_ok = float(final["M"]) <= 0.5 * float(initial["M"])
+    # the flow is integer, so G is exactly 0 and so is M at every step: the
+    # halving above cannot fail on this clip (A4 has sub-pixel flow)
+    m_zero = all(float(r["M"]) == 0.0 for r in trace)
     i_ok = float(final["I"]) >= float(initial["I"]) - 1e-6
     totals = [float(r["A"]) for r in trace]
     worst_rise = max(totals[k + 1] - totals[k] for k in range(len(totals) - 1))
     descent_ok = worst_rise <= 1e-9
-    ok = m_ok and i_ok and descent_ok and len(trace) == A3_STEPS and elapsed <= 300.0
+    ok = (m_ok and m_zero and i_ok and descent_ok and len(trace) == A3_STEPS
+          and elapsed <= 300.0)
     report("A3", ok,
            f"eta={FROZEN_STEP_SIZE} frozen from grid search, {A3_STEPS} steps: "
            f"M {float(initial['M']):.2e}->{float(final['M']):.2e}, "
+           f"M exactly 0 on every row (integer flow): {m_zero}, "
            f"I {float(initial['I']):.4f}->{float(final['I']):.4f}, "
            f"worst per-step rise {worst_rise:.2e} <= 1e-9", elapsed)
 
@@ -418,14 +424,50 @@ def test_reference_traces(a3_runs, a4_runs, linear_penalty_prefix):
            f"{REFERENCE_TRACES.name}: worst at {worst:.2e} of the allowance", elapsed)
 
 
+def a4_streamed_motion_train(lam_m):
+    """``a4_train`` with the motion term taken along the warp plan: each
+    step's M and M's tap gradient come from the transport residual
+    (``_WarpPlan.gather``), its adjoint (``_WarpPlan.scatter``) and the
+    convolution's tap adjoint, the other terms from the step at lambda_m = 0.
+    The same descent as ``train_layer``; a ``TrainTrace`` without grad_norms."""
+    lam = Multipliers(motion=lam_m, spatial=1e-3, temporal=1e-3)
+    rest = Multipliers(spatial=lam.spatial, temporal=lam.temporal)
+    config = TrainConfig(step_size=FROZEN_STEP_SIZE, steps=A3_STEPS, lam=lam,
+                         mode="softmax", seed=12345, init_scale=0.1)
+    clip, flow = a4_clip(7)
+    weights = TemporalWeights.uniform(16)
+    current = previous = init_bank(4, 1, 3, "softmax", seed=config.seed,
+                                   scale=config.init_scale)
+    inputs = ActionInputs(clip, flow, weights, current)
+    plan = _WarpPlan(flow)
+    measure = weights.residual_measure(32, 32)
+    dtau = config.effective_dtau()
+
+    def evaluate(bank, prev):
+        breakdown, grad = action_value_and_gradient(bank, prev, inputs, rest, dtau)
+        act = convolve_features(bank, clip).transpose(3, 0, 1, 2)
+        motion, act_grad = streamed_motion(plan, act, measure)
+        grad += lam_m * convolution_tap_gradient(clip, act_grad.transpose(1, 2, 3, 0), 3)
+        return replace(breakdown, motion=motion, total=breakdown.total + lam_m * motion), grad
+
+    breakdowns = []
+    for _ in range(config.steps):
+        breakdown, grad = evaluate(current, previous)
+        breakdowns.append(breakdown)
+        previous = current
+        current = current.with_taps(current.taps - config.step_size * grad)
+    return TrainTrace(breakdowns, [], current, evaluate(current, current)[0])
+
+
 def test_a4_streamed_run_matches_kept(a4_runs, monkeypatch):
     # the whole 600-step motion-on run again, on inputs that stream one frame
-    # of patches at a time and take M by gather and scatter instead of from G
+    # of patches at a time, with M and its gradient taken by gather and
+    # scatter along the warp plan instead of from G
     start = time.monotonic()
     kept = a4_runs[0]["motion-on"]
     monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 1)
-    assert ActionInputs(*a4_clip(7), TemporalWeights.uniform(16), kept.final_bank).gram is None
-    streamed = a4_train(1.0)
+    assert ActionInputs(*a4_clip(7), TemporalWeights.uniform(16), kept.final_bank).patches is None
+    streamed = a4_streamed_motion_train(1.0)
     rows = zip(kept.breakdowns + [kept.final_breakdown],
                streamed.breakdowns + [streamed.final_breakdown], strict=True)
     row_worst = max(max(abs(a - b) for a, b in zip(k.values(), s.values()))
@@ -434,7 +476,8 @@ def test_a4_streamed_run_matches_kept(a4_runs, monkeypatch):
     taps_worst = np.abs(streamed.final_bank.taps - taps).max() / np.abs(taps).max()
     elapsed = time.monotonic() - start
     report("PARITY", row_worst <= 1e-12 and taps_worst <= 1e-12,
-           f"A4 motion-on, {A3_STEPS} steps kept vs streamed: every trace row within "
+           f"A4 motion-on, {A3_STEPS} steps from G vs gather and scatter on streamed "
+           f"patches: every trace row within "
            f"{row_worst:.1e} of its largest |term|, final taps {taps_worst:.1e} relative, "
            f"both <= 1e-12", elapsed)
 

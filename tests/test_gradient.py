@@ -184,12 +184,11 @@ class TestGradientOracle:
 @pytest.mark.parametrize("case", ["instance0", "instance1", "instance2", "instance3",
                                   "beyond-the-clamp"])
 def test_streamed_patches_match_finite_differences(monkeypatch, case):
-    # every check-grad instance keeps its patch matrix and G; under a
-    # budget below one frame the step streams its patches and takes the motion
-    # term through the warp plan's gather and scatter instead
+    # every check-grad instance keeps its patch matrix; under a budget below
+    # one frame the convolution and its adjoint stream their patches instead
     monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 1)
     instance = (beyond_the_clamp_instance() if case == "beyond-the-clamp"
                 else gradient_check_instances(4)[int(case[-1])])
     assert_terms_match_finite_differences(instance)
     inputs = ActionInputs(instance["data"], instance["flow"], instance["weights"], instance["bank"])
-    assert inputs.gram is None
+    assert inputs.patches is None
