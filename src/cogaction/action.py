@@ -44,6 +44,7 @@ from .features import (  # noqa: F401
     FilterBank,
     _flat_taps,
     _unflat_taps,
+    _wrap_pad,
     as_grid,
     clip_patches,
     convolution_tap_gradient,
@@ -284,15 +285,13 @@ class _WarpPlan:
         taken = np.empty(corners * chunk * columns)
         block = np.empty((chunk, columns))
         gram = np.zeros((columns, columns))
-        wrap_rows = np.arange(-reach, height + reach) % height
-        wrap_cols = np.arange(-reach, width + reach) % width
         padded = np.empty((height + 2 * reach, width + 2 * reach, channels))
         # [r, c, u, v, j] = padded[r + u, c + v, j]: entry (u, v, j) of site (r, c)
         windows = sliding_window_view(padded, (kernel, kernel), (0, 1)).transpose(0, 1, 3, 4, 2)
 
         def fill(t: int, out: np.ndarray) -> np.ndarray:
             """Frame t's patch rows, written into ``out``, (H, W, K*K*m + 1)."""
-            padded[...] = grid[t][wrap_rows[:, None], wrap_cols]
+            _wrap_pad(grid[t].transpose(2, 0, 1), padded.transpose(2, 0, 1))
             out[..., :-1].reshape(windows.shape)[...] = windows
             return out.reshape(sites, columns)
 
@@ -395,8 +394,8 @@ class ActionInputs:
     ``weights``, the motion term's matrix ``gram`` (``_WarpPlan.gram`` of
     ``flow``'s warp plan, which is then dropped), the grid's ``patches``, and
     the step's workspace.  ``patches`` is None when the clip exceeds the
-    patch budget; the convolution of such a streamed clip builds its patches
-    chunk by chunk on every step.  The workspace is ``act`` and ``probs``,
+    patch budget; the convolution of such a streamed clip builds its row
+    patches band by band on every step.  The workspace is ``act`` and ``probs``,
     (n, T, H, W), and ``site``, three (T, H, W) arrays.
 
     The grid must not change after construction, and an evaluation rejects

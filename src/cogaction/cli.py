@@ -109,6 +109,7 @@ def cmd_synth(experiment: ExperimentConfig, out_dir: Path) -> int:
 def cmd_train(experiment: ExperimentConfig, out_dir: Path) -> int:
     clip, truth = experiment.build_clip()
     flow = experiment.build_flow(clip, truth)
+    del truth  # only build_flow reads a synthetic clip's true flow
     with _locked_out_dir(out_dir):
         traces = train_deep(clip, flow, experiment.layers)
         if experiment.save_features:
@@ -149,6 +150,7 @@ def cmd_eval(experiment: ExperimentConfig, bank_paths: list[str], out_dir: Path)
                               f"given at layer position {index}")
     clip, truth = experiment.build_clip()
     flow = experiment.build_flow(clip, truth)
+    del truth  # only build_flow reads a synthetic clip's true flow
     with _locked_out_dir(out_dir):
         fields = stack_layers(banks if experiment.save_features else banks[:-1], clip)
         grids = [clip.data] + fields

@@ -10,6 +10,13 @@ along columns/x1, ``b`` along rows/x2).  Activations are then mapped to
 per-pixel probability vectors, either by a softmax or by clamping and
 renormalizing (the "linear-penalty" mode, whose simplex constraints are
 enforced during training by a penalty term instead).
+
+The convolution and its tap adjoint are matrix products.  A clip whose
+whole patch matrix fits PATCH_CHUNK_BYTES keeps it (``clip_patches``) and
+takes one product per call.  A larger clip is streamed in bands of row
+patches (``_row_patch_bands``): only the kernel's column offsets are
+expanded, its row offsets are column slices of the band, and BAND_BYTES
+keeps a band in L2.  No call copies the whole clip.
 """
 
 from dataclasses import dataclass
@@ -20,9 +27,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 MODES = ("softmax", "linear-penalty")
 CLAMP_EPS = 1e-6
-# bytes of one chunk's patch matrix in the convolution and its tap adjoint;
-# a clip whose whole matrix fits is kept once per layer (``clip_patches``)
+# bytes of the largest patch matrix a layer keeps for its whole clip
+# (``clip_patches``); a larger clip is streamed in bands
 PATCH_CHUNK_BYTES = 2 * 1024 * 1024
+# Bytes the whole frames of one band of a streamed convolution or tap adjoint
+# may take in their row patches and output buffers (``_bands``); a band holds
+# at least one frame.  One padded 64x64 frame of the deep workload's layers,
+# 1.15 and 1.39 MB, then stays in a 2 MiB L2 cache between the K products
+# that read it.  Two such frames would not fit.
+BAND_BYTES = 3 << 19
 
 
 @dataclass(frozen=True)
@@ -79,44 +92,93 @@ def as_grid(data) -> np.ndarray:
     return arr
 
 
-def _frame_patches(grid: np.ndarray, kernel: int, patches: np.ndarray | None = None):
-    """Yield ``(frames, patches)`` per chunk of frames, as many as fit in
-    PATCH_CHUNK_BYTES and at least one.  Row ``(u, v, j)``, column ``(t, r, c)``
-    of the patch matrix holds ``grid[t, r + u - reach, c + v - reach, j]``, so
-    each row is a copy of shifted frame rows.  Each chunk is copied into one
-    reused buffer, or, given the whole clip's matrix as ``patches``, sliced
-    from it; the chunking is the same either way."""
-    frames = len(grid)
-    frame_size = kernel * kernel * grid[0].size
-    chunk = min(frames, max(1, PATCH_CHUNK_BYTES // (8 * frame_size)))
-    if patches is not None:
-        sites = grid.shape[1] * grid.shape[2]
-        if patches.shape != (kernel * kernel * grid.shape[3], frames * sites):
-            raise ValueError(f"patches of shape {patches.shape} are not the K={kernel} "
-                             f"patch matrix of a {grid.shape} grid")
-        for start in range(0, frames, chunk):
-            stop = min(start + chunk, frames)
-            yield slice(start, stop), patches[:, start * sites:stop * sites]
-        return
-    reach = (kernel - 1) // 2
-    padded = np.pad(grid.transpose(3, 0, 1, 2), ((0, 0), (0, 0), (reach, reach), (reach, reach)),
-                    mode="wrap")
-    windows = sliding_window_view(padded, (kernel, kernel), (2, 3)).transpose(4, 5, 0, 1, 2, 3)
-    buffer = np.empty(chunk * frame_size)
-    for start in range(0, frames, chunk):
-        count = min(chunk, frames - start)
-        fill = buffer[:count * frame_size].reshape(windows.shape[:3] + (count,) + grid.shape[1:3])
-        fill[...] = windows[:, :, :, start:start + count]
-        yield slice(start, start + count), fill.reshape(kernel * kernel * grid.shape[3], -1)
+def _wrap_runs(start: int, length: int, period: int):
+    """``(offset, first, count)`` runs of the indices start .. start+length-1
+    taken modulo ``period``: entries offset .. offset+count-1 come from
+    first .. first+count-1.  An index range longer than the period (a kernel
+    wider than the frame) just gives more runs."""
+    offset = 0
+    while offset < length:
+        first = (start + offset) % period
+        count = min(period - first, length - offset)
+        yield offset, first, count
+        offset += count
+
+
+def _wrap_pad(src: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` (..., H + 2r, W + 2r) from ``src`` (..., H, W) on the
+    torus: out entry (i, c) is src entry ((i - r) mod H, (c - r) mod W).
+    Slice copies only, one per pair of wrap runs."""
+    height, width = src.shape[-2:]
+    reach = (out.shape[-1] - width) // 2
+    col_runs = list(_wrap_runs(-reach, out.shape[-1], width))
+    for row, first_row, rows in _wrap_runs(-reach, out.shape[-2], height):
+        for col, first_col, cols in col_runs:
+            out[..., row:row + rows, col:col + cols] = \
+                src[..., first_row:first_row + rows, first_col:first_col + cols]
 
 
 def clip_patches(grid: np.ndarray, kernel: int) -> np.ndarray | None:
-    """The patch matrix of the whole (T, H, W, c) grid, to pass as ``patches=``
-    to ``convolve_features`` and ``convolution_tap_gradient``; None when it
-    exceeds PATCH_CHUNK_BYTES, so that those stream chunks of frames."""
+    """The patch matrix of the whole (T, H, W, m) grid, to pass as
+    ``patches=`` to ``convolve_features`` and ``convolution_tap_gradient``;
+    None when it exceeds PATCH_CHUNK_BYTES, so that those stream bands of
+    row patches.  Row ``(u, v, j)``, column ``(t, r, c)`` holds
+    ``grid[t, r + u - reach, c + v - reach, j]``, wrapped."""
     if 8 * kernel * kernel * grid.size > PATCH_CHUNK_BYTES:
         return None
-    return next(_frame_patches(grid, kernel))[1]
+    frames, height, width, channels = grid.shape
+    reach = (kernel - 1) // 2
+    padded = np.empty((channels, frames, height + 2 * reach, width + 2 * reach))
+    _wrap_pad(grid.transpose(3, 0, 1, 2), padded)
+    windows = sliding_window_view(padded, (kernel, kernel), (2, 3)).transpose(4, 5, 0, 1, 2, 3)
+    patches = np.empty(windows.shape[:3] + grid.shape[:3])
+    patches[...] = windows
+    return patches.reshape(kernel * kernel * channels, -1)
+
+
+def _check_patches(patches: np.ndarray, grid: np.ndarray, kernel: int) -> None:
+    if patches.shape != (kernel * kernel * grid.shape[3], grid[..., 0].size):
+        raise ValueError(f"patches of shape {patches.shape} are not the K={kernel} "
+                         f"patch matrix of a {grid.shape} grid")
+
+
+def _bands(shape: tuple, kernel: int, n: int) -> list[range]:
+    """The frames of each band of a (T, H, W, m) grid streamed with ``n``
+    features, in order; together they cover every frame once.  A padded
+    frame of a band costs its (v, j) row patches and two n-row output
+    buffers, so BAND_BYTES sets how many whole frames a band holds, at
+    least one."""
+    frames, height, width, channels = shape
+    reach = (kernel - 1) // 2
+    frame_bytes = 8 * (height + 2 * reach) * (width + 2 * reach) * (kernel * channels + 2 * n)
+    per = max(1, BAND_BYTES // frame_bytes)
+    return [range(t, min(t + per, frames)) for t in range(0, frames, per)]
+
+
+def _row_patch_bands(grid: np.ndarray, kernel: int, n: int):
+    """Yield ``(frames, patches)`` per band of ``_bands``.  The band's
+    frames, each wrap-padded by r on every side (``_wrap_pad``), are stacked
+    into one tall image of padded width Wp and flattened per channel.  Row
+    ``(v, j)`` of ``patches`` (K*m, size) is channel j of that image shifted
+    left by v, so the patch rows of kernel row offset u are the columns from
+    u*Wp on.  Every band is written into one buffer, reused."""
+    _, height, width, channels = grid.shape
+    reach = (kernel - 1) // 2
+    wide = width + 2 * reach
+    bands = _bands(grid.shape, kernel, n)
+    most = len(bands[0]) * (height + 2 * reach) * wide
+    # the v = 0 rows hold the padded image plus a tail of 2r zeros, which
+    # the shifted rows read only into the last row's pad columns
+    buffer = np.empty((kernel, channels, most + 2 * reach))
+    source = grid.transpose(3, 0, 1, 2)
+    for frames in bands:
+        size = len(frames) * (height + 2 * reach) * wide
+        image = buffer[0, :, :size + 2 * reach]
+        image[:, size:] = 0.0
+        _wrap_pad(source[:, frames.start:frames.stop],
+                  image[:, :size].reshape(channels, len(frames), -1, wide))
+        buffer[1:, :, :size] = sliding_window_view(image, size, axis=1)[:, 1:].transpose(1, 0, 2)
+        yield frames, buffer[:, :, :size].reshape(kernel * channels, size)
 
 
 def _flat_taps(taps: np.ndarray) -> np.ndarray:
@@ -137,28 +199,52 @@ def convolve_features(bank: FilterBank, data, out: np.ndarray | None = None,
 
     The field is held feature-major: it is a (T, H, W, n) view of (n, T, H, W)
     storage, new unless ``out`` (such a view) is given to write into.
-    Toroidal boundary.  Each chunk of frames is one matrix product of the
-    flipped taps with its patch matrix, taken from ``patches`` (the
-    ``clip_patches`` of ``data``) when given and built otherwise.  The
-    chunking is fixed by the grid shape and both sources hold the same
-    numbers, so repeated evaluations are bit-identical.
+    Toroidal boundary.  Given ``patches`` (the ``clip_patches`` of ``data``),
+    the field is one matrix product of the flipped taps with them.  Without,
+    each band of ``_row_patch_bands`` is the sum over kernel row offsets u of
+    taps_u (n, K*m) times the band's row patches from column u*Wp on; the
+    pad columns, and the rows between stacked frames, are dropped.  The
+    bands are fixed by the grid shape, so repeated evaluations are
+    bit-identical; the two paths sum in another order and agree to about
+    1e-15.
     """
     grid = as_grid(data)
     if grid.shape[3] != bank.m_in:
         raise ValueError(
             f"layer {bank.layer} bank expects {bank.m_in} input channels, grid has {grid.shape[3]}"
         )
-    n = bank.n
+    n, kernel = bank.n, bank.kernel
     taps = _flat_taps(bank.taps)
     if out is None:
         out = np.empty((n,) + grid.shape[:3]).transpose(1, 2, 3, 0)
-    rows = out.transpose(3, 0, 1, 2)
-    if rows.shape != (n,) + grid.shape[:3] or not rows.flags.c_contiguous:
+    dest = out.transpose(3, 0, 1, 2)
+    if dest.shape != (n,) + grid.shape[:3] or not dest.flags.c_contiguous:
         raise ValueError("out must be a (T, H, W, n) view of (n, T, H, W) storage")
-    for frames, chunk_patches in _frame_patches(grid, bank.kernel, patches):
-        chunk = rows[:, frames].reshape(n, -1)
-        np.matmul(taps, chunk_patches, out=chunk)
-        chunk += 1.0 / n
+    if patches is not None:
+        _check_patches(patches, grid, kernel)
+        flat = dest.reshape(n, -1)
+        np.matmul(taps, patches, out=flat)
+        flat += 1.0 / n
+        return out
+    height, width = grid.shape[1:3]
+    wide = width + kernel - 1
+    row_taps = taps.reshape(n, kernel, -1).transpose(1, 0, 2)
+    sums = None
+    for frames, band in _row_patch_bands(grid, kernel, n):
+        size = band.shape[1]
+        span = size - (kernel - 1) * wide
+        if sums is None:  # the first band is the largest
+            sums = np.empty((2, n, size))
+        acc, part = sums[:, :, :span]
+        np.matmul(row_taps[0], band[:, :span], out=acc)
+        for u in range(1, kernel):
+            np.matmul(row_taps[u], band[:, u * wide:u * wide + span], out=part)
+            acc += part
+        # a copy, then the bias in place: np.add from this strided view
+        # buffers it in a temporary
+        band_out = dest[:, frames.start:frames.stop]
+        band_out[...] = sums[0, :, :size].reshape(n, len(frames), -1, wide)[:, :, :height, :width]
+        band_out += 1.0 / n
     return out
 
 
@@ -166,13 +252,34 @@ def convolution_tap_gradient(data, act_grad: np.ndarray, kernel: int,
                              patches: np.ndarray | None = None) -> np.ndarray:
     """Adjoint of ``convolve_features`` in the taps: maps an activation-shaped
     (T, H, W, n) gradient to a (n, m_in, K, K) tap-shaped gradient.
-    ``patches`` is as in ``convolve_features``."""
+    ``patches`` is as in ``convolve_features``.  A streamed band copies its
+    gradient into a zero-padded (n, size) buffer laid out as the band's
+    outputs, and adds the row patches from column u*Wp on times it to the
+    taps of kernel row offset u."""
     grid = as_grid(data)
-    rows = np.asarray(act_grad, dtype=np.float64).transpose(3, 0, 1, 2)
-    n = len(rows)
-    total = np.zeros((kernel * kernel * grid.shape[3], n), dtype=np.float64)
-    for frames, chunk_patches in _frame_patches(grid, kernel, patches):
-        total += chunk_patches @ rows[:, frames].reshape(n, -1).T
+    grad = np.asarray(act_grad, dtype=np.float64).transpose(3, 0, 1, 2)
+    n = len(grad)
+    total = np.zeros((kernel * kernel * grid.shape[3], n))
+    if patches is not None:
+        _check_patches(patches, grid, kernel)
+        total += patches @ grad.reshape(n, -1).T
+        return _unflat_taps(total.T, kernel)
+    height, width = grid.shape[1:3]
+    wide = width + kernel - 1
+    row_total = total.reshape(kernel, -1, n)
+    buffer = None
+    for frames, band in _row_patch_bands(grid, kernel, n):
+        size = band.shape[1]
+        span = size - (kernel - 1) * wide
+        if buffer is None:  # the first band is the largest
+            buffer = np.empty((n, size))
+        padded = buffer[:, :size].reshape(n, len(frames), -1, wide)
+        padded[:, :, height:] = 0.0
+        padded[:, :, :height, width:] = 0.0
+        padded[:, :, :height, :width] = grad[:, frames.start:frames.stop]
+        ext = buffer[:, :span].T
+        for u in range(kernel):
+            row_total[u] += band[:, u * wide:u * wide + span] @ ext
     return _unflat_taps(total.T, kernel)
 
 
@@ -187,13 +294,14 @@ def to_probabilities(act: np.ndarray, mode: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("activations must be finite")
     if mode == "softmax":
-        shifted = arr - arr.max(axis=-1, keepdims=True)
-        expd = np.exp(shifted)
-        return expd / expd.sum(axis=-1, keepdims=True)
-    if mode == "linear-penalty":
-        clamped = np.clip(arr, CLAMP_EPS, 1.0)
-        return clamped / clamped.sum(axis=-1, keepdims=True)
-    raise ValueError(f"unknown constraint mode {mode!r}, expected one of {MODES}")
+        out = np.subtract(arr, arr.max(axis=-1, keepdims=True))
+        np.exp(out, out=out)
+    elif mode == "linear-penalty":
+        out = np.clip(arr, CLAMP_EPS, 1.0)
+    else:
+        raise ValueError(f"unknown constraint mode {mode!r}, expected one of {MODES}")
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def probability_vjp(act: np.ndarray, probs: np.ndarray, probs_grad: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 import pytest
 
-from cogaction import features
+from cogaction import action, features
 from cogaction.action import _WarpPlan
 
 
@@ -20,16 +20,26 @@ def plan_builds(monkeypatch):
 
 @pytest.fixture
 def patch_fills(monkeypatch):
-    """A list that gains the frames of each chunk of patches filled from a
-    grid; chunks sliced from a kept patch matrix are not counted."""
+    """A list that gains one entry per patch build from a grid, listing the
+    frame ranges it filled: a kept matrix (``clip_patches``, as
+    ``ActionInputs`` calls it) is one entry with the whole clip; a streamed
+    convolution or tap adjoint is one entry with each of its bands."""
     fills = []
-    frame_patches = features._frame_patches
+    row_patch_bands = features._row_patch_bands
+    keep = action.clip_patches
 
-    def counted(grid, kernel, patches=None):
-        for frames, chunk in frame_patches(grid, kernel, patches):
-            if patches is None:
-                fills.append((frames.start, frames.stop))
-            yield frames, chunk
+    def bands(grid, kernel, n):
+        fills.append([])
+        for frames, patches in row_patch_bands(grid, kernel, n):
+            fills[-1].append(frames)
+            yield frames, patches
 
-    monkeypatch.setattr(features, "_frame_patches", counted)
+    def kept(grid, kernel):
+        patches = keep(grid, kernel)
+        if patches is not None:
+            fills.append([range(grid.shape[0])])
+        return patches
+
+    monkeypatch.setattr(features, "_row_patch_bands", bands)
+    monkeypatch.setattr(action, "clip_patches", kept)
     return fills

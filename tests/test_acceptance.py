@@ -174,9 +174,10 @@ def test_a2_exact_transport(monkeypatch):
         for bank in banks:
             motion = cognitive_action(bank, bank, inputs, Multipliers(), 1.0).motion
             worst = max(worst, motion)
-    # multi-channel clips on the full retina, the convolution taking its
-    # patches 1, 3 and 16 frames at a time; inputs decide once whether to keep
-    # the patch matrix, so each chunking gets its own inputs and G
+    # multi-channel clips on the full retina under patch budgets of 1, 3 and
+    # 16 frames: the convolution streams bands of row patches under the first
+    # two and keeps the whole clip's matrix under the last; inputs decide
+    # once whether to keep it, so each budget gets its own inputs and G
     zero = 0
     for m_in, kernel in ((3, 5), (8, 3)):
         frame_bytes = 64 * 64 * m_in * kernel * kernel * 8
@@ -196,7 +197,7 @@ def test_a2_exact_transport(monkeypatch):
     ok = worst <= 1e-18 and elapsed <= 5.0 and zero == 12 and gram_zero
     report("A2", ok, f"the step's M on integer-translating clips, 2 velocities: "
                      f"checkerboard x 10 banks (G exactly 0: {gram_zero}), "
-                     f"64x64x16 (m=3, K=5) and (m=8, K=3) x 3 banks x 3 chunkings "
+                     f"64x64x16 (m=3, K=5) and (m=8, K=3) x 3 banks x 3 patch budgets "
                      f"({zero} of 12 with G exactly 0), "
                      f"max M {worst:.1e} <= 1e-18", elapsed)
 
@@ -460,9 +461,9 @@ def a4_streamed_motion_train(lam_m):
 
 
 def test_a4_streamed_run_matches_kept(a4_runs, monkeypatch):
-    # the whole 600-step motion-on run again, on inputs that stream one frame
-    # of patches at a time, with M and its gradient taken by gather and
-    # scatter along the warp plan instead of from G
+    # the whole 600-step motion-on run again, on inputs that stream bands of
+    # row patches, with M and its gradient taken by gather and scatter along
+    # the warp plan instead of from G
     start = time.monotonic()
     kept = a4_runs[0]["motion-on"]
     monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 1)

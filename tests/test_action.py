@@ -577,8 +577,8 @@ class TestOracleParity:
 def kept_and_streamed(monkeypatch, bank, prev, data, flow, weights, lam, dtau):
     """(breakdown values, step gradient, motion term gradient), first on fresh
     inputs under the default patch budget, which keep the patch matrix, then
-    on fresh inputs under a budget below one frame, which stream one frame of
-    patches at a time."""
+    on fresh inputs under a budget below one frame, which stream bands of row
+    patches."""
     results = []
     for budget, kept in ((features.PATCH_CHUNK_BYTES, True), (1, False)):
         monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", budget)
@@ -640,9 +640,9 @@ CANCELLING_INDEX = ("subpixel-32x32x16", "zero-bank")
 
 class TestKeptTransportParity:
     """Every clip takes M and its tap gradient from the matrix G.  A kept
-    patch matrix and patches streamed one frame at a time give the same
-    numbers, and the oracle, which gathers along bilinear corners and
-    spreads the residual's gradient with ``np.add.at``, checks G."""
+    patch matrix and streamed bands of row patches give the same numbers,
+    and the oracle, which gathers along bilinear corners and spreads the
+    residual's gradient with ``np.add.at``, checks G."""
 
     @pytest.mark.parametrize("name", sorted(PARITY_CASES))
     def test_kept_matches_streamed(self, monkeypatch, name):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,20 +108,27 @@ KERNEL_CASES = [(1, 3, 5, 6, 8), (3, 3, 5, 7, 5), (8, 3, 5, 6, 8),
 
 class TestPatchKernels:
     """The patch-matrix convolution and tap adjoint against the shifted-sum
-    reference, at every chunking: one frame, two frames (5 frames do not
-    divide into them) and the whole clip."""
+    reference, at every band layout of the streamed path: one frame, two
+    frames (5 frames do not divide into them) and the whole clip."""
 
     @pytest.fixture(params=[1, 2, None], ids=["1-frame", "2-frame", "whole-clip"])
     def chunk_frames(self, request, monkeypatch):
-        def set_for(m_in, kernel, height, width):
-            frame_bytes = height * width * kernel * kernel * m_in * 8
-            budget = 1 << 40 if request.param is None else request.param * frame_bytes
-            monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", budget)
+        """Set BAND_BYTES to hold the named number of frames of a
+        (T, H, W, m_in) grid streamed with n features, and check the bands
+        it gives."""
+        def set_for(m_in, kernel, frames, height, width, n):
+            reach = (kernel - 1) // 2
+            frame_bytes = 8 * (height + 2 * reach) * (width + 2 * reach) * (kernel * m_in + 2 * n)
+            per = frames if request.param is None else request.param
+            monkeypatch.setattr(features, "BAND_BYTES", per * frame_bytes)
+            bands = features._bands((frames, height, width, m_in), kernel, n)
+            sizes = [per] * (frames // per) + ([frames % per] if frames % per else [])
+            assert [len(f) for f in bands] == sizes
         return set_for
 
     @pytest.mark.parametrize("m_in,kernel,frames,height,width", KERNEL_CASES)
     def test_matches_shifted_sum(self, chunk_frames, m_in, kernel, frames, height, width):
-        chunk_frames(m_in, kernel, height, width)
+        chunk_frames(m_in, kernel, frames, height, width, 4)
         rng = np.random.default_rng(m_in * 100 + kernel)
         grid = rng.uniform(size=(frames, height, width, m_in))
         bank = init_bank(4, m_in, kernel, "softmax", seed=kernel, scale=0.5)
@@ -132,7 +140,7 @@ class TestPatchKernels:
 
     @pytest.mark.parametrize("m_in,kernel,frames,height,width", KERNEL_CASES)
     def test_adjoint_identity(self, chunk_frames, m_in, kernel, frames, height, width):
-        chunk_frames(m_in, kernel, height, width)
+        chunk_frames(m_in, kernel, frames, height, width, 3)
         rng = np.random.default_rng(m_in * 100 + kernel + 1)
         grid = rng.uniform(size=(frames, height, width, m_in))
         bank = init_bank(3, m_in, kernel, "softmax", seed=kernel + 1, scale=0.5)
@@ -152,15 +160,16 @@ class TestPatchKernels:
         monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 1 << 40)
         kept = features.clip_patches(grid, kernel)
         before = kept.copy()
-        chunk_frames(m_in, kernel, height, width)
+        chunk_frames(m_in, kernel, frames, height, width, 4)
         # one kept matrix serves convolve, tap adjoint and convolve again
         act = convolve_features(bank, grid, patches=kept)
         tap = convolution_tap_gradient(grid, act_grad, kernel, patches=kept)
         again = convolve_features(bank, grid, patches=kept)
-        assert np.array_equal(act, convolve_features(bank, grid))
-        assert np.array_equal(tap, convolution_tap_gradient(grid, act_grad, kernel))
         assert np.array_equal(again, act)
         assert np.array_equal(kept, before)
+        # the streamed bands sum the same products in another order
+        assert max_rel_diff(convolve_features(bank, grid), act) <= 1e-13
+        assert max_rel_diff(convolution_tap_gradient(grid, act_grad, kernel), tap) <= 1e-13
 
     def test_patches_over_budget_not_kept(self, monkeypatch):
         grid = np.zeros((4, 5, 6, 2))
@@ -174,6 +183,52 @@ class TestPatchKernels:
         bank = init_bank(3, 2, 5, "softmax", seed=1)
         with pytest.raises(ValueError, match="K=5 patch matrix"):
             convolve_features(bank, grid, patches=features.clip_patches(grid, 3))
+
+
+def allocated_peak(call):
+    """Bytes allocated by ``call()`` at its peak beyond what was live
+    before it, as tracemalloc sees them (numpy reports its buffers)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedMemory:
+    """A streamed convolution and tap adjoint hold bands, not the clip: on a
+    16x64x64x8 grid (4.2 MB) with n = 8 and K = 3, a padded copy of the clip
+    alone would be 4.5 MB."""
+
+    @pytest.fixture
+    def layer(self):
+        rng = np.random.default_rng(17)
+        grid = rng.uniform(size=(16, 64, 64, 8))
+        bank = init_bank(8, 8, 3, "softmax", seed=17, scale=0.5)
+        return grid, bank, rng.normal(size=(16, 64, 64, 8))
+
+    def test_convolve_allocates_one_band(self, layer):
+        grid, bank, _ = layer
+        out = np.empty((8, 16, 64, 64)).transpose(1, 2, 3, 0)
+        convolve_features(bank, grid, out=out)
+        peak = allocated_peak(lambda: convolve_features(bank, grid, out=out))
+        assert 0 < peak <= features.BAND_BYTES < grid.nbytes
+
+    def test_tap_adjoint_allocates_one_band(self, layer):
+        grid, _, act_grad = layer
+        peak = allocated_peak(lambda: convolution_tap_gradient(grid, act_grad, 3))
+        assert 0 < peak <= features.BAND_BYTES < grid.nbytes
+
+    @pytest.mark.parametrize("mode", ["softmax", "linear-penalty"])
+    def test_probabilities_allocate_one_field(self, mode):
+        act = np.random.default_rng(18).normal(size=(16, 64, 64, 8))
+        site_bytes = act.nbytes // 8
+        peak = allocated_peak(lambda: to_probabilities(act, mode))
+        # the output, plus per-site temporaries: the finiteness mask, the
+        # max or the sum, and the reduction's own buffer
+        assert act.nbytes < peak <= act.nbytes + 2 * site_bytes
 
 
 class TestDenseOracle:
