@@ -30,7 +30,6 @@ residual or gathers and scatters along the flow.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 # The step computes the probability map, its adjoint and the entropies in
 # place: it calls none of probability_vjp, to_probabilities,
@@ -43,8 +42,9 @@ from .features import (  # noqa: F401
     CLAMP_EPS,
     FilterBank,
     _flat_taps,
+    _frame_rows,
+    _patch_blocks,
     _unflat_taps,
-    _wrap_pad,
     as_grid,
     clip_patches,
     convolution_tap_gradient,
@@ -263,41 +263,37 @@ class _WarpPlan:
         """G = Ds Ds^T, (K*K*m + 1)^2, of a (T, H, W, m) grid, summed over
         frame pairs.  A frame's patch rows, (H*W, K*K*m + 1), are the patch
         matrix's columns for its sites, each with a last entry 1 for the
-        bias, taken from a wrap-padded copy of that one frame.  Frame pair
-        t's block of the transport matrix D is, at each site, frame t+1's
-        rows at the site's corners, weighted and summed, minus frame t's row:
-        a constant 1 leaves sum_k w_k - 1.  So ``[flat taps, 1/n] @ D`` is
-        the advected residual of the activations ``flat taps @ P + 1/n`` in
-        exact arithmetic, for any n.  With integer flow both, and G, are
-        exactly 0 on an exactly translating clip.  Ds is D with each frame's
-        block scaled by the square root of its ``residual_measure``.
+        bias, copied from the frame's ``_frame_rows``.  Frame pair t's block
+        of the transport matrix D is, at each site, frame t+1's rows at the
+        site's corners, weighted and summed, minus frame t's row: a constant
+        1 leaves sum_k w_k - 1.  So ``[flat taps, 1/n] @ D`` is the advected
+        residual of the activations ``flat taps @ P + 1/n`` in exact
+        arithmetic, for any n.  With integer flow both, and G, are exactly 0
+        on an exactly translating clip.  Ds is D with each frame's block
+        scaled by the square root of its ``residual_measure``.
 
-        Two frames' rows and the gathered rows of at most 1,024 sites are
-        held at a time, never the whole clip's D."""
-        frames, height, width, channels = grid.shape
+        Two frames' patch rows, one frame's row patches and the gathered
+        rows of at most 1,024 sites are held at a time, never the whole
+        clip's D."""
+        _, height, width, channels = grid.shape
         sites = height * width
-        reach = (kernel - 1) // 2
         columns = kernel * kernel * channels + 1
         corners = len(self.index)
         chunk = min(sites, 1024)
-        pair = np.empty((2, height, width, columns))
+        pair = np.empty((2, sites, columns))
         pair[..., -1] = 1.0
+        # [i, r, c, u, v*m + j]: entry (u, v, j) of site (r, c) of frame t, i = t % 2
+        pair_patches = pair[..., :-1].reshape(2, height, width, kernel, -1)
         taken = np.empty(corners * chunk * columns)
         block = np.empty((chunk, columns))
         gram = np.zeros((columns, columns))
-        padded = np.empty((height + 2 * reach, width + 2 * reach, channels))
-        # [r, c, u, v, j] = padded[r + u, c + v, j]: entry (u, v, j) of site (r, c)
-        windows = sliding_window_view(padded, (kernel, kernel), (0, 1)).transpose(0, 1, 3, 4, 2)
-
-        def fill(t: int, out: np.ndarray) -> np.ndarray:
-            """Frame t's patch rows, written into ``out``, (H, W, K*K*m + 1)."""
-            _wrap_pad(grid[t].transpose(2, 0, 1), padded.transpose(2, 0, 1))
-            out[..., :-1].reshape(windows.shape)[...] = windows
-            return out.reshape(sites, columns)
-
-        now = fill(0, pair[0])
-        for t in range(frames - 1):
-            nxt = fill(t + 1, pair[(t + 1) % 2])
+        for frame, patch_rows in enumerate(_frame_rows(grid, kernel)):
+            blocks = _patch_blocks(patch_rows, kernel, height, width)
+            pair_patches[frame % 2] = blocks.transpose(2, 3, 0, 1)
+            if frame == 0:
+                continue
+            t = frame - 1
+            now, nxt = pair[t % 2], pair[frame % 2]
             index = self.index[:, t].reshape(corners, sites) - t * sites
             weight = self.weight[:, t].reshape(corners, sites)
             scale = np.sqrt(residual_measure[t])
@@ -311,7 +307,6 @@ class _WarpPlan:
                 rows -= now[start:stop]
                 rows *= scale
                 gram += rows.T @ rows
-            now = nxt
         return gram
 
 
@@ -395,8 +390,8 @@ class ActionInputs:
     ``flow``'s warp plan, which is then dropped), the grid's ``patches``, and
     the step's workspace.  ``patches`` is None when the clip exceeds the
     patch budget; the convolution of such a streamed clip builds its row
-    patches band by band on every step.  The workspace is ``act`` and ``probs``,
-    (n, T, H, W), and ``site``, three (T, H, W) arrays.
+    patches frame by frame on every step.  The workspace is ``act`` and
+    ``probs``, (n, T, H, W), and ``site``, three (T, H, W) arrays.
 
     The grid must not change after construction, and an evaluation rejects
     a bank of another n or K."""

@@ -11,31 +11,26 @@ per-pixel probability vectors, either by a softmax or by clamping and
 renormalizing (the "linear-penalty" mode, whose simplex constraints are
 enforced during training by a penalty term instead).
 
-The convolution and its tap adjoint are matrix products.  A clip whose
-whole patch matrix fits PATCH_CHUNK_BYTES keeps it (``clip_patches``) and
-takes one product per call.  A larger clip is streamed in bands of row
-patches (``_row_patch_bands``): only the kernel's column offsets are
-expanded, its row offsets are column slices of the band, and BAND_BYTES
-keeps a band in L2.  No call copies the whole clip.
+The convolution and its tap adjoint are matrix products.  Every patch they,
+and the motion term's matrix (``action._WarpPlan.gram``), read comes from
+``_frame_rows``, one wrap-padded frame at a time: only the kernel's column
+offsets are expanded, and its row offsets are column slices of the frame's
+rows.  A clip whose whole patch matrix fits PATCH_CHUNK_BYTES keeps it
+(``clip_patches``) and takes one product per call; a larger clip is
+streamed frame by frame, and no call copies the whole clip.
 """
 
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 MODES = ("softmax", "linear-penalty")
 CLAMP_EPS = 1e-6
 # bytes of the largest patch matrix a layer keeps for its whole clip
-# (``clip_patches``); a larger clip is streamed in bands
+# (``clip_patches``); a larger clip is streamed frame by frame
 PATCH_CHUNK_BYTES = 2 * 1024 * 1024
-# Bytes the whole frames of one band of a streamed convolution or tap adjoint
-# may take in their row patches and output buffers (``_bands``); a band holds
-# at least one frame.  One padded 64x64 frame of the deep workload's layers,
-# 1.15 and 1.39 MB, then stays in a 2 MiB L2 cache between the K products
-# that read it.  Two such frames would not fit.
-BAND_BYTES = 3 << 19
 
 
 @dataclass(frozen=True)
@@ -105,34 +100,74 @@ def _wrap_runs(start: int, length: int, period: int):
         offset += count
 
 
-def _wrap_pad(src: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``out`` (..., H + 2r, W + 2r) from ``src`` (..., H, W) on the
-    torus: out entry (i, c) is src entry ((i - r) mod H, (c - r) mod W).
-    Slice copies only, one per pair of wrap runs."""
-    height, width = src.shape[-2:]
-    reach = (out.shape[-1] - width) // 2
-    col_runs = list(_wrap_runs(-reach, out.shape[-1], width))
-    for row, first_row, rows in _wrap_runs(-reach, out.shape[-2], height):
-        for col, first_col, cols in col_runs:
-            out[..., row:row + rows, col:col + cols] = \
-                src[..., first_row:first_row + rows, first_col:first_col + cols]
+def _frame_rows(grid: np.ndarray, kernel: int):
+    """Yield the row patches of each frame of a (T, H, W, m) grid, in order:
+    a (K*m, (H + 2r) * Wp) view, Wp = W + 2r, of one buffer that every frame
+    overwrites.  Row ``(v, j)`` is channel j of the frame, wrap-padded by r
+    on every side and flattened, shifted left by v.  The patch rows
+    ``(u, v, j)`` of kernel row offset u are then the columns from u*Wp on,
+    and the first W of each Wp of them are the frame's sites
+    (``_patch_blocks``).  No other code wrap-pads a frame or expands its
+    patches."""
+    # the strided views below stay inside the buffer only for odd K
+    if kernel % 2 == 0:
+        raise ValueError(f"kernel must be odd, got {kernel}")
+    frames, height, width, channels = grid.shape
+    reach = (kernel - 1) // 2
+    wide = width + 2 * reach
+    size = (height + 2 * reach) * wide
+    # row v = 0 holds the padded frame plus a tail of 2r zeros, which the
+    # shifted rows read only into the last row's pad columns
+    buffer = np.empty((kernel, channels, size + 2 * reach))
+    image = buffer[0]
+    image[:, size:] = 0.0
+    padded = image[:, :size].reshape(channels, -1, wide)
+    source = grid.transpose(3, 0, 1, 2)
+    # padded entry (i, c) is the frame's ((i - r) mod H, (c - r) mod W): the
+    # frame's rows go to padded rows r .. r+H-1 one column wrap run at a
+    # time, then each other row wrap run is copied from those
+    centre = padded[:, reach:reach + height]
+    col_copies = [(centre[:, :, col:col + count], source[..., first:first + count])
+                  for col, first, count in _wrap_runs(-reach, wide, width)]
+    row_copies = [(padded[:, row:row + count], centre[:, first:first + count])
+                  for row, first, count in _wrap_runs(-reach, padded.shape[1], height)
+                  if row != reach]
+    # [v - 1, j, p] = image[j, p + v]
+    item = image.itemsize
+    shifted = as_strided(image[:, 1:], (kernel - 1, channels, size),
+                         (item, image.strides[0], item), writeable=False)
+    rows = buffer[:, :, :size].reshape(kernel * channels, size)
+    for t in range(frames):
+        for dest, src in col_copies:
+            dest[...] = src[:, t]
+        for dest, src in row_copies:
+            dest[...] = src
+        buffer[1:, :, :size] = shifted
+        yield rows
+
+
+def _patch_blocks(rows: np.ndarray, kernel: int, height: int, width: int) -> np.ndarray:
+    """The patch blocks of one frame's ``_frame_rows``, a read-only
+    (K, K*m, H, W) view: block u holds the patch rows ``(u, v, j)`` of the
+    frame's sites."""
+    item = rows.itemsize
+    wide = width + kernel - 1
+    return as_strided(rows, (kernel, len(rows), height, width),
+                      (item * wide, rows.strides[0], item * wide, item), writeable=False)
 
 
 def clip_patches(grid: np.ndarray, kernel: int) -> np.ndarray | None:
     """The patch matrix of the whole (T, H, W, m) grid, to pass as
     ``patches=`` to ``convolve_features`` and ``convolution_tap_gradient``;
-    None when it exceeds PATCH_CHUNK_BYTES, so that those stream bands of
-    row patches.  Row ``(u, v, j)``, column ``(t, r, c)`` holds
+    None when it exceeds PATCH_CHUNK_BYTES, so that those stream the row
+    patches frame by frame.  Row ``(u, v, j)``, column ``(t, r, c)`` holds
     ``grid[t, r + u - reach, c + v - reach, j]``, wrapped."""
     if 8 * kernel * kernel * grid.size > PATCH_CHUNK_BYTES:
         return None
     frames, height, width, channels = grid.shape
-    reach = (kernel - 1) // 2
-    padded = np.empty((channels, frames, height + 2 * reach, width + 2 * reach))
-    _wrap_pad(grid.transpose(3, 0, 1, 2), padded)
-    windows = sliding_window_view(padded, (kernel, kernel), (2, 3)).transpose(4, 5, 0, 1, 2, 3)
-    patches = np.empty(windows.shape[:3] + grid.shape[:3])
-    patches[...] = windows
+    patches = np.empty((kernel, kernel * channels, frames, height, width))
+    for t, rows in enumerate(_frame_rows(grid, kernel)):
+        patches[:, :, t] = _patch_blocks(rows, kernel, height, width)
     return patches.reshape(kernel * kernel * channels, -1)
 
 
@@ -140,45 +175,6 @@ def _check_patches(patches: np.ndarray, grid: np.ndarray, kernel: int) -> None:
     if patches.shape != (kernel * kernel * grid.shape[3], grid[..., 0].size):
         raise ValueError(f"patches of shape {patches.shape} are not the K={kernel} "
                          f"patch matrix of a {grid.shape} grid")
-
-
-def _bands(shape: tuple, kernel: int, n: int) -> list[range]:
-    """The frames of each band of a (T, H, W, m) grid streamed with ``n``
-    features, in order; together they cover every frame once.  A padded
-    frame of a band costs its (v, j) row patches and two n-row output
-    buffers, so BAND_BYTES sets how many whole frames a band holds, at
-    least one."""
-    frames, height, width, channels = shape
-    reach = (kernel - 1) // 2
-    frame_bytes = 8 * (height + 2 * reach) * (width + 2 * reach) * (kernel * channels + 2 * n)
-    per = max(1, BAND_BYTES // frame_bytes)
-    return [range(t, min(t + per, frames)) for t in range(0, frames, per)]
-
-
-def _row_patch_bands(grid: np.ndarray, kernel: int, n: int):
-    """Yield ``(frames, patches)`` per band of ``_bands``.  The band's
-    frames, each wrap-padded by r on every side (``_wrap_pad``), are stacked
-    into one tall image of padded width Wp and flattened per channel.  Row
-    ``(v, j)`` of ``patches`` (K*m, size) is channel j of that image shifted
-    left by v, so the patch rows of kernel row offset u are the columns from
-    u*Wp on.  Every band is written into one buffer, reused."""
-    _, height, width, channels = grid.shape
-    reach = (kernel - 1) // 2
-    wide = width + 2 * reach
-    bands = _bands(grid.shape, kernel, n)
-    most = len(bands[0]) * (height + 2 * reach) * wide
-    # the v = 0 rows hold the padded image plus a tail of 2r zeros, which
-    # the shifted rows read only into the last row's pad columns
-    buffer = np.empty((kernel, channels, most + 2 * reach))
-    source = grid.transpose(3, 0, 1, 2)
-    for frames in bands:
-        size = len(frames) * (height + 2 * reach) * wide
-        image = buffer[0, :, :size + 2 * reach]
-        image[:, size:] = 0.0
-        _wrap_pad(source[:, frames.start:frames.stop],
-                  image[:, :size].reshape(channels, len(frames), -1, wide))
-        buffer[1:, :, :size] = sliding_window_view(image, size, axis=1)[:, 1:].transpose(1, 0, 2)
-        yield frames, buffer[:, :, :size].reshape(kernel * channels, size)
 
 
 def _flat_taps(taps: np.ndarray) -> np.ndarray:
@@ -201,12 +197,10 @@ def convolve_features(bank: FilterBank, data, out: np.ndarray | None = None,
     storage, new unless ``out`` (such a view) is given to write into.
     Toroidal boundary.  Given ``patches`` (the ``clip_patches`` of ``data``),
     the field is one matrix product of the flipped taps with them.  Without,
-    each band of ``_row_patch_bands`` is the sum over kernel row offsets u of
-    taps_u (n, K*m) times the band's row patches from column u*Wp on; the
-    pad columns, and the rows between stacked frames, are dropped.  The
-    bands are fixed by the grid shape, so repeated evaluations are
-    bit-identical; the two paths sum in another order and agree to about
-    1e-15.
+    each frame's field is the sum over kernel row offsets u of taps_u
+    (n, K*m) times its ``_frame_rows`` from column u*Wp on, less the pad
+    columns.  Repeated evaluations are bit-identical; the two paths sum in
+    another order and agree to about 1e-15.
     """
     grid = as_grid(data)
     if grid.shape[3] != bank.m_in:
@@ -228,23 +222,19 @@ def convolve_features(bank: FilterBank, data, out: np.ndarray | None = None,
         return out
     height, width = grid.shape[1:3]
     wide = width + kernel - 1
+    span = height * wide
     row_taps = taps.reshape(n, kernel, -1).transpose(1, 0, 2)
-    sums = None
-    for frames, band in _row_patch_bands(grid, kernel, n):
-        size = band.shape[1]
-        span = size - (kernel - 1) * wide
-        if sums is None:  # the first band is the largest
-            sums = np.empty((2, n, size))
-        acc, part = sums[:, :, :span]
-        np.matmul(row_taps[0], band[:, :span], out=acc)
+    acc, part = np.empty((2, n, span))
+    for t, rows in enumerate(_frame_rows(grid, kernel)):
+        np.matmul(row_taps[0], rows[:, :span], out=acc)
         for u in range(1, kernel):
-            np.matmul(row_taps[u], band[:, u * wide:u * wide + span], out=part)
+            np.matmul(row_taps[u], rows[:, u * wide:u * wide + span], out=part)
             acc += part
         # a copy, then the bias in place: np.add from this strided view
         # buffers it in a temporary
-        band_out = dest[:, frames.start:frames.stop]
-        band_out[...] = sums[0, :, :size].reshape(n, len(frames), -1, wide)[:, :, :height, :width]
-        band_out += 1.0 / n
+        frame = dest[:, t]
+        frame[...] = acc.reshape(n, height, wide)[:, :, :width]
+        frame += 1.0 / n
     return out
 
 
@@ -252,12 +242,16 @@ def convolution_tap_gradient(data, act_grad: np.ndarray, kernel: int,
                              patches: np.ndarray | None = None) -> np.ndarray:
     """Adjoint of ``convolve_features`` in the taps: maps an activation-shaped
     (T, H, W, n) gradient to a (n, m_in, K, K) tap-shaped gradient.
-    ``patches`` is as in ``convolve_features``.  A streamed band copies its
-    gradient into a zero-padded (n, size) buffer laid out as the band's
-    outputs, and adds the row patches from column u*Wp on times it to the
-    taps of kernel row offset u."""
+    ``patches`` is as in ``convolve_features``.  Streamed, each frame's
+    gradient is copied into a (n, H, Wp) buffer whose pad columns are 0,
+    and its ``_frame_rows`` from column u*Wp on times it add to the taps of
+    kernel row offset u."""
     grid = as_grid(data)
-    grad = np.asarray(act_grad, dtype=np.float64).transpose(3, 0, 1, 2)
+    grad = np.asarray(act_grad, dtype=np.float64)
+    if grad.ndim != 4 or grad.shape[:3] != grid.shape[:3]:
+        raise ValueError(f"an activation gradient of shape {grad.shape} does not cover "
+                         f"the (T, H, W) sites of a {grid.shape} grid")
+    grad = grad.transpose(3, 0, 1, 2)
     n = len(grad)
     total = np.zeros((kernel * kernel * grid.shape[3], n))
     if patches is not None:
@@ -266,20 +260,14 @@ def convolution_tap_gradient(data, act_grad: np.ndarray, kernel: int,
         return _unflat_taps(total.T, kernel)
     height, width = grid.shape[1:3]
     wide = width + kernel - 1
+    span = height * wide
     row_total = total.reshape(kernel, -1, n)
-    buffer = None
-    for frames, band in _row_patch_bands(grid, kernel, n):
-        size = band.shape[1]
-        span = size - (kernel - 1) * wide
-        if buffer is None:  # the first band is the largest
-            buffer = np.empty((n, size))
-        padded = buffer[:, :size].reshape(n, len(frames), -1, wide)
-        padded[:, :, height:] = 0.0
-        padded[:, :, :height, width:] = 0.0
-        padded[:, :, :height, :width] = grad[:, frames.start:frames.stop]
-        ext = buffer[:, :span].T
+    padded = np.zeros((n, height, wide))
+    ext = padded.reshape(n, span).T
+    for t, rows in enumerate(_frame_rows(grid, kernel)):
+        padded[:, :, :width] = grad[:, t]
         for u in range(kernel):
-            row_total[u] += band[:, u * wide:u * wide + span] @ ext
+            row_total[u] += rows[:, u * wide:u * wide + span] @ ext
     return _unflat_taps(total.T, kernel)
 
 

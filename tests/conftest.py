@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cogaction import action, features
@@ -20,26 +21,25 @@ def plan_builds(monkeypatch):
 
 @pytest.fixture
 def patch_fills(monkeypatch):
-    """A list that gains one entry per patch build from a grid, listing the
-    frame ranges it filled: a kept matrix (``clip_patches``, as
-    ``ActionInputs`` calls it) is one entry with the whole clip; a streamed
-    convolution or tap adjoint is one entry with each of its bands."""
+    """A list that gains one entry per call of the row-patch builder,
+    ``_frame_rows``, wherever it is looked up (a kept matrix, a streamed
+    convolution or tap adjoint, G's build): the frames it filled, in order,
+    each named by the index of the grid frame that its rows hold."""
     fills = []
-    row_patch_bands = features._row_patch_bands
-    keep = action.clip_patches
+    frame_rows = features._frame_rows
 
-    def bands(grid, kernel, n):
+    def recorded(grid, kernel):
         fills.append([])
-        for frames, patches in row_patch_bands(grid, kernel, n):
-            fills[-1].append(frames)
-            yield frames, patches
+        frames, height, width, channels = grid.shape
+        reach = (kernel - 1) // 2
+        for rows in frame_rows(grid, kernel):
+            # rows (0, j) are the frame's channels, wrap-padded by r
+            held = rows[:channels].reshape(channels, height + 2 * reach, -1)
+            held = held[:, reach:reach + height, reach:reach + width]
+            fills[-1].append([t for t in range(frames)
+                              if np.array_equal(held, grid[t].transpose(2, 0, 1))])
+            yield rows
 
-    def kept(grid, kernel):
-        patches = keep(grid, kernel)
-        if patches is not None:
-            fills.append([range(grid.shape[0])])
-        return patches
-
-    monkeypatch.setattr(features, "_row_patch_bands", bands)
-    monkeypatch.setattr(action, "clip_patches", kept)
+    monkeypatch.setattr(features, "_frame_rows", recorded)
+    monkeypatch.setattr(action, "_frame_rows", recorded)
     return fills

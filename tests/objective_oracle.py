@@ -13,6 +13,8 @@ The warp plan's ``gather`` and ``scatter`` give two more references of the
 motion term, which the objective takes from the matrix G alone:
 ``whole_clip_gram`` builds G from the whole clip's transport matrix, and
 ``streamed_motion`` evaluates M and its activation gradient along the plan.
+The patch matrix G is built from is ``rolled_patches``, which shares no
+code with the package's row-patch builder.
 """
 
 import numpy as np
@@ -108,6 +110,20 @@ def objective_step(bank, bank_prev, data, flow, weights, lam, dtau):
     tap_grad += lam.spatial * spatial_parsimony_gradient(bank.taps)
     tap_grad += lam.temporal * (bank.taps - bank_prev.taps) / (dtau * dtau)
     return breakdown, tap_grad
+
+
+def rolled_patches(grid, kernel):
+    """The patch matrix of a (T, H, W, m) grid from one ``np.roll`` of the
+    grid per kernel offset, as ``shifted_sum_convolution`` takes them: row
+    ``(u, v, j)``, column ``(t, r, c)`` holds
+    ``grid[t, r + u - reach, c + v - reach, j]``, wrapped."""
+    reach = (kernel - 1) // 2
+    rows = []
+    for u in range(kernel):
+        for v in range(kernel):
+            shifted = np.roll(grid, (reach - u, reach - v), axis=(1, 2))
+            rows.extend(shifted[..., j].ravel() for j in range(grid.shape[3]))
+    return np.array(rows)
 
 
 def whole_clip_gram(plan, patches, residual_measure):

@@ -175,8 +175,8 @@ def test_a2_exact_transport(monkeypatch):
             motion = cognitive_action(bank, bank, inputs, Multipliers(), 1.0).motion
             worst = max(worst, motion)
     # multi-channel clips on the full retina under patch budgets of 1, 3 and
-    # 16 frames: the convolution streams bands of row patches under the first
-    # two and keeps the whole clip's matrix under the last; inputs decide
+    # 16 frames: the convolution streams row patches frame by frame under the
+    # first two and keeps the whole clip's matrix under the last; inputs decide
     # once whether to keep it, so each budget gets its own inputs and G
     zero = 0
     for m_in, kernel in ((3, 5), (8, 3)):
@@ -461,9 +461,9 @@ def a4_streamed_motion_train(lam_m):
 
 
 def test_a4_streamed_run_matches_kept(a4_runs, monkeypatch):
-    # the whole 600-step motion-on run again, on inputs that stream bands of
-    # row patches, with M and its gradient taken by gather and scatter along
-    # the warp plan instead of from G
+    # the whole 600-step motion-on run again, on inputs that stream row
+    # patches frame by frame, with M and its gradient taken by gather and
+    # scatter along the warp plan instead of from G
     start = time.monotonic()
     kept = a4_runs[0]["motion-on"]
     monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 1)

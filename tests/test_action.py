@@ -33,7 +33,7 @@ from cogaction import features
 from cogaction.features import FilterBank, stack_layers, to_probabilities
 from cogaction.optimizer import build_weights, finite_diff_breakdowns, gradient_check_instances
 from identity_probe import identity_probe
-from objective_oracle import objective_step, whole_clip_gram
+from objective_oracle import objective_step, rolled_patches, whole_clip_gram
 
 
 def motion_term_loop_oracle(act, flow, h):
@@ -247,7 +247,8 @@ class TestMotionResidual:
 
 class TestGramBuilder:
     """``_WarpPlan.gram`` sums G one frame pair at a time; the oracle gathers
-    every row of the whole clip's patch matrix along the plan at once."""
+    every row of the whole clip's patch matrix, built from ``np.roll``
+    shifts, along the plan at once."""
 
     @pytest.mark.parametrize("m_in,kernel,frames,height,width,weighting", [
         (1, 3, 2, 9, 7, "uniform"),
@@ -257,15 +258,13 @@ class TestGramBuilder:
         (8, 3, 16, 10, 13, "exp:0.9"),
         (8, 5, 2, 7, 9, "uniform"),
     ])
-    def test_matches_whole_clip_gram(self, monkeypatch, m_in, kernel, frames, height, width,
-                                     weighting):
+    def test_matches_whole_clip_gram(self, m_in, kernel, frames, height, width, weighting):
         rng = np.random.default_rng(m_in * 100 + kernel * 10 + frames)
         grid = rng.uniform(-1, 1, size=(frames, height, width, m_in))
         flow = VelocityField(rng.uniform(-2.5, 2.5, size=(frames, height, width, 2)))
         measure = build_weights(weighting, frames).residual_measure(height, width)
         plan = _WarpPlan(flow)
-        monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 1 << 40)
-        expected = whole_clip_gram(plan, features.clip_patches(grid, kernel), measure)
+        expected = whole_clip_gram(plan, rolled_patches(grid, kernel), measure)
         gram = plan.gram(grid, kernel, measure)
         assert gram.shape == (kernel * kernel * m_in + 1,) * 2
         assert np.abs(gram - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -577,8 +576,8 @@ class TestOracleParity:
 def kept_and_streamed(monkeypatch, bank, prev, data, flow, weights, lam, dtau):
     """(breakdown values, step gradient, motion term gradient), first on fresh
     inputs under the default patch budget, which keep the patch matrix, then
-    on fresh inputs under a budget below one frame, which stream bands of row
-    patches."""
+    on fresh inputs under a budget below one frame, which stream row patches
+    frame by frame."""
     results = []
     for budget, kept in ((features.PATCH_CHUNK_BYTES, True), (1, False)):
         monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", budget)
@@ -640,9 +639,9 @@ CANCELLING_INDEX = ("subpixel-32x32x16", "zero-bank")
 
 class TestKeptTransportParity:
     """Every clip takes M and its tap gradient from the matrix G.  A kept
-    patch matrix and streamed bands of row patches give the same numbers,
-    and the oracle, which gathers along bilinear corners and spreads the
-    residual's gradient with ``np.add.at``, checks G."""
+    patch matrix and row patches streamed frame by frame give the same
+    numbers, and the oracle, which gathers along bilinear corners and
+    spreads the residual's gradient with ``np.add.at``, checks G."""
 
     @pytest.mark.parametrize("name", sorted(PARITY_CASES))
     def test_kept_matches_streamed(self, monkeypatch, name):

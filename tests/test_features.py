@@ -19,6 +19,7 @@ from cogaction import (
 from cogaction import features
 from cogaction.features import convolution_tap_gradient
 from dense_oracle import dense_kernel_oracle, dense_table_from_bank
+from objective_oracle import rolled_patches
 
 
 @pytest.fixture
@@ -108,68 +109,80 @@ KERNEL_CASES = [(1, 3, 5, 6, 8), (3, 3, 5, 7, 5), (8, 3, 5, 6, 8),
 
 class TestPatchKernels:
     """The patch-matrix convolution and tap adjoint against the shifted-sum
-    reference, at every band layout of the streamed path: one frame, two
-    frames (5 frames do not divide into them) and the whole clip."""
+    reference.  The streamed path runs over the clip's first frame, its
+    first two frames and the whole clip: once through its frame loop, at
+    the first reuse of its buffers, and to the end."""
 
     @pytest.fixture(params=[1, 2, None], ids=["1-frame", "2-frame", "whole-clip"])
-    def chunk_frames(self, request, monkeypatch):
-        """Set BAND_BYTES to hold the named number of frames of a
-        (T, H, W, m_in) grid streamed with n features, and check the bands
-        it gives."""
-        def set_for(m_in, kernel, frames, height, width, n):
-            reach = (kernel - 1) // 2
-            frame_bytes = 8 * (height + 2 * reach) * (width + 2 * reach) * (kernel * m_in + 2 * n)
-            per = frames if request.param is None else request.param
-            monkeypatch.setattr(features, "BAND_BYTES", per * frame_bytes)
-            bands = features._bands((frames, height, width, m_in), kernel, n)
-            sizes = [per] * (frames // per) + ([frames % per] if frames % per else [])
-            assert [len(f) for f in bands] == sizes
-        return set_for
+    def length(self, request):
+        """The number of leading frames of the case's clip to run on."""
+        return request.param
 
     @pytest.mark.parametrize("m_in,kernel,frames,height,width", KERNEL_CASES)
-    def test_matches_shifted_sum(self, chunk_frames, m_in, kernel, frames, height, width):
-        chunk_frames(m_in, kernel, frames, height, width, 4)
+    def test_matches_shifted_sum(self, length, m_in, kernel, frames, height, width):
         rng = np.random.default_rng(m_in * 100 + kernel)
-        grid = rng.uniform(size=(frames, height, width, m_in))
+        grid = rng.uniform(size=(frames, height, width, m_in))[:length]
         bank = init_bank(4, m_in, kernel, "softmax", seed=kernel, scale=0.5)
-        act_grad = rng.normal(size=(frames, height, width, 4))
+        act_grad = rng.normal(size=(frames, height, width, 4))[:length]
         assert max_rel_diff(convolve_features(bank, grid),
                             shifted_sum_convolution(bank, grid)) <= 1e-12
         assert max_rel_diff(convolution_tap_gradient(grid, act_grad, kernel),
                             shifted_sum_tap_gradient(grid, act_grad, kernel)) <= 1e-12
 
     @pytest.mark.parametrize("m_in,kernel,frames,height,width", KERNEL_CASES)
-    def test_adjoint_identity(self, chunk_frames, m_in, kernel, frames, height, width):
-        chunk_frames(m_in, kernel, frames, height, width, 3)
+    def test_adjoint_identity(self, length, m_in, kernel, frames, height, width):
         rng = np.random.default_rng(m_in * 100 + kernel + 1)
-        grid = rng.uniform(size=(frames, height, width, m_in))
+        grid = rng.uniform(size=(frames, height, width, m_in))[:length]
         bank = init_bank(3, m_in, kernel, "softmax", seed=kernel + 1, scale=0.5)
-        g = rng.normal(size=(frames, height, width, 3))
+        g = rng.normal(size=(frames, height, width, 3))[:length]
         linear = convolve_features(bank, grid) - 1.0 / 3.0
         lhs = np.vdot(linear, g)
         rhs = np.vdot(bank.taps, convolution_tap_gradient(grid, g, kernel))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     @pytest.mark.parametrize("m_in,kernel,frames,height,width", KERNEL_CASES)
-    def test_kept_patches_match_fresh_calls(self, chunk_frames, monkeypatch, m_in, kernel,
+    def test_kept_patches_match_fresh_calls(self, length, monkeypatch, m_in, kernel,
                                             frames, height, width):
         rng = np.random.default_rng(m_in * 100 + kernel + 2)
-        grid = rng.uniform(size=(frames, height, width, m_in))
+        grid = rng.uniform(size=(frames, height, width, m_in))[:length]
         bank = init_bank(4, m_in, kernel, "softmax", seed=kernel + 2, scale=0.5)
-        act_grad = rng.normal(size=(frames, height, width, 4))
+        act_grad = rng.normal(size=(frames, height, width, 4))[:length]
         monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 1 << 40)
         kept = features.clip_patches(grid, kernel)
         before = kept.copy()
-        chunk_frames(m_in, kernel, frames, height, width, 4)
         # one kept matrix serves convolve, tap adjoint and convolve again
         act = convolve_features(bank, grid, patches=kept)
         tap = convolution_tap_gradient(grid, act_grad, kernel, patches=kept)
         again = convolve_features(bank, grid, patches=kept)
         assert np.array_equal(again, act)
         assert np.array_equal(kept, before)
-        # the streamed bands sum the same products in another order
+        # the streamed frames sum the same products in another order
         assert max_rel_diff(convolve_features(bank, grid), act) <= 1e-13
         assert max_rel_diff(convolution_tap_gradient(grid, act_grad, kernel), tap) <= 1e-13
+
+    @pytest.mark.parametrize("m_in,kernel,frames,height,width", KERNEL_CASES)
+    def test_kept_patches_match_rolled_oracle(self, monkeypatch, m_in, kernel, frames, height,
+                                              width):
+        grid = np.random.default_rng(m_in * 100 + kernel + 3).uniform(
+            size=(frames, height, width, m_in))
+        monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 1 << 40)
+        # both only copy grid entries
+        assert np.array_equal(features.clip_patches(grid, kernel), rolled_patches(grid, kernel))
+
+    @pytest.mark.parametrize("kept", [True, False], ids=["kept", "streamed"])
+    def test_gradient_of_another_shape_rejected(self, kept):
+        grid = np.zeros((4, 6, 5, 2))
+        patches = features.clip_patches(grid, 3) if kept else None
+        with pytest.raises(ValueError, match=r"\(4, 1, 5, 3\).*\(4, 6, 5, 2\)"):
+            convolution_tap_gradient(grid, np.zeros((4, 1, 5, 3)), 3, patches=patches)
+
+    @pytest.mark.parametrize("kernel", [2, 4])
+    def test_even_kernel_rejected(self, kernel):
+        grid = np.zeros((2, 5, 6, 1))
+        with pytest.raises(ValueError, match="odd"):
+            features.clip_patches(grid, kernel)
+        with pytest.raises(ValueError, match="odd"):
+            convolution_tap_gradient(grid, np.zeros((2, 5, 6, 3)), kernel)
 
     def test_patches_over_budget_not_kept(self, monkeypatch):
         grid = np.zeros((4, 5, 6, 2))
@@ -198,9 +211,9 @@ def allocated_peak(call):
 
 
 class TestStreamedMemory:
-    """A streamed convolution and tap adjoint hold bands, not the clip: on a
-    16x64x64x8 grid (4.2 MB) with n = 8 and K = 3, a padded copy of the clip
-    alone would be 4.5 MB."""
+    """A streamed convolution and tap adjoint hold one frame's row patches,
+    not the clip: on a 16x64x64x8 grid (4.2 MB) with n = 8 and K = 3, a
+    padded copy of the clip alone would be 4.5 MB."""
 
     @pytest.fixture
     def layer(self):
@@ -209,17 +222,29 @@ class TestStreamedMemory:
         bank = init_bank(8, 8, 3, "softmax", seed=17, scale=0.5)
         return grid, bank, rng.normal(size=(16, 64, 64, 8))
 
-    def test_convolve_allocates_one_band(self, layer):
+    @staticmethod
+    def frame_bytes(grid, kernel, n, buffers):
+        """One padded frame's row patches, K*m rows of (H + 2r)(W + 2r) + 2r
+        entries, and ``buffers`` (n, H, W + 2r) frame buffers, plus 16 KiB
+        for the tap-sized arrays and Python objects of a call."""
+        _, height, width, channels = grid.shape
+        wide = width + kernel - 1
+        rows = kernel * channels * ((height + kernel - 1) * wide + kernel - 1)
+        return 8 * (rows + buffers * n * height * wide) + (16 << 10)
+
+    def test_convolve_allocates_one_frame(self, layer):
         grid, bank, _ = layer
         out = np.empty((8, 16, 64, 64)).transpose(1, 2, 3, 0)
         convolve_features(bank, grid, out=out)
         peak = allocated_peak(lambda: convolve_features(bank, grid, out=out))
-        assert 0 < peak <= features.BAND_BYTES < grid.nbytes
+        # the row patches, the products' sum and one product: 1.39 MB
+        assert 0 < peak <= self.frame_bytes(grid, 3, 8, 2) < grid.nbytes
 
-    def test_tap_adjoint_allocates_one_band(self, layer):
+    def test_tap_adjoint_allocates_one_frame(self, layer):
         grid, _, act_grad = layer
         peak = allocated_peak(lambda: convolution_tap_gradient(grid, act_grad, 3))
-        assert 0 < peak <= features.BAND_BYTES < grid.nbytes
+        # the row patches and the zero-padded gradient: 1.12 MB
+        assert 0 < peak <= self.frame_bytes(grid, 3, 8, 1) < grid.nbytes
 
     @pytest.mark.parametrize("mode", ["softmax", "linear-penalty"])
     def test_probabilities_allocate_one_field(self, mode):

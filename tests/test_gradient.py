@@ -185,7 +185,7 @@ class TestGradientOracle:
                                   "beyond-the-clamp"])
 def test_streamed_patches_match_finite_differences(monkeypatch, case):
     # every check-grad instance keeps its patch matrix; under a budget below
-    # one frame the convolution and its adjoint stream bands of row patches
+    # one frame the convolution and its adjoint stream row patches frame by frame
     monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 1)
     instance = (beyond_the_clamp_instance() if case == "beyond-the-clamp"
                 else gradient_check_instances(4)[int(case[-1])])

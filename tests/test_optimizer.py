@@ -172,8 +172,10 @@ class TestTrainLayer:
         bank = init_bank(3, 1, 3, "softmax", seed=13, scale=0.1)
         config = TrainConfig(step_size=0.1, steps=5, lam=Multipliers(motion=1.0), seed=13)
         train_layer(bank, clip, flow, config)
-        # for 5 steps and the final evaluation
-        assert patch_fills == [[range(6)]]
+        # G's build and the kept matrix, both in the layer's constructor,
+        # each filling frames 0..5 once, in order; no fill for 5 steps and
+        # the final evaluation
+        assert patch_fills == [[[t] for t in range(6)]] * 2
 
     def test_patches_streamed_over_budget(self, texture_instance, patch_fills, monkeypatch):
         clip, flow = texture_instance
@@ -181,12 +183,10 @@ class TestTrainLayer:
         monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 2 * frame_bytes)
         bank = init_bank(3, 1, 3, "softmax", seed=13, scale=0.1)
         config = TrainConfig(step_size=0.1, steps=5, lam=Multipliers(motion=1.0), seed=13)
-        # bands of two padded frames, 14 x 14 entries each for 3 row patches
-        # and 2 x 3 outputs
-        monkeypatch.setattr(features, "BAND_BYTES", 2 * 14 * 14 * 8 * 9)
         train_layer(bank, clip, flow, config)
-        # a convolve and a tap adjoint per step, and the final convolve
-        assert patch_fills == [[range(0, 2), range(2, 4), range(4, 6)]] * 11
+        # G's build, then a convolve and a tap adjoint per step and the final
+        # convolve: each fills frames 0..5 once, in order
+        assert patch_fills == [[[t] for t in range(6)]] * 12
 
 
 def standalone_breakdown(bank, grid, flow, config):
