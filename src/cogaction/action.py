@@ -17,9 +17,10 @@ fixed accumulation order, so repeated evaluations are bit-identical.
 
 Public fields are (T, H, W, n).  The objective itself works feature-major, on
 (n, T, H, W) buffers that ``ActionInputs`` owns, one set per layer, so that
-every reduction over the features runs over contiguous rows.  Each step
-computes log p once; in softmax mode log p = a - logsumexp(a) stays finite
-where p underflows, which gives 0 log 0 = 0 without a special case.
+every reduction over the features runs over contiguous rows.  In softmax
+mode no step writes log p: sum_i p_i log p_i is sum_i p_i (a_i - max a) -
+log Z, which is finite where p underflows, so 0 log 0 = 0 holds without a
+special case.
 
 The motion term is a quadratic form in the taps.  Every layer builds the
 form's matrix G, (K*K*m + 1)^2, once (``_WarpPlan.gram``), and its steps
@@ -217,29 +218,46 @@ class _WarpPlan:
         t_res, height, width = data.shape[0] - 1, data.shape[1], data.shape[2]
         if t_res < 1:
             raise ValueError("need at least 2 frames for a motion residual")
-        rows = np.arange(height, dtype=np.float64)[None, :, None] + data[:-1, :, :, 1]
-        cols = np.arange(width, dtype=np.float64)[None, None, :] + data[:-1, :, :, 0]
-        r0 = np.floor(rows)
-        c0 = np.floor(cols)
-        fr = rows - r0
-        fc = cols - c0
-        r0 = r0.astype(np.int64)
-        c0 = c0.astype(np.int64)
-        # built from (T-1, H, W) pieces: broadcasting over the corner axis
-        # instead makes (4, T-1, H, W) integer temporaries
-        frame_row = height * np.arange(t_res)[:, None, None]
-        row0 = (np.mod(r0, height) + frame_row) * width
-        row1 = (np.mod(r0 + 1, height) + frame_row) * width
-        c0m = np.mod(c0, width)
-        c1m = np.mod(c0 + 1, width)
-        index = np.stack((row0 + c0m, row0 + c1m, row1 + c0m, row1 + c1m))
-        weight = np.stack(((1.0 - fr) * (1.0 - fc), (1.0 - fr) * fc, fr * (1.0 - fc), fr * fc))
-        used = weight.reshape(4, -1).any(axis=1)
-        self.index, self.weight = (index, weight) if used.all() else (index[used], weight[used])
-        # ``gram`` takes corners with np.take(mode="clip"), which would clamp
-        # a bad index silently: each must lie in its own frame
-        if not np.all(self.index // (height * width) == np.arange(t_res)[:, None, None]):
-            raise ValueError("warp plan has a corner outside its frame")
+        # every temporary in one block, freed at once: the fractional parts
+        # of the sampled rows and columns, a factor, a scratch, and their
+        # integer parts as int64
+        work = np.empty((6, t_res, height, width))
+        fr, fc, factor, scratch = work[:4]
+        r0, c0 = work[4:].view(np.int64)
+        np.add(np.arange(height, dtype=np.float64)[None, :, None], data[:-1, :, :, 1], out=fr)
+        np.add(np.arange(width, dtype=np.float64)[None, None, :], data[:-1, :, :, 0], out=fc)
+        for frac, base in ((fr, r0), (fc, c0)):
+            np.floor(frac, out=scratch)
+            frac -= scratch
+            np.copyto(base, scratch, casting="unsafe")
+
+        def corner_weight(dr: int, dc: int, out: np.ndarray) -> np.ndarray:
+            """(1 - fr or fr) * (1 - fc or fc) of corner (dr, dc), into ``out``."""
+            if dr:
+                out[...] = fr
+            else:
+                np.subtract(1.0, fr, out=out)
+            out *= fc if dc else np.subtract(1.0, fc, out=factor)
+            return out
+
+        # each kept corner is written straight into its slot, and checked
+        # there, one corner at a time
+        corners = [(dr, dc) for dr in (0, 1) for dc in (0, 1)
+                   if corner_weight(dr, dc, scratch).any()]
+        self.index = np.empty((len(corners), t_res, height, width), dtype=np.int64)
+        self.weight = np.empty((len(corners), t_res, height, width))
+        frame = np.arange(t_res)[:, None, None]
+        col = scratch.view(np.int64)
+        for index, weight, (dr, dc) in zip(self.index, self.weight, corners):
+            corner_weight(dr, dc, weight)
+            np.mod(np.add(r0, dr, out=index), height, out=index)
+            index += height * frame
+            index *= width
+            index += np.mod(np.add(c0, dc, out=col), width, out=col)
+            # ``gram`` takes corners with np.take(mode="clip"), which would
+            # clamp a bad index silently: each must lie in its own frame
+            if not (np.floor_divide(index, height * width, out=col) == frame).all():
+                raise ValueError("warp plan has a corner outside its frame")
 
     def gather(self, tail: np.ndarray, out: np.ndarray) -> None:
         """Write the advected samples of ``tail`` (frames 1..T-1) into ``out``."""
@@ -345,27 +363,40 @@ def temporal_parsimony(bank_now, bank_prev, dtau: float) -> float:
     return 0.5 * float((delta * delta).sum())
 
 
+def _sum_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sum over the first axis, into ``out``, adding the rows in order:
+    faster than numpy's reduction over that axis."""
+    np.add(rows[0], rows[1], out=out)
+    for row in rows[2:]:
+        out += row
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Constraint penalty on raw feature-major activations (linear-penalty mode only).
 
-def _constraint_penalty(act: np.ndarray, measure: np.ndarray, scratch: np.ndarray) -> float:
-    """The penalty's value; ``scratch``, of the activations' shape, is overwritten."""
-    sum_dev = act.sum(axis=0) - 1.0
-    excess = np.subtract(act, np.clip(act, 0.0, 1.0, out=scratch), out=scratch)
-    per_frame = np.einsum("thw,thw->t", sum_dev, sum_dev) + np.einsum("ithw,ithw->t", excess, excess)
+def _constraint_penalty(act: np.ndarray, measure: np.ndarray, site: np.ndarray) -> float:
+    """The penalty's value.  Leaves sum_i a_i - 1 in ``site[0]`` and
+    overwrites the activations in ``act`` with their excess a - clip(a, 0, 1),
+    for ``_constraint_penalty_act_gradient``; ``site[1]`` is scratch."""
+    sum_dev, clipped = site[:2]
+    _sum_rows(act, sum_dev)
+    sum_dev -= 1.0
+    for row in act:
+        np.minimum(np.maximum(row, 0.0, out=clipped), 1.0, out=clipped)  # np.clip
+        row -= clipped
+    per_frame = np.einsum("thw,thw->t", sum_dev, sum_dev) + np.einsum("ithw,ithw->t", act, act)
     return float(np.dot(measure, per_frame))
 
 
-def _constraint_penalty_act_gradient(act: np.ndarray, measure: np.ndarray, scale: float,
-                                     out: np.ndarray) -> None:
-    """Add ``scale`` times the penalty's gradient in the activations to ``out``."""
-    sum_dev = act.sum(axis=0) - 1.0
-    factor = (2.0 * scale) * measure[:, None, None]
-    for row, dest in zip(act, out):
-        excess = row - np.clip(row, 0.0, 1.0)
-        excess += sum_dev
-        excess *= factor
-        dest += excess
+def _constraint_penalty_act_gradient(excess: np.ndarray, sum_dev: np.ndarray,
+                                     measure: np.ndarray, scale: float, out: np.ndarray) -> None:
+    """Add ``scale`` times the penalty's gradient in the activations,
+    2 measure (excess + sum_dev), to ``out``, from what ``_constraint_penalty``
+    left; ``excess`` is overwritten."""
+    excess += sum_dev
+    excess *= (2.0 * scale) * measure[:, None, None]
+    out += excess
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +405,19 @@ def _constraint_penalty_act_gradient(act: np.ndarray, measure: np.ndarray, scale
 # ``ActionInputs`` holds what stays fixed while a layer learns: its inputs,
 # the motion term's matrix G, the grid's patch matrix when the clip is kept,
 # and the step's workspace.  One step (``_evaluate``) runs in place on
-# feature-major (n, T, H, W) buffers: activations and probabilities.  The
-# gradient of -I is written over log p (``act`` in softmax mode, ``probs`` in
-# linear-penalty mode; ``probs`` zeroed when -I is left out), and the
-# constraint penalty's gradient adds into that one buffer.  One convolution
-# adjoint maps it to the taps, and the tap-space terms are added after it:
-# the motion term's 2 x G, and the parsimony gradients.  The returned
-# breakdown and tap gradient never alias the workspace, which the next
-# evaluation overwrites.
+# feature-major (n, T, H, W) buffers: activations and probabilities.  In
+# softmax mode ``act`` keeps a' = a - max a and ``probs`` measure * p, made
+# from exp(a') by one multiply with s = measure / Z; the entropies read
+# sum_i p_i log p_i as sum_i p_i a'_i - log Z, and no log p is written.  The
+# gradient of -I, (measure p)(log q - a' + k), is written over a' in three
+# sweeps.  In linear-penalty mode it is written over log p in ``probs``, and
+# the constraint penalty, last, turns ``act`` into the activations' excess
+# and adds its gradient, from the same excess and sum over the features,
+# into ``probs``.  ``probs`` is zeroed when -I is left out.  One convolution
+# adjoint maps the buffer to the taps, and the tap-space terms are added
+# after it: the motion term's 2 x G, and the parsimony gradients.  The
+# returned breakdown and tap gradient never alias the workspace, which the
+# next evaluation overwrites.
 
 class ActionInputs:
     """The fixed inputs of one objective, checked and built once for banks
@@ -419,43 +455,61 @@ class ActionInputs:
 def _entropies(act: np.ndarray, probs: np.ndarray, site: np.ndarray, measure: np.ndarray,
                mode: str) -> tuple[np.ndarray, float, float]:
     """Probabilities of the activations in ``act``, in place, and the entropies.
-
-    log p is computed once and serves the conditional entropy, the marginal
-    and ``site[0]``: c = sum_i p_i (log q_i - log p_i), which the gradient of
-    -I reads.  Softmax leaves log p = (a - max a) - log sum exp(a - max a) in
-    ``act`` and p in ``probs``; log p stays finite where p underflows to 0, so
-    0 log 0 = 0 holds without a special case.  Linear-penalty keeps the raw
-    activations in ``act`` (its penalty and its projection's adjoint read
-    them), leaves log p in ``probs`` and the clamped sum in ``site[1]``.
     Returns (log q, S(Y), S(Y | site)).
+
+    Softmax leaves a' = a - max a in ``act``, measure * p in ``probs`` and
+    measure * sum_i p_i a'_i in ``site[0]``.  With Z = sum_i exp(a'_i), one
+    multiply by s = measure / Z takes exp(a') to measure * p, so no sweep
+    divides by Z, and q is the sum of measure * p over the sites.
+    -sum_i p_i log p_i is log Z - sum_i p_i a'_i, so no log p is written;
+    where p underflows to 0, p a' is 0, so 0 log 0 = 0 holds without a
+    special case.  Linear-penalty keeps the raw activations in ``act`` (its
+    penalty and its projection's adjoint read them), leaves log p in
+    ``probs``, and in ``site`` c = sum_i p_i (log q_i - log p_i) and the
+    clamped sum.
     """
-    cross, total, plogp = site
     n, frames = act.shape[:2]
     if mode == "softmax":
-        np.max(act, axis=0, out=plogp)
-        act -= plogp
+        mean_a, total, scale = site
+        # row by row, as in _sum_rows
+        np.maximum(act[0], act[1], out=mean_a)
+        for row in act[2:]:
+            np.maximum(mean_a, row, out=mean_a)
+        act -= mean_a
         np.exp(act, out=probs)
-        np.sum(probs, axis=0, out=total)
-        probs /= total
-        act -= np.log(total, out=total)
-        np.einsum("i...,i...->...", probs, act, out=plogp)
-    else:
-        np.clip(act, CLAMP_EPS, 1.0, out=probs)
-        np.sum(probs, axis=0, out=total)
-        probs /= total
+        _sum_rows(probs, total)
+        np.divide(measure[:, None, None], total, out=scale)
+        probs *= scale
+        log_z = np.log(total, out=total)
+        np.einsum("i...,i...->...", probs, act, out=mean_a)
+        s_cond = float(np.dot(measure, np.einsum("thw->t", log_z))) - float(mean_a.sum())
+        q = _simplex_marginal(probs.reshape(n, -1).sum(axis=1))
+        log_q = np.log(np.where(q > 0.0, q, 1.0))
+        return log_q, -float((q * log_q).sum()), s_cond
+    cross, total, plogp = site
+    # np.clip(act, CLAMP_EPS, 1.0), as two ufuncs: a fraction of its call overhead
+    np.minimum(np.maximum(act, CLAMP_EPS, out=probs), 1.0, out=probs)
+    _sum_rows(probs, total)
+    probs /= total
     q = _simplex_marginal(probs.reshape(n, frames, -1).sum(axis=2) @ measure)
     log_q = np.log(np.where(q > 0.0, q, 1.0))
     np.matmul(log_q, probs.reshape(n, -1), out=cross.reshape(-1))
-    if mode != "softmax":
-        plogp.fill(0.0)
-        for row in probs:
-            log_row = np.log(row)
-            row *= log_row
-            plogp += row
-            row[...] = log_row
+    plogp.fill(0.0)
+    for row in probs:
+        log_row = np.log(row)
+        row *= log_row
+        plogp += row
+        row[...] = log_row
     cross -= plogp
     s_cond = -float(np.dot(measure, plogp.reshape(frames, -1).sum(axis=1)))
     return log_q, -float((q * log_q).sum()), s_cond
+
+
+def _inverse(measure: np.ndarray) -> np.ndarray:
+    """1 / measure, and 0 where that is not finite: a frame of measure 0 or
+    below the normal range carries no probability mass."""
+    return np.divide(1.0, measure, out=np.zeros_like(measure),
+                     where=measure >= np.finfo(measure.dtype).tiny)
 
 
 def _neg_index_act_gradient(act: np.ndarray, probs: np.ndarray, site: np.ndarray,
@@ -463,24 +517,33 @@ def _neg_index_act_gradient(act: np.ndarray, probs: np.ndarray, site: np.ndarray
     """Activation-space gradient of -I, in place on what ``_entropies`` left.
 
     In probability space d(-I)/dp_i = measure * (log q_i - log p_i).  Through
-    the softmax it is measure * p_i * (log q_i - log p_i - c), written over
-    log p in ``act``; through the clamp-and-renormalize projection it is
+    the softmax it is measure * p_i * (log q_i - log p_i - c), with
+    c = sum_i p_i (log q_i - log p_i); as log p_i = a'_i - log Z, that is
+    (measure p_i) (log q_i - a'_i + k) for k = log Z - c
+    = sum_i p_i (a'_i - log q_i), written over a' in ``act`` in three
+    sweeps.  ``probs`` and ``site[0]`` hold measure * p and
+    measure * sum_i p_i a'_i, so k is measure * k over the measure
+    (``_inverse``).  Through the clamp-and-renormalize projection it is
     measure * (log q_i - log p_i - c) / sum(clamp) where the clamp is
     inactive and 0 elsewhere, written over log p in ``probs``.  Returns the
     buffer that holds it.
     """
-    cross, total, factor = site
-    out = act if mode == "softmax" else probs
-    np.subtract(log_q[:, None, None, None], out, out=out)
-    out -= cross
     if mode == "softmax":
-        out *= probs
-        out *= measure[:, None, None]
-        return out
+        k, cross = site[:2]
+        np.matmul(log_q, probs.reshape(len(probs), -1), out=cross.reshape(-1))
+        k -= cross
+        k *= _inverse(measure)[:, None, None]
+        np.subtract(k, act, out=act)
+        act += log_q[:, None, None, None]
+        act *= probs
+        return act
+    cross, total, factor = site
+    np.subtract(log_q[:, None, None, None], probs, out=probs)
+    probs -= cross
     np.divide(measure[:, None, None], total, out=factor)
-    out *= factor
-    out[~((act > CLAMP_EPS) & (act < 1.0))] = 0.0
-    return out
+    probs *= factor
+    probs[~((act > CLAMP_EPS) & (act < 1.0))] = 0.0
+    return probs
 
 
 def _motion_form(bank: FilterBank, gram: np.ndarray) -> tuple[float, np.ndarray]:
@@ -512,32 +575,34 @@ def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
         raise ValueError(f"a bank of (n, K) = {(bank.n, bank.kernel)} on inputs built for "
                          f"(n, K) = {inputs.bank_shape}")
     patches, act, probs, site = inputs.patches, inputs.act, inputs.probs, inputs.site
-    linear = bank.mode == "linear-penalty"
+    measure = inputs.frame_measure
     convolve_features(bank, inputs.grid, out=act.transpose(1, 2, 3, 0), patches=patches)
 
     motion, gram_taps = _motion_form(bank, inputs.gram)
-    penalty = _constraint_penalty(act, inputs.frame_measure, probs) if linear else 0.0
-
-    log_q, s_marg, s_cond = _entropies(act, probs, site, inputs.frame_measure, bank.mode)
+    log_q, s_marg, s_cond = _entropies(act, probs, site, measure, bank.mode)
     info = s_marg - s_cond
-
     spatial = spatial_parsimony(bank)
     temporal = temporal_parsimony(bank, bank_prev, dtau)
+
+    act_grad = None
+    if grad and index:
+        act_grad = _neg_index_act_gradient(act, probs, site, log_q, measure, bank.mode)
+    elif grad:
+        act_grad = probs
+        act_grad.fill(0.0)
+    penalty = 0.0
+    if bank.mode == "linear-penalty":
+        # last, as it overwrites the activations
+        penalty = _constraint_penalty(act, measure, site)
+        # the penalty's gradient costs a full pass: skipped at a zero multiplier
+        if act_grad is not None and lam.constraint != 0.0:
+            _constraint_penalty_act_gradient(act, site[0], measure, lam.constraint, act_grad)
+
     total = (-info + lam.motion * motion + lam.spatial * spatial + lam.temporal * temporal
              + lam.constraint * penalty)
     breakdown = ActionBreakdown(s_marg, s_cond, info, motion, spatial, temporal, penalty, total)
     if not grad:
         return breakdown, None
-
-    if index:
-        act_grad = _neg_index_act_gradient(act, probs, site, log_q, inputs.frame_measure,
-                                           bank.mode)
-    else:
-        act_grad = probs
-        act_grad.fill(0.0)
-    # the penalty's gradient costs a full pass: skipped at a zero multiplier
-    if linear and lam.constraint != 0.0:
-        _constraint_penalty_act_gradient(act, inputs.frame_measure, lam.constraint, act_grad)
 
     tap_grad = convolution_tap_gradient(inputs.grid, act_grad.transpose(1, 2, 3, 0),
                                         bank.kernel, patches=patches)

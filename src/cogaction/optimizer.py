@@ -148,20 +148,22 @@ def train_layer(bank: FilterBank, data, flow: VelocityField, config: TrainConfig
     previous = bank
     breakdowns: list[ActionBreakdown] = []
     grad_norms: list[float] = []
-    for step in range(config.steps):
-        # divergence is detected explicitly below; silence the float warnings
-        # a blown-up iterate would otherwise spray
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # divergence is detected explicitly below; silence the float warnings a
+    # blown-up iterate would otherwise spray
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(config.steps):
             breakdown, grad = action_value_and_gradient(
                 current, previous, inputs, config.lam, dtau)
-        if not math.isfinite(breakdown.total) or not np.all(np.isfinite(grad)):
-            raise DivergenceError(
-                f"non-finite action or gradient at step {step}: step size too large?"
-            )
-        breakdowns.append(breakdown)
-        grad_norms.append(float(np.abs(grad).max()))
-        previous = current
-        current = current.with_taps(current.taps - config.step_size * grad)
+            # a NaN or inf in the gradient makes its max-norm non-finite
+            grad_norm = float(np.abs(grad).max())
+            if not (math.isfinite(breakdown.total) and math.isfinite(grad_norm)):
+                raise DivergenceError(
+                    f"non-finite action or gradient at step {step}: step size too large?"
+                )
+            breakdowns.append(breakdown)
+            grad_norms.append(grad_norm)
+            previous = current
+            current = current.with_taps(current.taps - config.step_size * grad)
     final = cognitive_action(current, current, inputs, config.lam, dtau)
     return TrainTrace(breakdowns, grad_norms, current, final)
 
@@ -255,9 +257,10 @@ def gradient_check_instances(count: int = 20) -> list[dict]:
     return instances
 
 
-def _clamp_margin(instance) -> float:
-    """Distance of the activations to the projection clamp kinks."""
-    act = convolve_features(instance["bank"], instance["data"])
+def _clamp_margin(bank: FilterBank, inputs: ActionInputs) -> float:
+    """Distance of the bank's activations on ``inputs`` to the projection
+    clamp kinks."""
+    act = convolve_features(bank, inputs.grid, patches=inputs.patches)
     return float(min(np.abs(act - CLAMP_EPS).min(), np.abs(act - 1.0).min()))
 
 
@@ -275,11 +278,11 @@ def run_gradient_check(count: int = 20, eps: float = 1e-5, tol: float = 1e-5) ->
 
     reports = []
     for number, instance in enumerate(gradient_check_instances(count)):
-        if instance["mode"] == "linear-penalty" and _clamp_margin(instance) < 1e-4:
+        bank = instance["bank"]
+        inputs = ActionInputs(instance["data"], instance["flow"], instance["weights"], bank)
+        if instance["mode"] == "linear-penalty" and _clamp_margin(bank, inputs) < 1e-4:
             raise RuntimeError(f"instance {number} sits on a projection kink; reseed the suite")
-        args = (instance["bank"], instance["bank_prev"],
-                ActionInputs(instance["data"], instance["flow"], instance["weights"],
-                             instance["bank"]))
+        args = (bank, instance["bank_prev"], inputs)
         lam, dtau = instance["lam"], instance["dtau"]
         fd = finite_diff_breakdowns(*args, lam, dtau, eps=eps)
         analytic = term_gradients(*args, dtau)

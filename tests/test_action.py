@@ -33,7 +33,7 @@ from cogaction import features
 from cogaction.features import FilterBank, stack_layers, to_probabilities
 from cogaction.optimizer import build_weights, finite_diff_breakdowns, gradient_check_instances
 from identity_probe import identity_probe
-from objective_oracle import objective_step, rolled_patches, whole_clip_gram
+from objective_oracle import bilinear_corners, objective_step, rolled_patches, whole_clip_gram
 
 
 def motion_term_loop_oracle(act, flow, h):
@@ -228,6 +228,24 @@ class TestMotionResidual:
         plan.gather(tail, out)
         # the sample at (r, c) is (r - 1, c + 2) of the next frame
         assert np.array_equal(out, np.roll(tail, (1, -2), axis=(2, 3)))
+
+    @pytest.mark.parametrize("velocity", ["sub-pixel", "integer", "zero", "half-row"])
+    def test_plan_matches_plain_corners(self, velocity):
+        # each corner is built in its own slot; the oracle's four corners,
+        # less those of weight 0 everywhere, as flat sites of frames 1..T-1
+        frames, height, width = 5, 7, 6
+        rng = np.random.default_rng(12)
+        flow = {"sub-pixel": VelocityField(rng.uniform(-2.5, 2.5, size=(frames, height, width, 2))),
+                "integer": constant_flow((2, -1), frames, height, width),
+                "zero": constant_flow((0, 0), frames, height, width),
+                "half-row": constant_flow((-3, 0.5), frames, height, width)}[velocity]
+        plan = _WarpPlan(flow)
+        corners = [((t - 1) * height * width + r * width + c, weight)
+                   for t, r, c, weight in bilinear_corners(flow) if weight.any()]
+        assert len(corners) == {"sub-pixel": 4, "integer": 1, "zero": 1, "half-row": 2}[velocity]
+        assert plan.index.dtype == np.int64
+        assert np.array_equal(plan.index, np.array([index for index, _ in corners]))
+        assert np.array_equal(plan.weight, np.array([weight for _, weight in corners]))
 
     def test_scatter_is_adjoint_of_gather(self):
         # flow in (-2.5, 2.5) on a 5x4 grid: many residual sites share a bin
@@ -546,6 +564,21 @@ class TestSoftmaxUnderflow:
         lam = Multipliers(motion=0.7, spatial=0.2, temporal=0.3)
         assert_matches_oracle(bank, prev, clip.data, flow, TemporalWeights.uniform(4), lam, 0.5)
 
+    def test_partly_saturated_probabilities_match_oracle(self):
+        # taps x30: most sites are nearly one-hot, yet no p is exactly 0, a
+        # range the exact zeros above do not reach, for the step's
+        # sum p log p = sum p (a - max) - log Z and its measure / Z fold
+        clip, flow = synth_translating_clip(PatternSpec("random-texture", 4, seed=31),
+                                            (0.5, 0.25), 6, 8, 8)
+        base = init_bank(4, 1, 3, "softmax", seed=32, scale=0.25)
+        bank = base.with_taps(base.taps * 30.0)
+        prev = base.with_taps(base.taps * 29.9)
+        probs = to_probabilities(convolve_features(bank, clip), "softmax")
+        assert probs.min() > 0.0
+        assert np.mean(probs.max(axis=3) > 0.99) > 0.5
+        lam = Multipliers(motion=0.7, spatial=0.2, temporal=0.3)
+        assert_matches_oracle(bank, prev, clip.data, flow, build_weights("exp:0.9", 6), lam, 0.5)
+
 
 class TestOracleParity:
     """Linear-penalty runs are not pinned by the reference traces; the step
@@ -557,6 +590,20 @@ class TestOracleParity:
         assert_matches_oracle(instance["bank"], instance["bank_prev"], instance["data"],
                               instance["flow"], instance["weights"], instance["lam"],
                               instance["dtau"])
+
+    @pytest.mark.parametrize("mode", ["softmax", "linear-penalty"])
+    @pytest.mark.parametrize("quiet", [0.0, 1e-320])
+    def test_frame_without_mass(self, mode, quiet):
+        # frames of weight 0 or subnormal weight: the softmax step recovers
+        # k from measure * k, and must not divide by such a frame's measure
+        clip, flow = synth_translating_clip(PatternSpec("random-texture", 4, seed=61),
+                                            (0.5, 0.25), 5, 8, 8)
+        bank = init_bank(4, 1, 3, mode, seed=62, scale=0.1 if mode == "softmax" else 0.05)
+        lam = Multipliers(motion=0.7, spatial=0.2, temporal=0.3,
+                          constraint=1.0 if mode == "linear-penalty" else 0.0)
+        weights = TemporalWeights(np.array([1.0, quiet, 2.0, quiet, 1.0]))
+        assert_matches_oracle(bank, bank.with_taps(bank.taps * 0.99), clip.data, flow, weights,
+                              lam, 0.5)
 
     def test_deep_layer_two_shape(self):
         # layer 2 of a deep stack: m=8 feature field of a softmax layer over

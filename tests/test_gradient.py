@@ -154,12 +154,12 @@ class TestGradientOracle:
         lam = Multipliers(motion=1.3, spatial=0.4, temporal=0.7,
                           constraint=0.9 if mode == "linear-penalty" else 0.0)
         dtau = 0.4
+        inputs = ActionInputs(clip, flow, w, bank)
         if mode == "linear-penalty":
             # a projection kink within reach of the finite-difference step
             # would invalidate the oracle, as in run_gradient_check
-            assert _clamp_margin({"bank": bank, "data": clip.data}) >= 1e-4
+            assert _clamp_margin(bank, inputs) >= 1e-4
 
-        inputs = ActionInputs(clip, flow, w, bank)
         analytic = action_value_and_gradient(bank, prev, inputs, lam, dtau)[1]
         numeric = finite_diff_breakdowns(bank, prev, inputs, lam, dtau)["total"]
         assert (np.abs(analytic - numeric) / (1.0 + np.abs(analytic))).max() <= 1e-5
@@ -179,6 +179,23 @@ class TestGradientOracle:
         analytic = assert_terms_match_finite_differences(instance)
         for name, grad in analytic.items():
             assert np.abs(grad).max() > 0.0, name
+
+
+def test_screened_margins_match_streamed(patch_fills):
+    # run_gradient_check screens an instance on its inputs' kept patch
+    # matrix, building no row patches; the streamed convolution sums in
+    # another order, and the margins, O(1) activations' distances to the
+    # kinks, agree to rounding
+    for instance in gradient_check_instances(20):
+        bank = instance["bank"]
+        inputs = ActionInputs(instance["data"], instance["flow"], instance["weights"], bank)
+        assert inputs.patches is not None
+        patch_fills.clear()
+        kept = _clamp_margin(bank, inputs)
+        assert patch_fills == []
+        act = convolve_features(bank, instance["data"])
+        streamed = min(np.abs(act - CLAMP_EPS).min(), np.abs(act - 1.0).min())
+        assert abs(kept - streamed) <= 1e-15
 
 
 @pytest.mark.parametrize("case", ["instance0", "instance1", "instance2", "instance3",

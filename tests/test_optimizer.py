@@ -88,18 +88,40 @@ class TestTrainLayer:
         assert len(trace.grad_norms) == 7
         assert all(np.isfinite(b.total) for b in trace.breakdowns)
 
-    def test_breakdown_recorded_before_update(self, texture_instance):
-        clip, flow = texture_instance
-        bank = init_bank(3, 1, 3, "softmax", seed=7, scale=0.1)
-        config = TrainConfig(step_size=0.1, steps=3, lam=Multipliers(), seed=7)
-        trace = train_layer(bank, clip, flow, config)
+    def test_breakdown_recorded_before_update(self, texture_instance, monkeypatch):
+        # a trace row is the forward evaluation of the step's iterate, bit for
+        # bit, in both modes, on a kept and a streamed clip, with zero and
+        # nonzero multipliers, uniform and discounted weights; eval's promise
+        # to reproduce summary.csv exactly rests on this
         from cogaction import cognitive_action
 
-        w = TemporalWeights.uniform(6)
-        first = cognitive_action(bank, bank, ActionInputs(clip.data, flow, w, bank), Multipliers(), 0.1)
-        assert trace.breakdowns[0].values() == first.values()
-        # temporal term starts at zero: the first reference iterate is the init
-        assert trace.breakdowns[0].temporal == 0.0
+        clip, flow = texture_instance
+        every = Multipliers(motion=1.1, spatial=0.2, temporal=0.3, constraint=0.7)
+        cases = [("softmax", Multipliers(), "uniform", False, 0.1),
+                 ("softmax", every, "exp:0.9", True, 0.1),
+                 ("linear-penalty", every, "uniform", False, 0.01),
+                 ("linear-penalty", every, "exp:0.9", True, 0.01)]
+        kept_budget = features.PATCH_CHUNK_BYTES
+        for mode, lam, weighting, streamed, scale in cases:
+            monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 1 if streamed else kept_budget)
+            bank = init_bank(3, 1, 3, mode, seed=7, scale=scale)
+            config = TrainConfig(step_size=0.1, steps=3, lam=lam, mode=mode, seed=7,
+                                 weighting=weighting)
+            trace = train_layer(bank, clip, flow, config)
+            inputs = ActionInputs(clip.data, flow, build_weights(weighting, 6), bank)
+            assert (inputs.patches is None) == streamed
+            first = cognitive_action(bank, bank, inputs, lam, 0.1)
+            assert trace.breakdowns[0].values() == first.values()
+            # temporal term starts at zero: the first reference iterate is the init
+            assert trace.breakdowns[0].temporal == 0.0
+            grad = action_value_and_gradient(bank, bank, inputs, lam, 0.1)[1]
+            second = bank.with_taps(bank.taps - 0.1 * grad)
+            again = cognitive_action(second, bank, inputs, lam, 0.1)
+            assert trace.breakdowns[1].values() == again.values()
+            if lam.temporal:
+                assert again.temporal > 0.0
+            if mode == "linear-penalty":
+                assert again.penalty > 0.0
 
     def test_divergence_aborts_with_step_index(self, texture_instance):
         clip, flow = texture_instance
