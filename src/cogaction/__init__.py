@@ -14,7 +14,6 @@ from .action import (
     Multipliers,
     TemporalWeights,
     cognitive_action,
-    conditional_entropy,
     spatial_parsimony,
     temporal_parsimony,
 )

@@ -23,9 +23,10 @@ log Z, which is finite where p underflows, so 0 log 0 = 0 holds without a
 special case.
 
 The motion term is a quadratic form in the taps.  Every layer builds the
-form's matrix G, (K*K*m + 1)^2, once (``_WarpPlan.gram``), and its steps
-take M and M's tap gradient from G alone: no step holds a transport
-residual or gathers and scatters along the flow.
+form's matrix G, (K*K*m + 1)^2, once, straight from the flow one frame pair
+at a time (``_motion_gram``), and its steps take M and M's tap gradient from
+G alone: no step holds a transport residual or gathers and scatters along
+the flow.
 """
 
 from dataclasses import dataclass
@@ -34,11 +35,13 @@ import numpy as np
 
 # The step computes the probability map, its adjoint and the entropies in
 # place: it calls none of probability_vjp, to_probabilities,
-# conditional_entropy and symbol_marginal.  The benchmark under perfbench/
-# still uses them by name: its tracer patches these four in this module, and
-# cognitive_action, action_value_and_gradient, term_gradients and
-# cli._windowed_eval in theirs; its output checks call evaluate_bank and
-# stack_layers.  All of them stay until the benchmark moves to other seams.
+# conditional_entropy and symbol_marginal, and the package builds no
+# _WarpPlan.  The benchmark under perfbench/ still uses them by name: its
+# tracer patches these four and _WarpPlan's __init__, gather and scatter in
+# this module, and cognitive_action, action_value_and_gradient,
+# term_gradients and cli._windowed_eval in theirs; its output checks call
+# evaluate_bank and stack_layers.  All of them stay until the benchmark
+# moves to other seams.
 from .features import (  # noqa: F401
     CLAMP_EPS,
     FilterBank,
@@ -198,66 +201,49 @@ def symbol_marginal(field: np.ndarray, weights: TemporalWeights) -> np.ndarray:
 # columns scaled by the square root of their frame's residual measure, M is
 # sum_i x_i^T G x_i for G = D D^T, and its gradient in the taps is 2 (G x_i)
 # without the last entry.  G is summed one frame pair's block of D at a
-# time, so no layer holds D, and every layer, kept or streamed, takes M
+# time, from that pair's patch rows and bilinear corners, so no layer holds
+# D or the whole clip's corners, and every layer, kept or streamed, takes M
 # from G.
+
+def _bilinear_corners(velocity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bilinear corners of the samples that an (F, H, W, 2) block of flow
+    advects each site to, wrapped: their flat sites ``row*W + col`` in the
+    frame, and their weights, both (corner, F, H, W).  Corners the block gives
+    no weight anywhere are dropped: integer flow keeps one."""
+    height, width = velocity.shape[1:3]
+    # the sampled rows and columns, then their fractional parts
+    fr = np.arange(height, dtype=np.float64)[:, None] + velocity[..., 1]
+    fc = np.arange(width, dtype=np.float64) + velocity[..., 0]
+    r0, c0 = np.floor(fr), np.floor(fc)
+    fr -= r0
+    fc -= c0
+    r0, c0 = r0.astype(np.int64), c0.astype(np.int64)
+    index = np.empty((4,) + fr.shape, dtype=np.int64)
+    weight = np.empty((4,) + fr.shape)
+    for corner, (dr, dc) in enumerate(np.ndindex(2, 2)):
+        np.multiply(fr if dr else 1.0 - fr, fc if dc else 1.0 - fc, out=weight[corner])
+        np.add(np.mod(r0 + dr, height) * width, np.mod(c0 + dc, width), out=index[corner])
+    kept = weight.reshape(4, -1).any(axis=1)
+    return (index, weight) if kept.all() else (index[kept], weight[kept])
+
 
 class _WarpPlan:
     """Bilinear corners of the advected samples as flat sites ``t*H*W + row*W + col``
-    of frames 1..T-1, and their weights; both (corner, T-1, H, W).  Corners
-    the flow gives no weight anywhere are dropped: integer flow keeps one.
+    of frames 1..T-1, and their weights; both (corner, T-1, H, W), from
+    ``_bilinear_corners`` of the whole clip's flow.
 
-    ``gram`` builds the motion term's matrix, which is all a step reads.
     ``gather`` and ``scatter`` apply the transport and its adjoint to
     feature-major fields, (n, T-1, H, W), one feature's contiguous rows at a
-    time.  The package no longer calls them: the tests use them as the
-    transport oracle of ``gram``, and the benchmark's tracer patches them by
-    name."""
+    time.  The package does not build a plan: the tests use it as the
+    transport oracle of ``_motion_gram``, and the benchmark's tracer patches
+    it by name."""
 
     def __init__(self, flow: VelocityField):
-        data = flow.data
-        t_res, height, width = data.shape[0] - 1, data.shape[1], data.shape[2]
-        if t_res < 1:
+        frames, height, width = flow.data.shape[:3]
+        if frames < 2:
             raise ValueError("need at least 2 frames for a motion residual")
-        # every temporary in one block, freed at once: the fractional parts
-        # of the sampled rows and columns, a factor, a scratch, and their
-        # integer parts as int64
-        work = np.empty((6, t_res, height, width))
-        fr, fc, factor, scratch = work[:4]
-        r0, c0 = work[4:].view(np.int64)
-        np.add(np.arange(height, dtype=np.float64)[None, :, None], data[:-1, :, :, 1], out=fr)
-        np.add(np.arange(width, dtype=np.float64)[None, None, :], data[:-1, :, :, 0], out=fc)
-        for frac, base in ((fr, r0), (fc, c0)):
-            np.floor(frac, out=scratch)
-            frac -= scratch
-            np.copyto(base, scratch, casting="unsafe")
-
-        def corner_weight(dr: int, dc: int, out: np.ndarray) -> np.ndarray:
-            """(1 - fr or fr) * (1 - fc or fc) of corner (dr, dc), into ``out``."""
-            if dr:
-                out[...] = fr
-            else:
-                np.subtract(1.0, fr, out=out)
-            out *= fc if dc else np.subtract(1.0, fc, out=factor)
-            return out
-
-        # each kept corner is written straight into its slot, and checked
-        # there, one corner at a time
-        corners = [(dr, dc) for dr in (0, 1) for dc in (0, 1)
-                   if corner_weight(dr, dc, scratch).any()]
-        self.index = np.empty((len(corners), t_res, height, width), dtype=np.int64)
-        self.weight = np.empty((len(corners), t_res, height, width))
-        frame = np.arange(t_res)[:, None, None]
-        col = scratch.view(np.int64)
-        for index, weight, (dr, dc) in zip(self.index, self.weight, corners):
-            corner_weight(dr, dc, weight)
-            np.mod(np.add(r0, dr, out=index), height, out=index)
-            index += height * frame
-            index *= width
-            index += np.mod(np.add(c0, dc, out=col), width, out=col)
-            # ``gram`` takes corners with np.take(mode="clip"), which would
-            # clamp a bad index silently: each must lie in its own frame
-            if not (np.floor_divide(index, height * width, out=col) == frame).all():
-                raise ValueError("warp plan has a corner outside its frame")
+        self.index, self.weight = _bilinear_corners(flow.data[:-1])
+        self.index += height * width * np.arange(frames - 1)[:, None, None]
 
     def gather(self, tail: np.ndarray, out: np.ndarray) -> None:
         """Write the advected samples of ``tail`` (frames 1..T-1) into ``out``."""
@@ -277,55 +263,58 @@ class _WarpPlan:
         for row, dest in zip(grad, out):
             dest += np.bincount(index, (self.weight * row).ravel(), row.size).reshape(row.shape)
 
-    def gram(self, grid: np.ndarray, kernel: int, residual_measure: np.ndarray) -> np.ndarray:
-        """G = Ds Ds^T, (K*K*m + 1)^2, of a (T, H, W, m) grid, summed over
-        frame pairs.  A frame's patch rows, (H*W, K*K*m + 1), are the patch
-        matrix's columns for its sites, each with a last entry 1 for the
-        bias, copied from the frame's ``_frame_rows``.  Frame pair t's block
-        of the transport matrix D is, at each site, frame t+1's rows at the
-        site's corners, weighted and summed, minus frame t's row: a constant
-        1 leaves sum_k w_k - 1.  So ``[flat taps, 1/n] @ D`` is the advected
-        residual of the activations ``flat taps @ P + 1/n`` in exact
-        arithmetic, for any n.  With integer flow both, and G, are exactly 0
-        on an exactly translating clip.  Ds is D with each frame's block
-        scaled by the square root of its ``residual_measure``.
 
-        Two frames' patch rows, one frame's row patches and the gathered
-        rows of at most 1,024 sites are held at a time, never the whole
-        clip's D."""
-        _, height, width, channels = grid.shape
-        sites = height * width
-        columns = kernel * kernel * channels + 1
-        corners = len(self.index)
-        chunk = min(sites, 1024)
-        pair = np.empty((2, sites, columns))
-        pair[..., -1] = 1.0
-        # [i, r, c, u, v*m + j]: entry (u, v, j) of site (r, c) of frame t, i = t % 2
-        pair_patches = pair[..., :-1].reshape(2, height, width, kernel, -1)
-        taken = np.empty(corners * chunk * columns)
-        block = np.empty((chunk, columns))
-        gram = np.zeros((columns, columns))
-        for frame, patch_rows in enumerate(_frame_rows(grid, kernel)):
-            blocks = _patch_blocks(patch_rows, kernel, height, width)
-            pair_patches[frame % 2] = blocks.transpose(2, 3, 0, 1)
-            if frame == 0:
-                continue
-            t = frame - 1
-            now, nxt = pair[t % 2], pair[frame % 2]
-            index = self.index[:, t].reshape(corners, sites) - t * sites
-            weight = self.weight[:, t].reshape(corners, sites)
-            scale = np.sqrt(residual_measure[t])
-            for start in range(0, sites, chunk):
-                stop = min(start + chunk, sites)
-                rows = block[:stop - start]
-                gathered = taken[:corners * len(rows) * columns].reshape(corners, len(rows), columns)
-                # the plan checked every index against its frame
-                np.take(nxt, index[:, start:stop], axis=0, out=gathered, mode="clip")
-                np.einsum("cs,csk->sk", weight[:, start:stop], gathered, out=rows)
-                rows -= now[start:stop]
-                rows *= scale
-                gram += rows.T @ rows
-        return gram
+def _motion_gram(grid: np.ndarray, flow: VelocityField, kernel: int,
+                 residual_measure: np.ndarray) -> np.ndarray:
+    """G = Ds Ds^T, (K*K*m + 1)^2, of a (T, H, W, m) grid, summed over
+    frame pairs.  A frame's patch rows, (H*W, K*K*m + 1), are the patch
+    matrix's columns for its sites, each with a last entry 1 for the
+    bias, copied from the frame's ``_frame_rows``.  Frame pair t's block
+    of the transport matrix D is, at each site, frame t+1's rows at the
+    site's ``_bilinear_corners`` under the pair's flow, weighted and summed,
+    minus frame t's row: a constant 1 leaves sum_k w_k - 1.  So
+    ``[flat taps, 1/n] @ D`` is the advected residual of the activations
+    ``flat taps @ P + 1/n`` in exact arithmetic, for any n.  With integer
+    flow both, and G, are exactly 0 on an exactly translating clip.  Ds is D
+    with each frame's block scaled by the square root of its
+    ``residual_measure``.
+
+    Two frames' patch rows, one frame's row patches, one pair's corners and
+    the gathered rows of at most 1,024 sites are held at a time, never the
+    whole clip's D or its corners."""
+    _, height, width, channels = grid.shape
+    sites = height * width
+    columns = kernel * kernel * channels + 1
+    chunk = min(sites, 1024)
+    pair = np.empty((2, sites, columns))
+    pair[..., -1] = 1.0
+    # [i, r, c, u, v*m + j]: entry (u, v, j) of site (r, c) of frame t, i = t % 2
+    pair_patches = pair[..., :-1].reshape(2, height, width, kernel, -1)
+    taken = np.empty(4 * chunk * columns)
+    block = np.empty((chunk, columns))
+    gram = np.zeros((columns, columns))
+    for frame, patch_rows in enumerate(_frame_rows(grid, kernel)):
+        blocks = _patch_blocks(patch_rows, kernel, height, width)
+        pair_patches[frame % 2] = blocks.transpose(2, 3, 0, 1)
+        if frame == 0:
+            continue
+        t = frame - 1
+        now, nxt = pair[t % 2], pair[frame % 2]
+        index, weight = (a.reshape(len(a), sites) for a in _bilinear_corners(flow.data[t:frame]))
+        corners = len(index)
+        scale = np.sqrt(residual_measure[t])
+        for start in range(0, sites, chunk):
+            stop = min(start + chunk, sites)
+            rows = block[:stop - start]
+            gathered = taken[:corners * len(rows) * columns].reshape(corners, len(rows), columns)
+            # every corner lies in its frame, so "clip" clamps none
+            np.take(nxt, index[:, start:stop], axis=0, out=gathered, mode="clip")
+            np.einsum("cs,csk->sk", weight[:, start:stop], gathered, out=rows)
+            rows -= now[start:stop]
+            rows *= scale
+            gram += rows.T @ rows
+        del index, weight  # before the next pair's are built
+    return gram
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +411,8 @@ def _constraint_penalty_act_gradient(excess: np.ndarray, sum_dev: np.ndarray,
 class ActionInputs:
     """The fixed inputs of one objective, checked and built once for banks
     of ``bank``'s shape (n, K): the input grid, its ``frame_measure`` under
-    ``weights``, the motion term's matrix ``gram`` (``_WarpPlan.gram`` of
-    ``flow``'s warp plan, which is then dropped), the grid's ``patches``, and
+    ``weights``, the motion term's matrix ``gram`` (``_motion_gram`` of
+    ``flow``, one frame pair at a time), the grid's ``patches``, and
     the step's workspace.  ``patches`` is None when the clip exceeds the
     patch budget; the convolution of such a streamed clip builds its row
     patches frame by frame on every step.  The workspace is ``act`` and
@@ -444,8 +433,7 @@ class ActionInputs:
         n, kernel = bank.n, bank.kernel
         self.bank_shape = (n, kernel)
         # G before the step's buffers: its build's temporaries are freed first
-        self.gram = _WarpPlan(flow).gram(self.grid, kernel,
-                                         weights.residual_measure(height, width))
+        self.gram = _motion_gram(self.grid, flow, kernel, weights.residual_measure(height, width))
         self.patches = clip_patches(self.grid, kernel)
         self.act = np.empty((n, frames, height, width))
         self.probs = np.empty((n, frames, height, width))

@@ -12,7 +12,7 @@ renormalizing (the "linear-penalty" mode, whose simplex constraints are
 enforced during training by a penalty term instead).
 
 The convolution and its tap adjoint are matrix products.  Every patch they,
-and the motion term's matrix (``action._WarpPlan.gram``), read comes from
+and the motion term's matrix (``action._motion_gram``), read comes from
 ``_frame_rows``, one wrap-padded frame at a time: only the kernel's column
 offsets are expanded, and its row offsets are column slices of the frame's
 rows.  A clip whose whole patch matrix fits PATCH_CHUNK_BYTES keeps it

@@ -7,7 +7,8 @@ from cogaction.action import _WarpPlan
 
 @pytest.fixture
 def plan_builds(monkeypatch):
-    """A list that gains one entry per warp plan built."""
+    """A list that gains one entry per warp plan built.  The package builds
+    none: only the tests' transport oracle does."""
     builds = []
     build = _WarpPlan.__init__
 
@@ -16,6 +17,37 @@ def plan_builds(monkeypatch):
         build(self, flow)
 
     monkeypatch.setattr(_WarpPlan, "__init__", counted)
+    return builds
+
+
+@pytest.fixture
+def gram_builds(monkeypatch):
+    """A list that gains one entry, the flow, per build of a motion term's
+    matrix G (``action._motion_gram``)."""
+    builds = []
+    motion_gram = action._motion_gram
+
+    def counted(grid, flow, kernel, residual_measure):
+        builds.append(flow)
+        return motion_gram(grid, flow, kernel, residual_measure)
+
+    monkeypatch.setattr(action, "_motion_gram", counted)
+    return builds
+
+
+@pytest.fixture
+def corner_builds(monkeypatch):
+    """A list that gains one entry per call of ``action._bilinear_corners``:
+    the frames of flow it covered and the corners it kept."""
+    builds = []
+    bilinear_corners = action._bilinear_corners
+
+    def recorded(velocity):
+        index, weight = bilinear_corners(velocity)
+        builds.append((len(velocity), len(index)))
+        return index, weight
+
+    monkeypatch.setattr(action, "_bilinear_corners", recorded)
     return builds
 
 

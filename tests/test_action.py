@@ -11,7 +11,6 @@ from cogaction import (
     TemporalWeights,
     VelocityField,
     cognitive_action,
-    conditional_entropy,
     constant_flow,
     convolve_features,
     horn_schunck,
@@ -24,7 +23,9 @@ from cogaction import (
 from cogaction.action import (
     BREAKDOWN_CSV_HEADER,
     _WarpPlan,
+    _motion_gram,
     action_value_and_gradient,
+    conditional_entropy,
     spatial_parsimony_gradient,
     symbol_marginal,
     term_gradients,
@@ -264,9 +265,23 @@ class TestMotionResidual:
 
 
 class TestGramBuilder:
-    """``_WarpPlan.gram`` sums G one frame pair at a time; the oracle gathers
-    every row of the whole clip's patch matrix, built from ``np.roll``
-    shifts, along the plan at once."""
+    """``_motion_gram`` sums G one frame pair at a time, from each pair's own
+    corners; the oracle gathers every row of the whole clip's patch matrix,
+    built from ``np.roll`` shifts, along the whole clip's warp plan at once."""
+
+    @staticmethod
+    def assert_matches_whole_clip_gram(grid, flow, kernel, measure, corner_builds):
+        """G against the oracle at 1e-12; returns the corners that G's build
+        kept for each frame pair, having checked that it took one pair's
+        corners at a time."""
+        corner_builds.clear()
+        gram = _motion_gram(grid, flow, kernel, measure)
+        builds = list(corner_builds)
+        expected = whole_clip_gram(_WarpPlan(flow), rolled_patches(grid, kernel), measure)
+        assert gram.shape == (kernel * kernel * grid.shape[3] + 1,) * 2
+        assert np.abs(gram - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert [frames for frames, _ in builds] == [1] * (len(grid) - 1)
+        return [corners for _, corners in builds]
 
     @pytest.mark.parametrize("m_in,kernel,frames,height,width,weighting", [
         (1, 3, 2, 9, 7, "uniform"),
@@ -276,16 +291,28 @@ class TestGramBuilder:
         (8, 3, 16, 10, 13, "exp:0.9"),
         (8, 5, 2, 7, 9, "uniform"),
     ])
-    def test_matches_whole_clip_gram(self, m_in, kernel, frames, height, width, weighting):
+    def test_matches_whole_clip_gram(self, m_in, kernel, frames, height, width, weighting,
+                                     corner_builds):
         rng = np.random.default_rng(m_in * 100 + kernel * 10 + frames)
         grid = rng.uniform(-1, 1, size=(frames, height, width, m_in))
         flow = VelocityField(rng.uniform(-2.5, 2.5, size=(frames, height, width, 2)))
         measure = build_weights(weighting, frames).residual_measure(height, width)
-        plan = _WarpPlan(flow)
-        expected = whole_clip_gram(plan, rolled_patches(grid, kernel), measure)
-        gram = plan.gram(grid, kernel, measure)
-        assert gram.shape == (kernel * kernel * m_in + 1,) * 2
-        assert np.abs(gram - expected).max() <= 1e-12 * np.abs(expected).max()
+        corners = self.assert_matches_whole_clip_gram(grid, flow, kernel, measure, corner_builds)
+        assert corners == [4] * (frames - 1)
+
+    @pytest.mark.parametrize("m_in,kernel", [(1, 3), (3, 5)])
+    def test_pairs_keep_their_own_corners(self, m_in, kernel, corner_builds):
+        # an integer shift in the first pair, sub-pixel flow in the second:
+        # the whole clip's plan keeps 4 corners for both, G's build 1 and 4
+        rng = np.random.default_rng(21)
+        grid = rng.uniform(-1, 1, size=(3, 9, 7, m_in))
+        velocity = np.zeros((3, 9, 7, 2))
+        velocity[0] = (2, -1)
+        velocity[1] = rng.uniform(-2.5, 2.5, size=(9, 7, 2))
+        measure = build_weights("exp:0.9", 3).residual_measure(9, 7)
+        corners = self.assert_matches_whole_clip_gram(grid, VelocityField(velocity), kernel,
+                                                      measure, corner_builds)
+        assert corners == [1, 4]
 
     @pytest.mark.parametrize("m_in,kernel", [(1, 3), (3, 5), (8, 3)])
     @pytest.mark.parametrize("velocity", [(1, 0), (-2, 1)])
@@ -293,7 +320,7 @@ class TestGramBuilder:
         clip, flow = synth_translating_clip(
             PatternSpec("random-texture", 8, seed=m_in, channels=m_in), velocity, 5, 24, 20)
         measure = build_weights("exp:0.9", 5).residual_measure(24, 20)
-        assert not _WarpPlan(flow).gram(clip.data, kernel, measure).any()
+        assert not _motion_gram(clip.data, flow, kernel, measure).any()
 
 
 class TestMotionTerm:

@@ -203,7 +203,7 @@ class TestTrainCommand:
         assert main(["train", "--config", config_path, "--out", str(b)]) == 0
         assert read_tree(a) == read_tree(b)
 
-    def test_two_layer_run(self, tmp_path, monkeypatch, plan_builds):
+    def test_two_layer_run(self, tmp_path, monkeypatch, gram_builds, plan_builds):
         def refuse(*args):
             raise AssertionError("the summary comes from the traces; no maps, no propagation")
 
@@ -213,7 +213,8 @@ class TestTrainCommand:
         path = write_config(tmp_path / "deep.ini", body)
         out = tmp_path / "deep"
         assert main(["train", "--config", path, "--out", str(out)]) == 0
-        assert len(plan_builds) == 2  # one evaluation context per layer
+        assert len(gram_builds) == 2  # one evaluation context per layer
+        assert plan_builds == []
         assert (out / "layer2_bank.txt").exists()
         bank2 = load_bank(out / "layer2_bank.txt")
         assert bank2.m_in == 4  # consumes layer 1's feature field
@@ -580,8 +581,9 @@ class TestFilesPipeline:
 
 
 class TestCheckGrad:
-    def test_prints_max_error_and_passes(self, capsys):
+    def test_prints_max_error_and_passes(self, capsys, gram_builds, plan_builds):
         assert main(["check-grad", "--instances", "2"]) == 0
+        assert len(gram_builds) == 2 and plan_builds == []  # one G per instance
         out = capsys.readouterr().out
         assert "max relative error" in out
         value = float(out.strip().splitlines()[-1].split()[-1])

@@ -7,6 +7,8 @@ import pytest
 from cogaction import (
     FilterBank,
     PatternSpec,
+    TemporalWeights,
+    VelocityField,
     VideoClip,
     convolve_features,
     init_bank,
@@ -16,7 +18,7 @@ from cogaction import (
     synth_translating_clip,
     to_probabilities,
 )
-from cogaction import features
+from cogaction import action, features
 from cogaction.features import convolution_tap_gradient
 from dense_oracle import dense_kernel_oracle, dense_table_from_bank
 from objective_oracle import rolled_patches
@@ -211,9 +213,10 @@ def allocated_peak(call):
 
 
 class TestStreamedMemory:
-    """A streamed convolution and tap adjoint hold one frame's row patches,
-    not the clip: on a 16x64x64x8 grid (4.2 MB) with n = 8 and K = 3, a
-    padded copy of the clip alone would be 4.5 MB."""
+    """A streamed convolution and tap adjoint, and the build of the motion
+    term's matrix G, hold one frame's row patches, not the clip: on a
+    16x64x64x8 grid (4.2 MB) with n = 8 and K = 3, a padded copy of the clip
+    alone would be 4.5 MB."""
 
     @pytest.fixture
     def layer(self):
@@ -245,6 +248,26 @@ class TestStreamedMemory:
         peak = allocated_peak(lambda: convolution_tap_gradient(grid, act_grad, 3))
         # the row patches and the zero-padded gradient: 1.12 MB
         assert 0 < peak <= self.frame_bytes(grid, 3, 8, 1) < grid.nbytes
+
+    def test_motion_gram_holds_one_frame_pair(self, layer, corner_builds):
+        grid = layer[0]
+        frames, height, width, channels = grid.shape
+        flow = VelocityField(np.random.default_rng(19).uniform(-2.5, 2.5, (frames, height, width, 2)))
+        measure = TemporalWeights.uniform(frames).residual_measure(height, width)
+        # one pair's corners: the peak of their build, 4 corners' sites and
+        # weights (262 KB) and its temporaries
+        pair_corners = allocated_peak(lambda: action._bilinear_corners(flow.data[:1]))
+        corner_builds.clear()
+        peak = allocated_peak(lambda: action._motion_gram(grid, flow, 3, measure))
+        assert corner_builds == [(1, 4)] * (frames - 1)
+        sites, columns = height * width, 9 * channels + 1
+        # two frames' patch rows, a 4-corner gathered chunk, a chunk of
+        # rows, and G with one chunk's product: 7.86 MB
+        held = 8 * (2 * sites * columns + 5 * 1024 * columns + 2 * columns * columns)
+        # the whole clip's corners would add 3.9 MB
+        clip_corners = 16 * 4 * (frames - 1) * sites
+        bound = held + self.frame_bytes(grid, 3, 8, 0) + pair_corners
+        assert 0 < peak <= bound < held + clip_corners
 
     @pytest.mark.parametrize("mode", ["softmax", "linear-penalty"])
     def test_probabilities_allocate_one_field(self, mode):

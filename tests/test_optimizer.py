@@ -175,19 +175,22 @@ class TestTrainLayer:
         with pytest.raises(ValueError, match="window"):
             train_layer(bank, clip, flow, config)
 
-    def test_one_warp_plan_per_layer(self, texture_instance, plan_builds):
+    def test_one_warp_plan_per_layer(self, texture_instance, gram_builds, plan_builds):
+        # G is built once, straight from the flow: no warp plan
         clip, flow = texture_instance
         bank = init_bank(3, 1, 3, "softmax", seed=13, scale=0.1)
         config = TrainConfig(step_size=0.1, steps=5, lam=Multipliers(motion=1.0), seed=13)
         train_layer(bank, clip, flow, config)
-        assert len(plan_builds) == 1
+        assert len(gram_builds) == 1
+        assert plan_builds == []
 
-    def test_one_warp_plan_per_finite_difference(self, texture_instance, plan_builds):
+    def test_one_warp_plan_per_finite_difference(self, texture_instance, gram_builds, plan_builds):
         clip, flow = texture_instance
         bank = init_bank(2, 1, 3, "softmax", seed=14, scale=0.1)
         inputs = ActionInputs(clip, flow, TemporalWeights.uniform(6), bank)
         finite_diff_breakdowns(bank, bank, inputs, Multipliers(motion=1.0), 1.0)
-        assert len(plan_builds) == 1  # for 2 * 18 evaluations
+        assert len(gram_builds) == 1  # for 2 * 18 evaluations
+        assert plan_builds == []
 
     def test_one_patch_fill_per_layer(self, texture_instance, patch_fills):
         clip, flow = texture_instance
