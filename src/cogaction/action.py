@@ -45,10 +45,10 @@ import numpy as np
 from .features import (  # noqa: F401
     CLAMP_EPS,
     FilterBank,
-    _flat_taps,
     _frame_rows,
     _patch_blocks,
     _unflat_taps,
+    _unflat_view,
     as_grid,
     clip_patches,
     convolution_tap_gradient,
@@ -172,7 +172,7 @@ def conditional_entropy(field: np.ndarray, weights: TemporalWeights) -> float:
 
 
 def _simplex_marginal(q: np.ndarray) -> np.ndarray:
-    if abs(q.sum() - 1.0) > 1e-9:
+    if abs(np.add.reduce(q) - 1.0) > 1e-9:
         raise ValueError(f"symbol marginal sums to {q.sum():.12g}, not 1: field off the simplex")
     return q
 
@@ -326,7 +326,8 @@ def spatial_parsimony(bank) -> float:
     taps = bank.taps if isinstance(bank, FilterBank) else np.asarray(bank, dtype=np.float64)
     da = taps[:, :, 1:] - taps[:, :, :-1]
     db = taps[:, :, :, 1:] - taps[:, :, :, :-1]
-    return 0.5 * (float((da * da).sum()) + float((db * db).sum()))
+    return 0.5 * (float(np.add.reduce(da * da, axis=None))
+                  + float(np.add.reduce(db * db, axis=None)))
 
 
 def spatial_parsimony_gradient(taps: np.ndarray) -> np.ndarray:
@@ -349,7 +350,7 @@ def temporal_parsimony(bank_now, bank_prev, dtau: float) -> float:
     if now.shape != prev.shape:
         raise ValueError(f"bank shapes differ: {now.shape} vs {prev.shape}")
     delta = (now - prev) / dtau
-    return 0.5 * float((delta * delta).sum())
+    return 0.5 * float(np.add.reduce(delta * delta, axis=None))
 
 
 def _sum_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -470,16 +471,17 @@ def _entropies(act: np.ndarray, probs: np.ndarray, site: np.ndarray, measure: np
         probs *= scale
         log_z = np.log(total, out=total)
         np.einsum("i...,i...->...", probs, act, out=mean_a)
-        s_cond = float(np.dot(measure, np.einsum("thw->t", log_z))) - float(mean_a.sum())
-        q = _simplex_marginal(probs.reshape(n, -1).sum(axis=1))
+        s_cond = (float(np.dot(measure, np.einsum("thw->t", log_z)))
+                  - float(np.add.reduce(mean_a, axis=None)))
+        q = _simplex_marginal(np.add.reduce(probs.reshape(n, -1), axis=1))
         log_q = np.log(np.where(q > 0.0, q, 1.0))
-        return log_q, -float((q * log_q).sum()), s_cond
+        return log_q, -float(np.add.reduce(q * log_q)), s_cond
     cross, total, plogp = site
     # np.clip(act, CLAMP_EPS, 1.0), as two ufuncs: a fraction of its call overhead
     np.minimum(np.maximum(act, CLAMP_EPS, out=probs), 1.0, out=probs)
     _sum_rows(probs, total)
     probs /= total
-    q = _simplex_marginal(probs.reshape(n, frames, -1).sum(axis=2) @ measure)
+    q = _simplex_marginal(np.add.reduce(probs.reshape(n, frames, -1), axis=2) @ measure)
     log_q = np.log(np.where(q > 0.0, q, 1.0))
     np.matmul(log_q, probs.reshape(n, -1), out=cross.reshape(-1))
     plogp.fill(0.0)
@@ -489,8 +491,8 @@ def _entropies(act: np.ndarray, probs: np.ndarray, site: np.ndarray, measure: np
         plogp += row
         row[...] = log_row
     cross -= plogp
-    s_cond = -float(np.dot(measure, plogp.reshape(frames, -1).sum(axis=1)))
-    return log_q, -float((q * log_q).sum()), s_cond
+    s_cond = -float(np.dot(measure, np.add.reduce(plogp.reshape(frames, -1), axis=1)))
+    return log_q, -float(np.add.reduce(q * log_q)), s_cond
 
 
 def _inverse(measure: np.ndarray) -> np.ndarray:
@@ -540,10 +542,10 @@ def _motion_form(bank: FilterBank, gram: np.ndarray) -> tuple[float, np.ndarray]
     A sum of squares cannot be negative, but the form can round below 0 on
     a nearly invariant bank; M is held at 0 there."""
     x = np.empty((bank.n, len(gram)))
-    x[:, :-1] = _flat_taps(bank.taps)
+    x[:, :-1] = bank._flat
     x[:, -1] = 1.0 / bank.n
     gx = x @ gram
-    return max(float((x * gx).sum()), 0.0), gx
+    return max(float(np.add.reduce(x * gx, axis=None)), 0.0), gx
 
 
 def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
@@ -594,7 +596,7 @@ def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
 
     tap_grad = convolution_tap_gradient(inputs.grid, act_grad.transpose(1, 2, 3, 0),
                                         bank.kernel, patches=patches)
-    tap_grad += _unflat_taps((2.0 * lam.motion) * gram_taps[:, :-1], bank.kernel)
+    tap_grad += _unflat_view((2.0 * lam.motion) * gram_taps[:, :-1], bank.kernel)
     tap_grad += lam.spatial * spatial_parsimony_gradient(bank.taps)
     tap_grad += lam.temporal * (bank.taps - bank_prev.taps) / (dtau * dtau)
     return breakdown, tap_grad

@@ -20,11 +20,13 @@ rows.  A clip whose whole patch matrix fits PATCH_CHUNK_BYTES keeps it
 streamed frame by frame, and no call copies the whole clip.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+
+from .video import VideoClip
 
 MODES = ("softmax", "linear-penalty")
 CLAMP_EPS = 1e-6
@@ -35,11 +37,15 @@ PATCH_CHUNK_BYTES = 2 * 1024 * 1024
 
 @dataclass(frozen=True)
 class FilterBank:
-    """Learnable taps (n, m_in, K, K) plus the constraint mode and layer index."""
+    """Learnable taps (n, m_in, K, K) plus the constraint mode and layer index.
+
+    ``_flat`` is the taps as ``_flat_taps`` lays them out, built once per
+    bank for the convolution and the motion form."""
 
     taps: np.ndarray
     mode: str = "softmax"
     layer: int = 1
+    _flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.taps, dtype=np.float64))
@@ -58,6 +64,7 @@ class FilterBank:
             raise ValueError(f"layer index must be >= 1, got {self.layer}")
         arr.setflags(write=False)
         object.__setattr__(self, "taps", arr)
+        object.__setattr__(self, "_flat", _flat_taps(arr))
 
     @property
     def n(self) -> int:
@@ -74,11 +81,23 @@ class FilterBank:
     def with_taps(self, taps: np.ndarray) -> "FilterBank":
         return FilterBank(taps, mode=self.mode, layer=self.layer)
 
+    def _next(self, taps: np.ndarray) -> "FilterBank":
+        """``with_taps`` without the checks of ``__post_init__``, for the
+        optimizer's iterates and the finite-difference probes: ``taps`` is a
+        new C-contiguous float64 array of this bank's shape that the caller
+        made, and answers for being finite.  It is made read-only."""
+        taps.setflags(write=False)
+        bank = object.__new__(FilterBank)
+        bank.__dict__.update(taps=taps, mode=self.mode, layer=self.layer,
+                             _flat=_flat_taps(taps))
+        return bank
+
 
 def as_grid(data) -> np.ndarray:
-    """Accept a VideoClip or a raw (T, H, W, c) array; return the array."""
-    from .video import VideoClip
-
+    """Accept a VideoClip or a raw (T, H, W, c) array; return the array.  A
+    float64 4-D ndarray is returned as it is."""
+    if type(data) is np.ndarray and data.dtype == np.float64 and data.ndim == 4:
+        return data
     if isinstance(data, VideoClip):
         return data.data
     arr = np.asarray(data, dtype=np.float64)
@@ -178,15 +197,22 @@ def _check_patches(patches: np.ndarray, grid: np.ndarray, kernel: int) -> None:
 
 
 def _flat_taps(taps: np.ndarray) -> np.ndarray:
-    """Taps (n, m_in, K, K) as the (n, K*K*m_in) matrix that multiplies a patch
-    matrix: flipped on both kernel axes, columns in the patch rows' (u, v, j)
-    order."""
-    return taps[:, :, ::-1, ::-1].transpose(0, 3, 2, 1).reshape(len(taps), -1)
+    """Taps (n, m_in, K, K) as the read-only (n, K*K*m_in) matrix that
+    multiplies a patch matrix: flipped on both kernel axes, columns in the
+    patch rows' (u, v, j) order."""
+    flat = taps[:, :, ::-1, ::-1].transpose(0, 3, 2, 1).reshape(len(taps), -1)
+    flat.setflags(write=False)
+    return flat
+
+
+def _unflat_view(flat: np.ndarray, kernel: int) -> np.ndarray:
+    """Inverse of ``_flat_taps``: an (n, m_in, K, K) view of ``flat``."""
+    return flat.reshape(len(flat), kernel, kernel, -1)[:, ::-1, ::-1].transpose(0, 3, 2, 1)
 
 
 def _unflat_taps(flat: np.ndarray, kernel: int) -> np.ndarray:
     """Inverse of ``_flat_taps``: a new (n, m_in, K, K) array."""
-    return flat.reshape(len(flat), kernel, kernel, -1)[:, ::-1, ::-1].transpose(0, 3, 2, 1).copy()
+    return _unflat_view(flat, kernel).copy()
 
 
 def convolve_features(bank: FilterBank, data, out: np.ndarray | None = None,
@@ -208,7 +234,7 @@ def convolve_features(bank: FilterBank, data, out: np.ndarray | None = None,
             f"layer {bank.layer} bank expects {bank.m_in} input channels, grid has {grid.shape[3]}"
         )
     n, kernel = bank.n, bank.kernel
-    taps = _flat_taps(bank.taps)
+    taps = bank._flat
     if out is None:
         out = np.empty((n,) + grid.shape[:3]).transpose(1, 2, 3, 0)
     dest = out.transpose(3, 0, 1, 2)

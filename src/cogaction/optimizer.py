@@ -140,7 +140,9 @@ def train_layer(bank: FilterBank, data, flow: VelocityField, config: TrainConfig
     ``-step_size * gradient``.  The temporal-parsimony reference is the
     previous iterate (the initial bank at step 0, so K starts at 0).  The
     final bank is evaluated once more as its own predecessor, as
-    ``evaluate_bank`` would on the same inputs.
+    ``evaluate_bank`` would on the same inputs.  An iterate is not checked
+    again by ``FilterBank``: the step raises ``DivergenceError`` on a
+    non-finite action, gradient or updated taps.
     """
     inputs = ActionInputs(*_windowed(as_grid(data), flow, config), bank)
     dtau = config.effective_dtau()
@@ -162,8 +164,13 @@ def train_layer(bank: FilterBank, data, flow: VelocityField, config: TrainConfig
                 )
             breakdowns.append(breakdown)
             grad_norms.append(grad_norm)
+            taps = current.taps - config.step_size * grad
+            if not np.isfinite(taps).all():
+                raise DivergenceError(
+                    f"non-finite taps after the update at step {step}: step size too large?"
+                )
             previous = current
-            current = current.with_taps(current.taps - config.step_size * grad)
+            current = current._next(taps)
     final = cognitive_action(current, current, inputs, config.lam, dtau)
     return TrainTrace(breakdowns, grad_norms, current, final)
 
@@ -198,22 +205,25 @@ def evaluate_bank(bank: FilterBank, data, flow: VelocityField, weights: Temporal
 
 def finite_diff_breakdowns(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
                            lam: Multipliers, dtau: float, eps: float = 1e-5) -> dict[str, np.ndarray]:
-    """Central-difference gradients of every breakdown field at once, one pair
-    of evaluations per tap.  O(#taps) action evaluations; meant for small banks."""
+    """Central-difference gradients of every breakdown field from
+    ``info_index`` on, at once, one pair of evaluations per tap.  O(#taps)
+    action evaluations; meant for small banks."""
     if eps <= 0.0:
         raise ValueError(f"finite-difference step must be > 0, got {eps}")
-    names = ("info_index", "motion", "spatial", "temporal", "penalty", "total")
-    grads = {name: np.zeros_like(bank.taps) for name in names}
     flat = bank.taps.ravel()
+    # values[0, i] and values[1, i]: the breakdown with tap i moved by +eps and -eps
+    values = np.empty((2, flat.size, 8))
     for index in range(flat.size):
-        for sign in (1.0, -1.0):
+        for side, step in enumerate((eps, -eps)):
             taps = flat.copy()
-            taps[index] += sign * eps
-            probe = bank.with_taps(taps.reshape(bank.taps.shape))
-            breakdown = cognitive_action(probe, bank_prev, inputs, lam, dtau)
-            for name in names:
-                grads[name].ravel()[index] += sign * getattr(breakdown, name) / (2.0 * eps)
-    return grads
+            taps[index] += step
+            probe = bank._next(taps.reshape(bank.taps.shape))
+            values[side, index] = cognitive_action(probe, bank_prev, inputs, lam, dtau).values()
+    # each gradient entry is 0 + v+/2e + (-v-)/2e, added in that order: the
+    # bits of adding each probe's term into a zeroed gradient as it comes
+    grads = (0.0 + values[0] / (2.0 * eps)) + (-values[1] / (2.0 * eps))
+    names = ("info_index", "motion", "spatial", "temporal", "penalty", "total")
+    return dict(zip(names, np.ascontiguousarray(grads[:, 2:].T).reshape(6, *bank.taps.shape)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cogaction import action, features
+from cogaction import action, features, optimizer
 from cogaction.action import _WarpPlan
 
 
@@ -18,6 +18,28 @@ def plan_builds(monkeypatch):
 
     monkeypatch.setattr(_WarpPlan, "__init__", counted)
     return builds
+
+
+@pytest.fixture
+def overflow_at_step(monkeypatch):
+    """``overflow_at_step(k)`` scales the gradient of the optimizer's step k
+    (counted from 0) to a max-norm of 1e308.  That is finite, so the step's
+    own check passes, but an update by a step size above 1 overflows the
+    taps."""
+    def arm(target):
+        steps = []
+        step = optimizer.action_value_and_gradient
+
+        def overflowing(*args):
+            breakdown, grad = step(*args)
+            if len(steps) == target:
+                grad = grad / np.abs(grad).max() * 1e308
+            steps.append(None)
+            return breakdown, grad
+
+        monkeypatch.setattr(optimizer, "action_value_and_gradient", overflowing)
+
+    return arm
 
 
 @pytest.fixture

@@ -15,11 +15,15 @@ motion term, which the objective takes from the matrix G alone:
 ``streamed_motion`` evaluates M and its activation gradient along the plan.
 The patch matrix G is built from is ``rolled_patches``, which shares no
 code with the package's row-patch builder.
+
+``accumulated_finite_diff`` is the finite-difference oracle as a loop that
+adds each probe's terms into zeroed gradients, through the checked
+``FilterBank.with_taps``.
 """
 
 import numpy as np
 
-from cogaction import spatial_parsimony, temporal_parsimony
+from cogaction import cognitive_action, spatial_parsimony, temporal_parsimony
 from cogaction.action import ActionBreakdown, spatial_parsimony_gradient
 from cogaction.features import (
     convolution_tap_gradient,
@@ -155,3 +159,21 @@ def streamed_motion(plan, act, residual_measure):
     grad[:, :-1] -= residual
     plan.scatter(residual, grad[:, 1:])
     return motion, grad
+
+
+def accumulated_finite_diff(bank, bank_prev, inputs, lam, dtau, eps=1e-5):
+    """Central-difference gradients of the breakdown fields from
+    ``info_index`` on, each probe's value added into zeroed gradients as
+    soon as it is evaluated."""
+    names = ("info_index", "motion", "spatial", "temporal", "penalty", "total")
+    grads = {name: np.zeros_like(bank.taps) for name in names}
+    flat = bank.taps.ravel()
+    for index in range(flat.size):
+        for sign in (1.0, -1.0):
+            taps = flat.copy()
+            taps[index] += sign * eps
+            probe = bank.with_taps(taps.reshape(bank.taps.shape))
+            breakdown = cognitive_action(probe, bank_prev, inputs, lam, dtau)
+            for name in names:
+                grads[name].ravel()[index] += sign * getattr(breakdown, name) / (2.0 * eps)
+    return grads

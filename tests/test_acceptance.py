@@ -6,6 +6,7 @@ search over {1e-2, 1e-1, 1} on the descent instance; see README.
 """
 
 import csv
+import functools
 import json
 import math
 import time
@@ -245,11 +246,11 @@ def a4_train(lam_m, steps=A3_STEPS):
     return train_layer(bank, *a4_clip(7), config)
 
 
-def a4_held_out(trace):
-    """The breakdown of a run's final bank on the held-out clip; its M and I
-    do not depend on the multipliers it is reported under."""
+def a4_held_out(bank):
+    """The breakdown of a bank on the held-out clip; its M and I do not
+    depend on the multipliers it is reported under."""
     clip, flow = a4_clip(8)
-    return evaluate_bank(trace.final_bank, clip.data, flow, TemporalWeights.uniform(16),
+    return evaluate_bank(bank, clip.data, flow, TemporalWeights.uniform(16),
                          A4_REPORT_LAM, FROZEN_STEP_SIZE)
 
 
@@ -259,7 +260,7 @@ def a4_runs():
     their held-out breakdowns."""
     start = time.monotonic()
     traces = {"motion-on": a4_train(1.0), "motion-off": a4_train(0.0)}
-    held_out = {label: a4_held_out(trace) for label, trace in traces.items()}
+    held_out = {label: a4_held_out(trace.final_bank) for label, trace in traces.items()}
     return traces, held_out, time.monotonic() - start
 
 
@@ -529,9 +530,16 @@ HELD_OUT_TRADE_OFF = {
 }
 
 
+@functools.cache
+def a4_final_bank(lam_m):
+    """The final bank of ``a4_train(lam_m)``, trained once per test run."""
+    return a4_train(lam_m).final_bank
+
+
 def test_held_out_trade_off(a4_runs):
     start = time.monotonic()
-    held_out = {0.0: a4_runs[1]["motion-off"], 0.1: a4_held_out(a4_train(0.1)),
+    held_out = {0.0: a4_runs[1]["motion-off"],
+                0.1: a4_held_out(a4_final_bank(0.1)),
                 1.0: a4_runs[1]["motion-on"]}
     got = {lam_m: (b.info_index, b.motion) for lam_m, b in held_out.items()}
     pinned = all(abs(value - ref) <= 1e-9 * abs(ref)
@@ -544,3 +552,64 @@ def test_held_out_trade_off(a4_runs):
            "held-out I, M at lambda_m = 0, 0.1, 1: "
            + ", ".join(f"{i:.4f}, {m:.4f}" for i, m in (got[k] for k in sorted(got)))
            + " within 1e-9 of the pinned values; I falls as lambda_m rises", elapsed)
+
+
+# Held-out (I, M) at equal invariance on the A4 setup.  Per lambda_m: the
+# motion-on bank, and the best motion-off checkpoint of no larger M, with its
+# step.  The motion-off run is checkpointed every FRONTIER_EVERY steps, each
+# checkpoint a fresh ``train_layer`` from the last, so its temporal-parsimony
+# reference restarts there.  The control trades I for M by spatial
+# smoothing instead: lambda_m = 0, lambda_p = CONTROL_LAMBDA_P.
+FRONTIER_EVERY = 10
+EQUAL_M_FRONTIER = {
+    0.1: ((0.26411688819023016, 0.9804410271422034), (0.2538116027039172, 0.9348963778956534, 360)),
+    0.3: ((0.09173943867846701, 0.2076755846417414), (0.08131536306514364, 0.1891994275243825, 220)),
+}
+CONTROL_LAMBDA_P = 0.03
+CONTROL_HELD_OUT = (0.01090238894068396, 0.011631518480071911)
+# a collapsed bank carries under 1.5% of the log 4 nats that 4 features can
+COLLAPSED_I = 0.02
+
+
+def test_motion_term_beats_equal_m_frontier():
+    start = time.monotonic()
+    clip, flow = a4_clip(8)
+    initial = init_bank(4, 1, 3, "softmax", seed=12345, scale=0.1)
+    held = ActionInputs(clip.data, flow, TemporalWeights.uniform(16), initial)
+
+    def held_out(bank):
+        breakdown = cognitive_action(bank, bank, held, A4_REPORT_LAM, FROZEN_STEP_SIZE)
+        return breakdown.info_index, breakdown.motion
+
+    off = TrainConfig(step_size=FROZEN_STEP_SIZE, steps=FRONTIER_EVERY,
+                      lam=Multipliers(spatial=1e-3, temporal=1e-3), seed=12345)
+    checkpoints = [(*held_out(initial), 0)]
+    bank = initial
+    for step in range(FRONTIER_EVERY, A3_STEPS + 1, FRONTIER_EVERY):
+        bank = train_layer(bank, *a4_clip(7), off).final_bank
+        checkpoints.append((*held_out(bank), step))
+    got = {}
+    for lam_m in EQUAL_M_FRONTIER:
+        on = held_out(a4_final_bank(lam_m))
+        below = [point for point in checkpoints if point[1] <= on[1]]
+        got[lam_m] = (on, max(below) if below else None)
+    control_config = replace(off, steps=A3_STEPS,
+                             lam=Multipliers(spatial=CONTROL_LAMBDA_P, temporal=1e-3))
+    control = held_out(train_layer(initial, *a4_clip(7), control_config).final_bank)
+
+    def close(values, refs):
+        return all(abs(value - ref) <= 1e-9 * abs(ref) for value, ref in zip(values, refs))
+
+    pinned = close(control, CONTROL_HELD_OUT) and all(
+        best is not None and best[2] == ref_best[2] and close(on + best[:2], ref_on + ref_best[:2])
+        for (on, best), (ref_on, ref_best) in zip(got.values(), EQUAL_M_FRONTIER.values()))
+    above = all(best is not None and on[0] > best[0] for on, best in got.values())
+    collapsed = control[0] < COLLAPSED_I and all(
+        control[1] <= on[1] and control[0] < on[0] for on, _ in got.values())
+    elapsed = time.monotonic() - start
+    report("FRONTIER", pinned and above and collapsed,
+           "held-out I of the motion-on bank vs the best motion-off checkpoint of no larger M: "
+           + ", ".join(f"lambda_m {lam_m}: {on[0]:.4f} vs {best[0]:.4f} (step {best[2]})"
+                       for lam_m, (on, best) in got.items() if best is not None)
+           + f"; lambda_p {CONTROL_LAMBDA_P} control collapses to I {control[0]:.4f} at "
+           f"M {control[1]:.4f}; all within 1e-9 of the pinned values", elapsed)

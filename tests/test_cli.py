@@ -496,6 +496,16 @@ class TestFailedRunOutput:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_last_update_exit_2(self, tmp_path, capsys, overflow_at_step):
+        body = BASE.format(steps=3, save_features="true").replace("step_size = 0.5",
+                                                                  "step_size = 4.0")
+        path = write_config(tmp_path / "exp.ini", body)
+        overflow_at_step(2)
+        out = tmp_path / "out"
+        assert main(["train", "--config", path, "--out", str(out)]) == 2
+        assert "layer 1: non-finite taps after the update at step 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failed_run_keeps_existing_out_dir(self, tmp_path, failing_runs):
         argv, _ = failing_runs["train"]
         out = tmp_path / "out"

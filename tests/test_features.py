@@ -388,6 +388,31 @@ class TestBankValidation:
         with pytest.raises(ValueError):
             FilterBank(np.zeros((2, 1, 3, 3)), mode="sigmoid")
 
+    @pytest.mark.parametrize("taps", [np.full((2, 1, 3, 3), np.nan), np.full((2, 1, 3, 3), -np.inf),
+                                      np.zeros((1, 1, 3, 3)), np.zeros((2, 1, 2, 2))],
+                             ids=["nan", "inf", "one-feature", "even-kernel"])
+    def test_public_constructors_reject_bad_taps(self, tmp_path, taps):
+        # the optimizer's iterates and the finite-difference probes skip
+        # these checks; every public way to a bank keeps them
+        bank = init_bank(2, 1, 3, "softmax", seed=3)
+        path = tmp_path / "bank.txt"
+        header = "{} {} {} softmax 1".format(*taps.shape[:3])
+        path.write_text("\n".join([header] + [repr(float(v)) for v in taps.ravel()]) + "\n")
+        for build in (FilterBank, bank.with_taps, lambda _: load_bank(path)):
+            with pytest.raises(ValueError):
+                build(taps)
+        with pytest.raises(ValueError, match="shape"):
+            bank.with_taps(taps[0])
+
+    def test_unchecked_successor_matches_with_taps(self):
+        bank = init_bank(3, 2, 5, "linear-penalty", seed=4, layer=2)
+        taps = bank.taps * 0.5
+        checked, unchecked = bank.with_taps(taps), bank._next(taps.copy())
+        assert (unchecked.mode, unchecked.layer) == (checked.mode, checked.layer)
+        assert unchecked.taps.tobytes() == checked.taps.tobytes()
+        assert unchecked._flat.tobytes() == checked._flat.tobytes()
+        assert not unchecked.taps.flags.writeable and not unchecked._flat.flags.writeable
+
 
 class TestBankSerialization:
     def test_bitexact_roundtrip(self, tmp_path):

@@ -22,6 +22,7 @@ from cogaction.optimizer import (
     gradient_check_instances,
     run_gradient_check,
 )
+from objective_oracle import accumulated_finite_diff
 
 
 def weighted_terms(terms, lam):
@@ -179,6 +180,20 @@ class TestGradientOracle:
         analytic = assert_terms_match_finite_differences(instance)
         for name, grad in analytic.items():
             assert np.abs(grad).max() > 0.0, name
+
+
+def test_finite_differences_match_accumulated_oracle():
+    # the gradients formed from one array of probe values at the end carry
+    # the bits of adding each probe's terms as it is evaluated
+    for instance in gradient_check_instances(20):
+        inputs = ActionInputs(instance["data"], instance["flow"], instance["weights"],
+                              instance["bank"])
+        args = (instance["bank"], instance["bank_prev"], inputs, instance["lam"], instance["dtau"])
+        got, want = finite_diff_breakdowns(*args), accumulated_finite_diff(*args)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].shape == want[name].shape
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 def test_screened_margins_match_streamed(patch_fills):

@@ -138,6 +138,16 @@ class TestTrainLayer:
         with pytest.raises(DivergenceError, match=r"step \d+"):
             train_layer(bank, clip, flow, config)
 
+    def test_overflowing_last_update_aborts(self, texture_instance, overflow_at_step):
+        # the update, not the step's gradient, turns non-finite; iterates
+        # skip FilterBank's checks, so the trainer must catch it itself
+        clip, flow = texture_instance
+        overflow_at_step(2)
+        bank = init_bank(4, 1, 3, "softmax", seed=8, scale=0.1)
+        config = TrainConfig(step_size=4.0, steps=3, lam=Multipliers(motion=1.0), seed=8)
+        with pytest.raises(DivergenceError, match="non-finite taps after the update at step 2"):
+            train_layer(bank, clip, flow, config)
+
     def test_reproducible_bit_identical(self, texture_instance):
         clip, flow = texture_instance
         config = TrainConfig(step_size=0.1, steps=10, lam=Multipliers(motion=1.0), seed=9)
