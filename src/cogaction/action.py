@@ -47,7 +47,6 @@ from .features import (  # noqa: F401
     FilterBank,
     _frame_rows,
     _patch_blocks,
-    _unflat_taps,
     _unflat_view,
     as_grid,
     clip_patches,
@@ -627,7 +626,8 @@ def term_gradients(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs
 
     return {
         "info_index": -tap_gradient(Multipliers(), index=True),
-        "motion": _unflat_taps(2.0 * _motion_form(bank, inputs.gram)[1][:, :-1], bank.kernel),
+        "motion": _unflat_view(2.0 * _motion_form(bank, inputs.gram)[1][:, :-1],
+                               bank.kernel).copy(),
         "spatial": spatial_parsimony_gradient(bank.taps),
         "temporal": (bank.taps - bank_prev.taps) / (dtau * dtau),
         "penalty": (tap_gradient(Multipliers(constraint=1.0))

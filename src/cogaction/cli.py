@@ -205,6 +205,8 @@ def main(argv=None) -> int:
         if args.command == "check-grad":
             return cmd_check_grad(args.instances)
         experiment = parse_config(args.config, seed_override=args.seed)
+        if args.out == "":
+            raise ConfigError("--out must name a directory, got ''")
         out_dir = Path(args.out if args.out is not None else experiment.out_dir)
         if args.command == "synth":
             return cmd_synth(experiment, out_dir)

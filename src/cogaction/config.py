@@ -14,6 +14,7 @@ Randomness: every layer's tap initialization derives from the single
 import configparser
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .action import Multipliers
@@ -144,29 +145,19 @@ class _Section:
 
 
 def _train_settings(section: _Section, defaults: dict) -> dict:
-    """Read the TrainConfig-shaped keys of a section over the given defaults."""
-    values = dict(defaults)
-    for key, reader in (
+    """Read the TrainConfig-shaped keys of a section, each over its default."""
+    return {key: read(key, defaults[key]) for key, read in (
         ("steps", section.integer), ("step_size", section.real), ("dtau", section.real),
         ("lambda_m", section.real), ("lambda_p", section.real), ("lambda_k", section.real),
         ("lambda_c", section.real), ("window", section.integer), ("init_scale", section.real),
-    ):
-        got = reader(key, default=None)
-        if got is not None:
-            values[key] = got
-    mode = section.text("mode", default=None, choices=set(MODES))
-    if mode is not None:
-        values["mode"] = mode
-    weighting = section.text("weights", default=None)
-    if weighting is not None:
-        values["weighting"] = weighting
-    return values
+        ("mode", partial(section.text, choices=set(MODES))), ("weights", section.text),
+    )}
 
 
 _TRAIN_DEFAULTS = {
     "steps": 100, "step_size": 0.1, "dtau": None, "lambda_m": 1.0, "lambda_p": 1e-3,
     "lambda_k": 1e-3, "lambda_c": 0.0, "window": None, "init_scale": 0.1,
-    "mode": "softmax", "weighting": "uniform",
+    "mode": "softmax", "weights": "uniform",
 }
 
 
@@ -177,7 +168,7 @@ def _build_train_config(values: dict, seed: int, where: str) -> TrainConfig:
         return TrainConfig(step_size=values["step_size"], steps=values["steps"], lam=lam,
                            mode=values["mode"], dtau=values["dtau"], window=values["window"],
                            seed=seed, init_scale=values["init_scale"],
-                           weighting=values["weighting"])
+                           weighting=values["weights"])
     except ValueError as exc:
         raise ConfigError(f"[{where}] {exc}") from None
 
@@ -282,6 +273,8 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
 
     out_sec = sections.get("output", _Section("output", {}))
     out_dir = out_sec.text("dir", "out")
+    if not out_dir:
+        raise ConfigError("[output] dir must name a directory, got ''")
     save_features = out_sec.flag("save_features", True)
     out_sec.reject_unknown()
 

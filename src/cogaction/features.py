@@ -210,11 +210,6 @@ def _unflat_view(flat: np.ndarray, kernel: int) -> np.ndarray:
     return flat.reshape(len(flat), kernel, kernel, -1)[:, ::-1, ::-1].transpose(0, 3, 2, 1)
 
 
-def _unflat_taps(flat: np.ndarray, kernel: int) -> np.ndarray:
-    """Inverse of ``_flat_taps``: a new (n, m_in, K, K) array."""
-    return _unflat_view(flat, kernel).copy()
-
-
 def convolve_features(bank: FilterBank, data, out: np.ndarray | None = None,
                       patches: np.ndarray | None = None) -> np.ndarray:
     """Activation field (T, H, W, n) of the bank over a clip or feature field.
@@ -283,7 +278,7 @@ def convolution_tap_gradient(data, act_grad: np.ndarray, kernel: int,
     if patches is not None:
         _check_patches(patches, grid, kernel)
         total += patches @ grad.reshape(n, -1).T
-        return _unflat_taps(total.T, kernel)
+        return _unflat_view(total.T, kernel).copy()
     height, width = grid.shape[1:3]
     wide = width + kernel - 1
     span = height * wide
@@ -294,7 +289,7 @@ def convolution_tap_gradient(data, act_grad: np.ndarray, kernel: int,
         padded[:, :, :width] = grad[:, t]
         for u in range(kernel):
             row_total[u] += rows[:, u * wide:u * wide + span] @ ext
-    return _unflat_taps(total.T, kernel)
+    return _unflat_view(total.T, kernel).copy()
 
 
 def to_probabilities(act: np.ndarray, mode: str) -> np.ndarray:

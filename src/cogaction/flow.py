@@ -11,8 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .video import VideoClip
-
 FLOW_MAGIC = "FLOW v1"
 
 
@@ -84,8 +82,9 @@ _SWEEP_BLOCK_BYTES = 5 << 18
 _SWEEP_ROWS = 9
 
 
-def horn_schunck(clip: VideoClip, alpha: float, iters: int) -> VelocityField:
-    """Estimate flow with the classic Horn-Schunck fixed-point iteration.
+def horn_schunck(clip, alpha: float, iters: int) -> VelocityField:
+    """Estimate the flow of a ``VideoClip`` with the classic Horn-Schunck
+    fixed-point iteration.
 
     Per frame pair: luminance (channel mean) cube-stencil gradients with wrap,
     the standard 4-neighbor average for the smoothness coupling, ``iters``

@@ -11,10 +11,13 @@ equals frame 0 resampled at offset ``t * velocity``.
 """
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .flow import constant_flow
 
 PATTERN_KINDS = ("checkerboard", "sinusoid", "random-texture")
 
@@ -139,8 +142,6 @@ def synth_translating_clip(pattern: PatternSpec, velocity, frames: int, height: 
     ``t * velocity`` with toroidal wrap, so the transport condition holds
     exactly (up to bilinear resampling error for sub-pixel velocities).
     """
-    from .flow import constant_flow
-
     v1, v2 = float(velocity[0]), float(velocity[1])
     if frames < 2:
         raise ValueError(f"need at least 2 frames, got {frames}")
@@ -167,26 +168,16 @@ def _read_pnm(path) -> tuple[np.ndarray, str]:
         raise ValueError(f"cannot read image file {path}: {exc}") from exc
 
     # header: magic, width, height, maxval as whitespace-separated tokens,
-    # '#' comments allowed, then exactly one whitespace byte before the data
-    pos = 0
-    tokens = []
-    while len(tokens) < 4:
-        if pos >= len(raw):
-            raise ValueError(f"truncated header in {path}")
-        ch = raw[pos:pos + 1]
-        if ch == b"#":
-            while pos < len(raw) and raw[pos:pos + 1] != b"\n":
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            start = pos
-            while pos < len(raw) and not raw[pos:pos + 1].isspace():
-                pos += 1
-            tokens.append(raw[start:pos])
-    if pos >= len(raw) or not raw[pos:pos + 1].isspace():
+    # '#' comments allowed, then exactly one whitespace byte before the data.
+    # A comment runs to the end of its line and a token to the next
+    # whitespace, so the match cannot backtrack into either.
+    gap = rb"(?:\s|#[^\n]*(?![^\n]))*"
+    header = re.match((gap + rb"([^\s#]\S*)(?!\S)") * 4, raw)
+    if header is None:
+        raise ValueError(f"truncated header in {path}")
+    if header.end() == len(raw):
         raise ValueError(f"malformed header in {path}")
-    pos += 1
+    tokens = header.groups()
 
     magic = tokens[0].decode("ascii", errors="replace")
     if magic not in ("P5", "P6"):
@@ -202,7 +193,7 @@ def _read_pnm(path) -> tuple[np.ndarray, str]:
 
     channels = 1 if magic == "P5" else 3
     count = width * height * channels
-    body = raw[pos:]
+    body = raw[header.end() + 1:]
     if len(body) != count:
         raise ValueError(f"{path}: expected {count} data bytes, found {len(body)}")
     pixels = np.frombuffer(body, dtype=np.uint8).astype(np.float64) / 255.0
@@ -238,26 +229,20 @@ def load_image_sequence(path_pattern: str) -> VideoClip:
     channel count is 1 for PGM and 3 for PPM.  At least two frames required.
     """
     frames = []
-    magics = []
-    t = 0
-    while True:
-        path = expand_path_pattern(path_pattern, t)
-        if not path.exists():
-            break
+    while (path := expand_path_pattern(path_pattern, len(frames))).exists():
         frame, magic = _read_pnm(path)
-        if frames:
-            if magic != magics[0]:
-                raise ValueError(
-                    f"{path}: format {magic} does not match {magics[0]} of the first frame"
-                )
-            if frame.shape != frames[0].shape:
-                raise ValueError(
-                    f"{path}: dimensions {frame.shape[1]}x{frame.shape[0]} do not match "
-                    f"the first frame's {frames[0].shape[1]}x{frames[0].shape[0]}"
-                )
+        if not frames:
+            first_magic = magic
+        elif magic != first_magic:
+            raise ValueError(
+                f"{path}: format {magic} does not match {first_magic} of the first frame"
+            )
+        elif frame.shape != frames[0].shape:
+            raise ValueError(
+                f"{path}: dimensions {frame.shape[1]}x{frame.shape[0]} do not match "
+                f"the first frame's {frames[0].shape[1]}x{frames[0].shape[0]}"
+            )
         frames.append(frame)
-        magics.append(magic)
-        t += 1
     if len(frames) < 2:
         raise ValueError(
             f"pattern {path_pattern!r} matched {len(frames)} frame(s), need at least 2"

@@ -755,7 +755,7 @@ class TestKeptTransportParity:
         values, vectors = np.linalg.eigh(gram)
         x = np.tile(vectors[:, 0], (n, 1))
         x[:, -1] = 1.0 / n
-        bank = FilterBank(features._unflat_taps(x[:, :-1], kernel))
+        bank = FilterBank(features._unflat_view(x[:, :-1], kernel).copy())
         motion = step_motion(bank, data, flow, weights)
         expected = objective_step(bank, bank, data, flow, weights, Multipliers(), 1.0)[0].motion
         assert motion >= 0.0

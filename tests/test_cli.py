@@ -4,6 +4,7 @@ import platform
 import re
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,96 @@ class TestConfigParsing:
         path = write_config(tmp_path / "bad.ini", body)
         with pytest.raises(ConfigError, match=r"\[train\] seed must be >= 0, got -5"):
             parse_config(path)
+
+
+# Every [train] key, which any [layerZ] section may override: how a layer's
+# TrainConfig reads it, the default when no section names it, a [train] value
+# and what it reads as, a [layer2] value and what it reads as, and a bad value
+# with today's reason (None: TrainConfig rejects it, naming the layer).
+TrainKey = namedtuple("TrainKey", "key read default shared shared_value own own_value bad why")
+TRAIN_KEYS = [TrainKey(*row) for row in (
+    ("steps", lambda c: c.steps, 100, "7", 7, "9", 9, "x", "not an integer"),
+    ("step_size", lambda c: c.step_size, 0.1, "0.25", 0.25, "0.75", 0.75, "x", "not a number"),
+    ("dtau", lambda c: c.dtau, None, "0.5", 0.5, "2", 2.0, "inf", "not a finite number"),
+    ("lambda_m", lambda c: c.lam.motion, 1.0, "0.3", 0.3, "0.7", 0.7, "x", "not a number"),
+    ("lambda_p", lambda c: c.lam.spatial, 1e-3, "0.02", 0.02, "0.05", 0.05, "nan",
+     "not a finite number"),
+    ("lambda_k", lambda c: c.lam.temporal, 1e-3, "0.04", 0.04, "0.06", 0.06, "x", "not a number"),
+    ("lambda_c", lambda c: c.lam.constraint, 0.0, "0.5", 0.5, "1.5", 1.5, "x", "not a number"),
+    ("window", lambda c: c.window, None, "3", 3, "4", 4, "2.5", "not an integer"),
+    ("init_scale", lambda c: c.init_scale, 0.1, "0.2", 0.2, "0.3", 0.3, "-inf",
+     "not a finite number"),
+    ("mode", lambda c: c.mode, "softmax", "linear-penalty", "linear-penalty", "softmax",
+     "softmax", "x", "expected one of ['linear-penalty', 'softmax']"),
+    ("weights", lambda c: c.weighting, "uniform", "exp:0.5", "exp:0.5", "exp:0.25", "exp:0.25",
+     "x", None),
+)]
+
+TWO_LAYERS = ("[data]\nsource = synth\npattern = checkerboard\nframes = 6\nheight = 8\n"
+              "width = 8\n[train]\n{train}[layer1]\nn = 2\nk = 3\n[layer2]\nn = 2\nk = 3\n{layer2}")
+
+
+@pytest.mark.parametrize("row", TRAIN_KEYS, ids=[row.key for row in TRAIN_KEYS])
+class TestTrainKeys:
+    def read(self, tmp_path, row, train="", layer2=""):
+        path = write_config(tmp_path / "k.ini", TWO_LAYERS.format(train=train, layer2=layer2))
+        return [row.read(plan.config) for plan in parse_config(path).layers]
+
+    def test_absent_key_gives_default(self, tmp_path, row):
+        assert self.read(tmp_path, row) == [row.default, row.default]
+
+    def test_train_value_reaches_each_layer(self, tmp_path, row):
+        values = self.read(tmp_path, row, train=f"{row.key} = {row.shared}\n")
+        assert values == [row.shared_value, row.shared_value]
+
+    def test_layer_value_overrides_train(self, tmp_path, row):
+        values = self.read(tmp_path, row, train=f"{row.key} = {row.shared}\n",
+                           layer2=f"{row.key} = {row.own}\n")
+        assert values == [row.shared_value, row.own_value]
+
+    @pytest.mark.parametrize("section", ["train", "layer2"])
+    def test_bad_value_message(self, tmp_path, row, section):
+        line = f"{row.key} = {row.bad}\n"
+        body = TWO_LAYERS.format(train=line if section == "train" else "",
+                                 layer2=line if section == "layer2" else "")
+        expected = f"[{section}] {row.key} = {row.bad!r}: {row.why}"
+        if row.why is None:
+            layer = "layer1" if section == "train" else section
+            expected = (f"[{layer}] unknown temporal weighting {row.bad!r}, "
+                        "expected 'uniform' or 'exp:<gamma>'")
+        with pytest.raises(ConfigError) as info:
+            parse_config(write_config(tmp_path / "bad.ini", body))
+        assert str(info.value) == expected
+
+
+class TestEmptyOutputDirectory:
+    """An empty directory name would be the working directory: it is a
+    configuration error that names the key or the flag, and writes nothing."""
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_empty_output_dir_key(self, tmp_path, monkeypatch, capsys, command):
+        body = BASE.format(steps=1, save_features="false").replace("dir = out", "dir =")
+        path = write_config(tmp_path / "exp.ini", body)
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--config", path]) == 1
+        assert "config error: [output] dir must name a directory, got ''" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_empty_out_flag(self, tmp_path, monkeypatch, capsys, config_path, command):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--config", config_path, "--out", ""]) == 1
+        assert "config error: --out must name a directory, got ''" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini"]
+
+    def test_dot_stays_allowed(self, tmp_path, monkeypatch, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        path = write_config(run / "exp.ini", BASE.format(steps=1, save_features="false"))
+        monkeypatch.chdir(run)
+        assert main(["train", "--config", path, "--out", "."]) == 0
+        assert (run / "summary.csv").exists()
+        assert "outputs in ." in capsys.readouterr().out
 
 
 class TestSynthCommand:
@@ -605,6 +696,29 @@ class TestCheckGrad:
         captured = capsys.readouterr()
         assert f"--instances must be >= 1, got {count}" in captured.err
         assert "max relative error" not in captured.out
+
+
+# Names that only the benchmark under perfbench/ uses (its tracer patches
+# them); the package's own commands must run with every one of them broken.
+BENCHMARK_ONLY = [("action", "probability_vjp"), ("action", "to_probabilities"),
+                  ("action", "conditional_entropy"), ("action", "symbol_marginal"),
+                  ("optimizer", "to_probabilities")]
+
+
+def test_benchmark_only_names_are_dead_for_the_package(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("a benchmark-only name was called")
+
+    for module, name in BENCHMARK_ONLY:
+        monkeypatch.setattr(getattr(cogaction, module), name, broken)
+    monkeypatch.setattr(cogaction.action._WarpPlan, "__init__", broken)
+    body = BASE + "\n[layer2]\nn = 3\nk = 3\nsteps = 1\n"
+    path = write_config(tmp_path / "deep.ini", body.format(steps=2, save_features="true"))
+    run = tmp_path / "run"
+    assert main(["train", "--config", path, "--out", str(run)]) == 0
+    banks = ["--bank", str(run / "layer1_bank.txt"), "--bank", str(run / "layer2_bank.txt")]
+    assert main(["eval", "--config", path, *banks, "--out", str(tmp_path / "eval")]) == 0
+    assert main(["check-grad", "--instances", "2"]) == 0
 
 
 class TestThreadsFlagIsInert:

@@ -1,4 +1,5 @@
 import re
+import time
 
 import numpy as np
 import pytest
@@ -184,6 +185,108 @@ class TestImageIO:
         _write_pnm(tmp_path / "x.pgm", values)
         frame, _ = _read_pnm(tmp_path / "x.pgm")
         assert np.array_equal(np.rint(frame * 255), np.rint(values * 255))
+
+
+DATA_2X2 = bytes([0, 64, 128, 255])
+
+# PGM/PPM headers and what reading them gives: the magic and the 2x2 grey
+# frame's bytes, or the error message with {path} for the file.
+PNM_HEADERS = {
+    "comments-between-tokens": (b"P5 # c\n2 #d\n2\n#e\n255\n" + DATA_2X2, "P5"),
+    "comment-before-magic": (b"# lead\nP5\n2 2\n255\n" + DATA_2X2, "P5"),
+    "tab-and-cr-separators": (b"P5\t2\r2\t255\r" + DATA_2X2, "P5"),
+    "vt-and-ff-separators": (b"P5\x0b2\x0c2 255\x0b" + DATA_2X2, "P5"),
+    "comment-to-end-of-file": (b"P5\n2 2\n# runs to the end", "truncated header in {path}"),
+    "comment-ends-at-cr-only": (b"P5 # c\r2 2 255\n" + DATA_2X2, "truncated header in {path}"),
+    "three-tokens": (b"P5 2 2", "truncated header in {path}"),
+    "empty": (b"", "truncated header in {path}"),
+    "whitespace-only": (b" \n\t", "truncated header in {path}"),
+    "no-whitespace-after-maxval": (b"P5\n2 2\n255", "malformed header in {path}"),
+    "hash-ends-maxval-token": (b"P5\n2 2 255#", "malformed header in {path}"),
+    "hash-after-magic": (b"P5#x\n2 2\n255\n" + DATA_2X2,
+                         "{path}: unsupported format 'P5#x', expected binary P5 or P6"),
+    "non-ascii-magic": (b"\xffP5 2 2 255\n" + DATA_2X2,
+                        "{path}: unsupported format '\ufffdP5', expected binary P5 or P6"),
+    "hash-inside-width": (b"P5\n2#c\n2\n255\n" + DATA_2X2, "{path}: non-numeric header field"),
+    "crlf-after-maxval": (b"P5\r\n2 2\r\n255\r\n" + DATA_2X2,
+                          "{path}: expected 4 data bytes, found 5"),
+    "comment-after-maxval": (b"P5\n2 2\n255\n# c\n" + DATA_2X2,
+                             "{path}: expected 4 data bytes, found 8"),
+}
+
+
+def loop_header(raw: bytes):
+    """Reference header reader, byte by byte: the four tokens and the offset
+    of the data, or the reason the header is rejected."""
+    pos, tokens = 0, []
+    while len(tokens) < 4:
+        if pos >= len(raw):
+            return "truncated"
+        if raw[pos:pos + 1] == b"#":
+            while pos < len(raw) and raw[pos:pos + 1] != b"\n":
+                pos += 1
+        elif raw[pos:pos + 1].isspace():
+            pos += 1
+        else:
+            start = pos
+            while pos < len(raw) and not raw[pos:pos + 1].isspace():
+                pos += 1
+            tokens.append(raw[start:pos])
+    if pos >= len(raw):
+        return "malformed"
+    return tokens, pos + 1
+
+
+class TestPnmHeader:
+    @pytest.mark.parametrize("raw, expected", PNM_HEADERS.values(), ids=PNM_HEADERS.keys())
+    def test_header_table(self, tmp_path, raw, expected):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(raw)
+        if expected.startswith("P"):
+            frame, magic = _read_pnm(path)
+            assert magic == expected
+            assert np.array_equal(frame.ravel() * 255.0, list(DATA_2X2))
+        else:
+            with pytest.raises(ValueError) as info:
+                _read_pnm(path)
+            assert str(info.value) == expected.format(path=path)
+
+    def test_matches_the_byte_by_byte_reader(self, tmp_path):
+        # random headers from the pieces that matter; where the reference
+        # finds four tokens, the file must read as the same tokens written
+        # plainly before the same data
+        pieces = [b"P5", b"P6", b"P5#x", b"1", b"2", b"255", b"2#", b"#", b"# a b", b"#\r",
+                  b" ", b"\n", b"\r\n", b"\t", b"\x0b", b"\x0c", b"\x00"]
+        rng = np.random.default_rng(3)
+        path = tmp_path / "h.pgm"
+
+        def outcome(raw):
+            path.write_bytes(raw)
+            try:
+                frame, magic = _read_pnm(path)
+            except ValueError as exc:
+                return str(exc)
+            return magic, frame.tobytes()
+
+        for _ in range(2000):
+            raw = b"".join(pieces[i] for i in rng.integers(len(pieces), size=rng.integers(4, 16)))
+            expected = loop_header(raw)
+            if isinstance(expected, str):
+                assert outcome(raw) == f"{expected} header in {path}", raw
+            else:
+                tokens, data = expected
+                assert outcome(raw) == outcome(b" ".join(tokens) + b"\n" + raw[data:]), raw
+
+    @pytest.mark.parametrize("raw", [b"P5\n" + b"#" * 26, b"P5 " + b"#" * 26 + b" 2",
+                                     b"P5\n" + b"# " * 26],
+                             ids=["hashes", "hashes-then-token", "spaced-hashes"])
+    def test_run_of_hashes_is_truncated_quickly(self, tmp_path, raw):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(raw)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="truncated header"):
+            _read_pnm(path)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestFeatureMaps:
