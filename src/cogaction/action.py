@@ -140,8 +140,9 @@ class ActionBreakdown:
         return (self.marginal_entropy, self.conditional_entropy, self.info_index,
                 self.motion, self.spatial, self.temporal, self.penalty, self.total)
 
-    def csv_row(self, step: int) -> str:
-        return ",".join([str(step)] + [f"{v:.17g}" for v in self.values()])
+    def csv_row(self, *lead) -> str:
+        """The given leading fields (a step, or a layer and a phase), then the terms."""
+        return ",".join([str(v) for v in lead] + [f"{v:.17g}" for v in self.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +172,7 @@ def conditional_entropy(field: np.ndarray, weights: TemporalWeights) -> float:
 
 
 def _simplex_marginal(q: np.ndarray) -> np.ndarray:
-    if abs(np.add.reduce(q) - 1.0) > 1e-9:
+    if not abs(np.add.reduce(q) - 1.0) <= 1e-9:  # a NaN sum fails too
         raise ValueError(f"symbol marginal sums to {q.sum():.12g}, not 1: field off the simplex")
     return q
 

@@ -23,9 +23,13 @@ import sys
 import time
 from pathlib import Path
 
-from .action import BREAKDOWN_CSV_HEADER, ActionBreakdown
+import numpy as np
+
+from .action import BREAKDOWN_CSV_HEADER
 from .config import ConfigError, ExperimentConfig, parse_config
-from .features import convolve_features, load_bank, save_bank, stack_layers, to_probabilities
+# unused: the benchmark under perfbench/ patches convolve_features and to_probabilities here
+from .features import (convolve_features, load_bank, save_bank, stack_layers,  # noqa: F401
+                       to_probabilities)
 from .flow import save_flow
 from .optimizer import DivergenceError, _windowed, evaluate_bank, run_gradient_check, train_deep
 from .video import save_clip, save_feature_maps
@@ -85,10 +89,6 @@ def _write_rows(path: Path, header: str, rows: list[str]) -> None:
     path.write_text("\n".join([header] + rows) + "\n", encoding="ascii")
 
 
-def _summary_row(layer: int, phase: str, breakdown: ActionBreakdown) -> str:
-    return f"{layer},{phase}," + breakdown.csv_row(0).split(",", 1)[1]
-
-
 def _windowed_eval(bank, grid, flow, config):
     """Evaluate a standalone bank under a layer's window/weights/multipliers."""
     return evaluate_bank(bank, *_windowed(grid, flow, config), config.lam,
@@ -116,8 +116,7 @@ def cmd_train(experiment: ExperimentConfig, out_dir: Path) -> int:
             # train_deep kept the field of every layer but the last
             last = traces[-1]
             below = traces[-2].field if len(traces) > 1 else clip.data
-            last.field = to_probabilities(convolve_features(last.final_bank, below),
-                                          last.final_bank.mode)
+            last.field = stack_layers([last.final_bank], below)[0]
         summary_rows = []
         for index, trace in enumerate(traces, start=1):
             bank = trace.final_bank
@@ -127,8 +126,8 @@ def cmd_train(experiment: ExperimentConfig, out_dir: Path) -> int:
             save_bank(bank, out_dir / f"layer{index}_bank.txt")
             final = trace.final_breakdown
             initial = trace.breakdowns[0] if trace.breakdowns else final
-            summary_rows.append(_summary_row(index, "initial", initial))
-            summary_rows.append(_summary_row(index, "final", final))
+            summary_rows.append(initial.csv_row(index, "initial"))
+            summary_rows.append(final.csv_row(index, "final"))
             if experiment.save_features:
                 save_feature_maps(trace.field, out_dir / "features" / f"layer{index}")
         _write_rows(out_dir / "summary.csv", SUMMARY_HEADER, summary_rows)
@@ -154,7 +153,7 @@ def cmd_eval(experiment: ExperimentConfig, bank_paths: list[str], out_dir: Path)
     with _locked_out_dir(out_dir):
         fields = stack_layers(banks if experiment.save_features else banks[:-1], clip)
         grids = [clip.data] + fields
-        rows = [_summary_row(index, "eval", _windowed_eval(bank, grid, flow, plan.config))
+        rows = [_windowed_eval(bank, grid, flow, plan.config).csv_row(index, "eval")
                 for index, (bank, grid, plan) in enumerate(zip(banks, grids, plans), start=1)]
         if experiment.save_features:
             for index, field in enumerate(fields, start=1):
@@ -169,12 +168,11 @@ def cmd_check_grad(instances: int) -> int:
     if instances < 1:
         raise ConfigError(f"--instances must be >= 1, got {instances}")
     reports = run_gradient_check(count=instances)
-    worst = 0.0
     for report in reports:
-        worst = max(worst, report["max_rel_err"])
         status = "ok" if report["pass"] else "FAIL"
         print(f"instance {report['instance']:2d} [{report['mode']:>14}] "
               f"max rel err {report['max_rel_err']:.3e}  {status}")
+    worst = np.max([r["max_rel_err"] for r in reports])  # not max(): a NaN must win
     print(f"max relative error: {worst:.6e}")
     return 0 if all(r["pass"] for r in reports) else 2
 

@@ -20,6 +20,7 @@ rows.  A clip whose whole patch matrix fits PATCH_CHUNK_BYTES keeps it
 streamed frame by frame, and no call copies the whole clip.
 """
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -338,6 +339,9 @@ def stack_layers(banks, clip) -> list[np.ndarray]:
 # Flat text serialization: header "n m K mode layer", then taps in
 # (i, j, a, b) lexicographic order, one per line, 17 significant digits.
 
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
 def save_bank(bank: FilterBank, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -347,28 +351,29 @@ def save_bank(bank: FilterBank, path) -> None:
 
 
 def load_bank(path) -> FilterBank:
+    """Read a ``save_bank`` file.  Its counts are ASCII digits and its taps
+    ASCII decimals (float would also take '_', 'nan' or 'inf'); every error
+    names the file."""
     path = Path(path)
     try:
         text = path.read_text(encoding="ascii")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read bank file {path}: {exc}") from exc
     lines = text.splitlines()
     if not lines:
         raise ValueError(f"{path}: empty bank file")
     header = lines[0].split()
-    if len(header) != 5:
+    if len(header) != 5 or not all(header[i].isdigit() for i in (0, 1, 2, 4)):
         raise ValueError(f"{path}: bad bank header {lines[0]!r}")
-    try:
-        n, m_in, kernel, layer = int(header[0]), int(header[1]), int(header[2]), int(header[4])
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric bank header field") from exc
-    mode = header[3]
+    n, m_in, kernel, layer = (int(header[i]) for i in (0, 1, 2, 4))
     expected = n * m_in * kernel * kernel
     values = lines[1:]
     if len(values) != expected:
         raise ValueError(f"{path}: expected {expected} tap lines, found {len(values)}")
+    if not all(_DECIMAL.fullmatch(v) for v in values):
+        raise ValueError(f"{path}: non-numeric tap value")
+    taps = np.array([float(v) for v in values], dtype=np.float64)
     try:
-        taps = np.array([float(v) for v in values], dtype=np.float64)
+        return FilterBank(taps.reshape(n, m_in, kernel, kernel), mode=header[3], layer=layer)
     except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric tap value") from exc
-    return FilterBank(taps.reshape(n, m_in, kernel, kernel), mode=mode, layer=layer)
+        raise ValueError(f"{path}: {exc}") from exc

@@ -187,13 +187,12 @@ def load_flow(path) -> VelocityField:
     newline = raw.find(b"\n")
     if newline < 0:
         raise ValueError(f"{path}: missing flow header")
+    # decoded as ASCII, so isdigit means 0-9: int would also take a sign or a '_'
     header = raw[:newline].decode("ascii", errors="replace").split()
-    if len(header) != 5 or " ".join(header[:2]) != FLOW_MAGIC:
+    if (len(header) != 5 or " ".join(header[:2]) != FLOW_MAGIC
+            or not all(tok.isdigit() for tok in header[2:])):
         raise ValueError(f"{path}: bad flow header {raw[:newline]!r}")
-    try:
-        frames, height, width = (int(tok) for tok in header[2:])
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric flow dimensions") from exc
+    frames, height, width = (int(tok) for tok in header[2:])
     body = raw[newline + 1:]
     count = frames * height * width * 2
     if len(body) != count * 8:

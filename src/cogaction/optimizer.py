@@ -274,13 +274,14 @@ def _clamp_margin(bank: FilterBank, inputs: ActionInputs) -> float:
     return float(min(np.abs(act - CLAMP_EPS).min(), np.abs(act - 1.0).min()))
 
 
-def run_gradient_check(count: int = 20, eps: float = 1e-5, tol: float = 1e-5) -> list[dict]:
+def run_gradient_check(count: int = 20) -> list[dict]:
     """Compare analytic and finite-difference gradients on the seeded suite.
 
     Returns one report per instance with the max relative error per term and
-    jointly; relative error is |g_a - g_fd| / (1 + |g_a|) per tap.  The joint
-    analytic gradient is the one training follows, from
-    ``action_value_and_gradient``.  Instances in linear-penalty mode are
+    jointly; relative error is |g_a - g_fd| / (1 + |g_a|) per tap, with a
+    finite-difference step of 1e-5, and an instance passes when every one is
+    at most 1e-5.  The joint analytic gradient is the one training follows,
+    from ``action_value_and_gradient``.  Instances in linear-penalty mode are
     screened so no activation sits within 1e-4 of a projection kink, which
     would invalidate the finite-difference oracle.
     """
@@ -294,19 +295,12 @@ def run_gradient_check(count: int = 20, eps: float = 1e-5, tol: float = 1e-5) ->
             raise RuntimeError(f"instance {number} sits on a projection kink; reseed the suite")
         args = (bank, instance["bank_prev"], inputs)
         lam, dtau = instance["lam"], instance["dtau"]
-        fd = finite_diff_breakdowns(*args, lam, dtau, eps=eps)
+        fd = finite_diff_breakdowns(*args, lam, dtau, eps=1e-5)
         analytic = term_gradients(*args, dtau)
         analytic["total"] = action_value_and_gradient(*args, lam, dtau)[1]
-        report = {"instance": number, "mode": instance["mode"]}
-        worst = 0.0
-        terms = ["info_index", "motion", "spatial", "temporal", "total"]
-        if instance["mode"] == "linear-penalty":
-            terms.insert(4, "penalty")
-        for name in terms:
-            err = np.abs(analytic[name] - fd[name]) / (1.0 + np.abs(analytic[name]))
-            report[name] = float(err.max())
-            worst = max(worst, report[name])
-        report["max_rel_err"] = worst
-        report["pass"] = worst <= tol
-        reports.append(report)
+        errors = {name: float((np.abs(grad - fd[name]) / (1.0 + np.abs(grad))).max())
+                  for name, grad in analytic.items()}
+        worst = float(np.max(list(errors.values())))  # not max(): a NaN must win
+        reports.append({"instance": number, "mode": instance["mode"], **errors,
+                        "max_rel_err": worst, "pass": worst <= 1e-5})
     return reports

@@ -182,10 +182,10 @@ def _read_pnm(path) -> tuple[np.ndarray, str]:
     magic = tokens[0].decode("ascii", errors="replace")
     if magic not in ("P5", "P6"):
         raise ValueError(f"{path}: unsupported format {magic!r}, expected binary P5 or P6")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric header field") from exc
+    # bytes.isdigit is ASCII 0-9 only; int would also take a sign or a '_'
+    if not all(t.isdigit() for t in tokens[1:]):
+        raise ValueError(f"{path}: non-numeric header field")
+    width, height, maxval = (int(t) for t in tokens[1:])
     if width < 1 or height < 1:
         raise ValueError(f"{path}: degenerate image size {width}x{height}")
     if maxval != 255:

@@ -149,11 +149,11 @@ def trace_numbers(trace, every=REFERENCE_EVERY):
 
 def test_a1_gradient_oracle():
     start = time.monotonic()
-    reports = run_gradient_check(count=20, eps=1e-5, tol=1e-5)
+    reports = run_gradient_check(count=20)
     elapsed = time.monotonic() - start
     worst = max(r["max_rel_err"] for r in reports)
     terms_ok = all(r[t] <= 1e-5 for r in reports
-                   for t in ("info_index", "motion", "spatial", "temporal") if t in r)
+                   for t in ("info_index", "motion", "spatial", "temporal", "penalty"))
     modes = {r["mode"] for r in reports}
     ok = (len(reports) == 20 and all(r["pass"] for r in reports) and terms_ok
           and modes == {"softmax", "linear-penalty"} and elapsed <= 60.0)

@@ -169,6 +169,17 @@ class TestEntropies:
         with pytest.raises(ValueError, match="simplex"):
             symbol_marginal(field, w)
 
+    @pytest.mark.parametrize("mode", ["softmax", "linear-penalty"])
+    def test_nan_marginal_rejected(self, mode):
+        # an iterate skips FilterBank's checks, so NaN taps reach the step;
+        # abs(nan - 1) > 1e-9 is False, so only "not <=" rejects the marginal
+        clip, flow = synth_translating_clip(PatternSpec("random-texture", 4, seed=2), (1, 0), 3, 6, 6)
+        bank = init_bank(3, 1, 3, mode, seed=4)
+        inputs = ActionInputs(clip, flow, TemporalWeights.uniform(3), bank)
+        nan_bank = bank._next(np.full(bank.taps.shape, np.nan))
+        with pytest.raises(ValueError, match="symbol marginal sums to nan, not 1"):
+            cognitive_action(nan_bank, bank, inputs, Multipliers(), 1.0)
+
     def test_dimension_mismatch(self):
         field = np.full((3, 2, 2, 2), 0.5)
         with pytest.raises(ValueError, match="frames"):
@@ -491,6 +502,7 @@ class TestCompositeAction:
         assert len(parts) == len(BREAKDOWN_CSV_HEADER.split(","))
         for text, value in zip(parts[1:], values):
             assert float(text) == value  # 17 significant digits round-trip
+        assert ActionBreakdown(*values).csv_row(2, "final") == "2,final," + row.split(",", 1)[1]
 
 
 def step(bank, prev, inputs, lam, dtau):

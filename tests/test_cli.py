@@ -690,6 +690,20 @@ class TestCheckGrad:
         value = float(out.strip().splitlines()[-1].split()[-1])
         assert value <= 1e-5 and math.isfinite(value)
 
+    @pytest.mark.parametrize("module, name, poison", [
+        ("action", "term_gradients", lambda grads: {**grads, "motion": grads["motion"] * np.nan}),
+        ("optimizer", "action_value_and_gradient", lambda result: (result[0], result[1] * np.nan)),
+    ], ids=["motion-term", "joint"])
+    def test_nan_error_fails(self, capsys, monkeypatch, module, name, poison):
+        # Python's max(worst, nan) keeps worst, so a running max passed a NaN
+        owner = getattr(cogaction, module)
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: poison(real(*args)))
+        assert main(["check-grad", "--instances", "2"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[-1] for line in lines[:-1]] == ["FAIL", "FAIL"]
+        assert lines[-1] == "max relative error: nan"
+
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_no_instances_is_config_error(self, capsys, count):
         assert main(["check-grad", "--instances", count]) == 1
@@ -702,7 +716,8 @@ class TestCheckGrad:
 # them); the package's own commands must run with every one of them broken.
 BENCHMARK_ONLY = [("action", "probability_vjp"), ("action", "to_probabilities"),
                   ("action", "conditional_entropy"), ("action", "symbol_marginal"),
-                  ("optimizer", "to_probabilities")]
+                  ("optimizer", "to_probabilities"), ("cli", "convolve_features"),
+                  ("cli", "to_probabilities")]
 
 
 def test_benchmark_only_names_are_dead_for_the_package(tmp_path, monkeypatch):

@@ -414,7 +414,45 @@ class TestBankValidation:
         assert not unchecked.taps.flags.writeable and not unchecked._flat.flags.writeable
 
 
+# bank files and what loading them gives: the taps, or the error message with
+# {path} for the file
+BANK_FILES = {
+    "plain": (b"2 1 1 softmax 1\n0.5\n-1.25e-3\n", (0.5, -1.25e-3)),
+    "decimal-forms": (b"2 1 1 linear-penalty 1\n.5\n+5.E+2\n", (0.5, 500.0)),
+    "save-bank-extremes": (b"2 1 1 softmax 1\n-0.00000000000000000e+00\n"
+                           b"1.79769313486231571e+308\n", (-0.0, 1.7976931348623157e308)),
+    # float() and int() would read these: a sign, '_', 'nan', 'inf'
+    "plus-sign-count": (b"+2 1 1 softmax 1\n0.5\n0.5\n",
+                        "{path}: bad bank header '+2 1 1 softmax 1'"),
+    "underscore-layer": (b"2 1 1 softmax 0_1\n0.5\n0.5\n",
+                         "{path}: bad bank header '2 1 1 softmax 0_1'"),
+    "negative-kernel": (b"2 1 -1 softmax 1\n0.5\n0.5\n",
+                        "{path}: bad bank header '2 1 -1 softmax 1'"),
+    "underscore-tap": (b"2 1 1 softmax 1\n1_0\n0.5\n", "{path}: non-numeric tap value"),
+    "nan-tap": (b"2 1 1 softmax 1\nnan\n0.5\n", "{path}: non-numeric tap value"),
+    "inf-tap": (b"2 1 1 softmax 1\n0.5\n-inf\n", "{path}: non-numeric tap value"),
+    "spaced-tap": (b"2 1 1 softmax 1\n0.5 \n0.5\n", "{path}: non-numeric tap value"),
+    "overflowing-tap": (b"2 1 1 softmax 1\n1e999\n0.5\n", "{path}: taps must be finite"),
+    "unknown-mode": (b"2 1 1 tanh 1\n0.5\n0.5\n", "{path}: unknown constraint mode 'tanh', "
+                     "expected one of ('softmax', 'linear-penalty')"),
+    "layer-zero": (b"2 1 1 softmax 0\n0.5\n0.5\n", "{path}: layer index must be >= 1, got 0"),
+    "non-ascii-byte": (b"2 1 1 softmax 1\n0.5\n\xff\n", "cannot read bank file {path}: 'ascii' "
+                       "codec can't decode byte 0xff in position 20: ordinal not in range(128)"),
+}
+
+
 class TestBankSerialization:
+    @pytest.mark.parametrize("raw, expected", BANK_FILES.values(), ids=BANK_FILES.keys())
+    def test_bank_file_table(self, tmp_path, raw, expected):
+        path = tmp_path / "bank.txt"
+        path.write_bytes(raw)
+        if isinstance(expected, tuple):
+            assert load_bank(path).taps.ravel().tobytes() == np.array(expected).tobytes()
+        else:
+            with pytest.raises(ValueError) as info:
+                load_bank(path)
+            assert str(info.value) == expected.format(path=path)
+
     def test_bitexact_roundtrip(self, tmp_path):
         bank = init_bank(4, 2, 5, "linear-penalty", seed=13, scale=0.7, layer=3)
         path = tmp_path / "bank.txt"

@@ -174,7 +174,34 @@ class TestHornSchunckOracle:
                                   roll_horn_schunck(clip, 1.0, 25).data)
 
 
+ONE_SITE = np.array([0.5, -0.25, 1.0, 2.0], dtype="<f8").tobytes()  # 2 frames of 1x1
+
+# flow files and whether they load, or the error message with {path} for the file
+FLOW_FILES = {
+    "plain": (b"FLOW v1 2 1 1\n" + ONE_SITE, None),
+    # int() would read these: a sign, a digit-group underscore, a non-ASCII digit
+    "plus-and-underscore": (b"FLOW v1 +1 0_1 2\n" + ONE_SITE,
+                            "{path}: bad flow header b'FLOW v1 +1 0_1 2'"),
+    "negative-dimensions": (b"FLOW v1 -1 -1 2\n" + ONE_SITE,
+                            "{path}: bad flow header b'FLOW v1 -1 -1 2'"),
+    "negative-frames": (b"FLOW v1 -1 1 2\n" + ONE_SITE, "{path}: bad flow header b'FLOW v1 -1 1 2'"),
+    "non-ascii-digit": ("FLOW v1 \u0662 1 1\n".encode() + ONE_SITE,
+                        "{path}: bad flow header b'FLOW v1 \\xd9\\xa2 1 1'"),
+}
+
+
 class TestFlowFile:
+    @pytest.mark.parametrize("raw, expected", FLOW_FILES.values(), ids=FLOW_FILES.keys())
+    def test_flow_file_table(self, tmp_path, raw, expected):
+        path = tmp_path / "flow.bin"
+        path.write_bytes(raw)
+        if expected is None:
+            assert load_flow(path).data.tobytes() == ONE_SITE
+        else:
+            with pytest.raises(ValueError) as info:
+                load_flow(path)
+            assert str(info.value) == expected.format(path=path)
+
     def test_bitexact_roundtrip(self, tmp_path):
         rng = np.random.default_rng(5)
         flow = VelocityField(rng.standard_normal((3, 4, 5, 2)))

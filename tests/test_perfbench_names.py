@@ -157,8 +157,9 @@ def test_counts_of_a_traced_two_layer_train(tmp_path):
     grid = (5, 10, 9)
     layer1, layer2 = (4, 2, 5), (3, 4, 3)
     # layer 1: 3 steps, the final breakdown and the propagation into layer 2;
-    # layer 2: 2 steps and the final breakdown.  cli's maps are cli.propagate.
-    convolves = [convolve_counts(*layer1, grid)] * 5 + [convolve_counts(*layer2, grid)] * 3
+    # layer 2: 2 steps, the final breakdown and its saved field, both fields
+    # from stack_layers.  cli maps no field, so cli.propagate reads 0 calls.
+    convolves = [convolve_counts(*layer1, grid)] * 5 + [convolve_counts(*layer2, grid)] * 4
     adjoints = [tap_adjoint_counts(*layer1, grid)] * 3 + [tap_adjoint_counts(*layer2, grid)] * 2
     assert len(spans["features.convolve"]) == len(convolves)
     for actual, expected in zip(spans["features.convolve"], convolves):
@@ -169,6 +170,7 @@ def test_counts_of_a_traced_two_layer_train(tmp_path):
     assert len(spans["action.step"]) == 5
     assert spans["optimizer.train_layer.L1"] == [{"steps": 3}]
     assert spans["optimizer.train_layer.L2"] == [{"steps": 2}]
+    assert "cli.propagate" not in spans
 
 
 def test_counts_of_a_traced_check_grad():

@@ -208,6 +208,13 @@ PNM_HEADERS = {
     "non-ascii-magic": (b"\xffP5 2 2 255\n" + DATA_2X2,
                         "{path}: unsupported format '\ufffdP5', expected binary P5 or P6"),
     "hash-inside-width": (b"P5\n2#c\n2\n255\n" + DATA_2X2, "{path}: non-numeric header field"),
+    # int() would read these: a sign, a digit-group underscore
+    "plus-sign-width": (b"P5 +2 2 255\n" + DATA_2X2, "{path}: non-numeric header field"),
+    "underscore-in-height": (b"P5 2 0_2 255\n" + DATA_2X2, "{path}: non-numeric header field"),
+    "minus-sign-width": (b"P5 -2 2 255\n" + DATA_2X2, "{path}: non-numeric header field"),
+    "non-ascii-digits": ("P5 2 2 \u0662\u0665\u0665\n".encode() + DATA_2X2,
+                         "{path}: non-numeric header field"),
+    "leading-zero-maxval": (b"P5 2 2 0255\n" + DATA_2X2, "P5"),
     "crlf-after-maxval": (b"P5\r\n2 2\r\n255\r\n" + DATA_2X2,
                           "{path}: expected 4 data bytes, found 5"),
     "comment-after-maxval": (b"P5\n2 2\n255\n# c\n" + DATA_2X2,
