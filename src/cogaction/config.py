@@ -22,9 +22,10 @@ from .features import MODES
 from .flow import VelocityField, constant_flow, horn_schunck
 from .optimizer import LayerPlan, TrainConfig
 from .video import (
+    PATTERN_KINDS,
     PatternSpec,
     VideoClip,
-    check_velocity,
+    check_synth_geometry,
     expand_path_pattern,
     load_image_sequence,
     synth_translating_clip,
@@ -61,7 +62,6 @@ class ExperimentConfig:
     layers: list[LayerPlan]
     out_dir: str = "out"
     save_features: bool = True
-    master_seed: int = 0
 
     def build_clip(self):
         """Materialize the clip; returns (clip, ground-truth flow or None)."""
@@ -192,8 +192,7 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
     data_sec = sections["data"]
     source = data_sec.text("source", required=True, choices={"synth", "files"})
     if source == "synth":
-        kind = data_sec.text("pattern", required=True,
-                             choices={"checkerboard", "sinusoid", "random-texture"})
+        kind = data_sec.text("pattern", required=True, choices=PATTERN_KINDS)
         try:
             pattern = PatternSpec(kind, period=data_sec.integer("period", 8),
                                   seed=data_sec.integer("seed", 0),
@@ -205,10 +204,8 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
                         height=data_sec.integer("height", required=True),
                         width=data_sec.integer("width", required=True),
                         velocity=data_sec.vector2("velocity", (0.0, 0.0)))
-        if data.frames < 2 or data.height < 1 or data.width < 1:
-            raise ConfigError("[data] frames must be >= 2 and the retina non-empty")
         try:
-            check_velocity(data.velocity, data.frames, data.height, data.width)
+            check_synth_geometry(data.velocity, data.frames, data.height, data.width)
         except ValueError as exc:
             raise ConfigError(f"[data] {exc}") from None
     else:
@@ -266,10 +263,11 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
         index += 1
     if not layers:
         raise ConfigError("no [layer1] section: at least one layer is required")
-    stray = [name for name in sections
-             if name.startswith("layer") and name not in {f"layer{i}" for i in range(1, index)}]
-    if stray:
-        raise ConfigError(f"layer sections must be consecutive from layer1; found [{stray[0]}]")
+    known = {"data", "flow", "train", "output"} | {f"layer{i}" for i in range(1, index)}
+    for name in sections:
+        if name not in known:
+            raise ConfigError(f"layer sections must be consecutive from layer1; found [{name}]"
+                              if name.startswith("layer") else f"unknown section [{name}]")
 
     out_sec = sections.get("output", _Section("output", {}))
     out_dir = out_sec.text("dir", "out")
@@ -278,10 +276,5 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
     save_features = out_sec.flag("save_features", True)
     out_sec.reject_unknown()
 
-    known = {"data", "flow", "train", "output"} | {f"layer{i}" for i in range(1, index)}
-    for name in sections:
-        if name not in known:
-            raise ConfigError(f"unknown section [{name}]")
-
     return ExperimentConfig(data=data, flow=flow, layers=layers, out_dir=out_dir,
-                            save_features=save_features, master_seed=master_seed)
+                            save_features=save_features)

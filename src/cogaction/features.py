@@ -52,9 +52,11 @@ class FilterBank:
         arr = np.ascontiguousarray(np.asarray(self.taps, dtype=np.float64))
         if arr.ndim != 4:
             raise ValueError(f"taps must be (n, m_in, K, K), got shape {arr.shape}")
-        n, _, ka, kb = arr.shape
+        n, m_in, ka, kb = arr.shape
         if n < 2:
             raise ValueError(f"need at least 2 output features, got n={n}")
+        if m_in < 1:
+            raise ValueError(f"need at least 1 input channel, got m_in={m_in}")
         if ka != kb or ka % 2 == 0:
             raise ValueError(f"kernel must be square with odd side, got {ka}x{kb}")
         if not np.all(np.isfinite(arr)):

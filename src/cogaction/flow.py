@@ -28,6 +28,8 @@ class VelocityField:
         arr = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
         if arr.ndim != 4 or arr.shape[3] != 2:
             raise ValueError(f"velocity data must be (T, H, W, 2), got shape {arr.shape}")
+        if 0 in arr.shape:
+            raise ValueError(f"zero-sized frame or retina axis: shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("velocity components must be finite")
         arr.setflags(write=False)
@@ -198,6 +200,7 @@ def load_flow(path) -> VelocityField:
     if len(body) != count * 8:
         raise ValueError(f"{path}: expected {count * 8} payload bytes, found {len(body)}")
     data = np.frombuffer(body, dtype="<f8").astype(np.float64).reshape(frames, height, width, 2)
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"{path}: velocity components must be finite")
-    return VelocityField(data)
+    try:
+        return VelocityField(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -88,8 +88,6 @@ class VideoClip:
 
 def pattern_frame(pattern: PatternSpec, height: int, width: int) -> np.ndarray:
     """Render the base pattern as an (H, W, m) array in [0, 1]."""
-    if height < 1 or width < 1:
-        raise ValueError("zero-sized retina")
     p = pattern.period
     cols = np.arange(width)
     rows = np.arange(height)
@@ -123,9 +121,14 @@ def translate_frame(frame: np.ndarray, d1: float, d2: float) -> np.ndarray:
     return out
 
 
-def check_velocity(velocity, frames: int, height: int, width: int) -> None:
-    """Reject a translation of ``frames`` frames that is too fast for the
-    retina: each component must stay below its smaller side over the clip."""
+def check_synth_geometry(velocity, frames: int, height: int, width: int) -> None:
+    """Reject a synthetic clip's geometry unless it has at least 2 frames, a
+    non-empty retina, and a translation slow enough that each velocity
+    component stays below the retina's smaller side over the clip."""
+    if frames < 2:
+        raise ValueError(f"need at least 2 frames, got {frames}")
+    if height < 1 or width < 1:
+        raise ValueError(f"retina must be at least 1x1, got {height}x{width}")
     v1, v2 = float(velocity[0]), float(velocity[1])
     limit = min(height, width) / frames
     if abs(v1) >= limit or abs(v2) >= limit:
@@ -142,12 +145,8 @@ def synth_translating_clip(pattern: PatternSpec, velocity, frames: int, height: 
     ``t * velocity`` with toroidal wrap, so the transport condition holds
     exactly (up to bilinear resampling error for sub-pixel velocities).
     """
+    check_synth_geometry(velocity, frames, height, width)
     v1, v2 = float(velocity[0]), float(velocity[1])
-    if frames < 2:
-        raise ValueError(f"need at least 2 frames, got {frames}")
-    if height < 1 or width < 1:
-        raise ValueError("zero-sized retina")
-    check_velocity((v1, v2), frames, height, width)
     base = pattern_frame(pattern, height, width)
     stack = np.empty((frames, height, width, pattern.channels), dtype=np.float64)
     stack[0] = base

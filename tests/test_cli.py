@@ -421,17 +421,34 @@ class TestTrainCommand:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "synth"])
-    def test_velocity_too_fast_exit_1(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("old, new, message", [
+        ("frames = 6", "frames = 1", "need at least 2 frames, got 1"),
+        ("height = 12", "height = 0", "retina must be at least 1x1, got 0x12"),
+        ("width = 12", "width = 0", "retina must be at least 1x1, got 12x0"),
         # 6 frames on a 12x12 retina allow less than 2 pixels per frame
-        body = BASE.format(steps=1, save_features="false").replace("velocity = 1.0 0.0",
-                                                                   "velocity = 2.0 0.0")
-        path = write_config(tmp_path / "fast.ini", body)
+        ("velocity = 1.0 0.0", "velocity = 2.0 0.0",
+         "velocity (2.0, 0.0) too fast for a 12x12 retina over 6 frames"),
+    ], ids=["one-frame", "zero-height", "zero-width", "too-fast"])
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    def test_synth_geometry_exit_1(self, tmp_path, capsys, command, old, new, message):
+        body = BASE.format(steps=1, save_features="false").replace(old, new)
+        path = write_config(tmp_path / "geometry.ini", body)
         out = tmp_path / "x"
         assert main([command, "--config", path, "--out", str(out)]) == 1
-        assert ("config error: [data] velocity (2.0, 0.0) too fast for a 12x12 retina "
-                "over 6 frames") in capsys.readouterr().err
+        assert f"config error: [data] {message}\n" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("velocity", ["1.0 0.0", "0.5 0.25"], ids=["integer", "subpixel"])
+    def test_constant_flow_matches_ground_truth(self, tmp_path, velocity):
+        body = BASE.format(steps=4, save_features="true").replace("velocity = 1.0 0.0",
+                                                                  f"velocity = {velocity}")
+        trees = []
+        for flow in ("source = ground-truth", f"source = constant\nvelocity = {velocity}"):
+            path = write_config(tmp_path / "exp.ini", body.replace("source = ground-truth", flow))
+            out = tmp_path / flow.split()[2]
+            assert main(["train", "--config", path, "--out", str(out)]) == 0
+            trees.append(read_tree(out))
+        assert trees[0] == trees[1]
 
     def test_seed_flag_changes_outputs(self, tmp_path, config_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -389,8 +389,9 @@ class TestBankValidation:
             FilterBank(np.zeros((2, 1, 3, 3)), mode="sigmoid")
 
     @pytest.mark.parametrize("taps", [np.full((2, 1, 3, 3), np.nan), np.full((2, 1, 3, 3), -np.inf),
-                                      np.zeros((1, 1, 3, 3)), np.zeros((2, 1, 2, 2))],
-                             ids=["nan", "inf", "one-feature", "even-kernel"])
+                                      np.zeros((1, 1, 3, 3)), np.zeros((2, 0, 3, 3)),
+                                      np.zeros((2, 1, 2, 2))],
+                             ids=["nan", "inf", "one-feature", "no-input-channel", "even-kernel"])
     def test_public_constructors_reject_bad_taps(self, tmp_path, taps):
         # the optimizer's iterates and the finite-difference probes skip
         # these checks; every public way to a bank keeps them
@@ -436,6 +437,8 @@ BANK_FILES = {
     "unknown-mode": (b"2 1 1 tanh 1\n0.5\n0.5\n", "{path}: unknown constraint mode 'tanh', "
                      "expected one of ('softmax', 'linear-penalty')"),
     "layer-zero": (b"2 1 1 softmax 0\n0.5\n0.5\n", "{path}: layer index must be >= 1, got 0"),
+    "zero-input-channels": (b"2 0 3 softmax 1\n",
+                            "{path}: need at least 1 input channel, got m_in=0"),
     "non-ascii-byte": (b"2 1 1 softmax 1\n0.5\n\xff\n", "cannot read bank file {path}: 'ascii' "
                        "codec can't decode byte 0xff in position 20: ordinal not in range(128)"),
 }

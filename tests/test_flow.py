@@ -51,6 +51,10 @@ class TestConstantFlow:
         with pytest.raises(ValueError):
             VelocityField(np.full((2, 2, 2, 2), np.inf))
 
+    def test_zero_frames_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("shape (0, 4, 4, 2)")):
+            constant_flow((0, 0), 0, 4, 4)
+
 
 class TestHornSchunck:
     def test_static_clip_zero_flow(self):
@@ -187,6 +191,13 @@ FLOW_FILES = {
     "negative-frames": (b"FLOW v1 -1 1 2\n" + ONE_SITE, "{path}: bad flow header b'FLOW v1 -1 1 2'"),
     "non-ascii-digit": ("FLOW v1 \u0662 1 1\n".encode() + ONE_SITE,
                         "{path}: bad flow header b'FLOW v1 \\xd9\\xa2 1 1'"),
+    # a zero dimension needs no payload, so only the field's own size rule stops it
+    "zero-frames": (b"FLOW v1 0 4 4\n",
+                    "{path}: zero-sized frame or retina axis: shape (0, 4, 4, 2)"),
+    "zero-height": (b"FLOW v1 1 0 4\n",
+                    "{path}: zero-sized frame or retina axis: shape (1, 0, 4, 2)"),
+    "zero-width": (b"FLOW v1 1 4 0\n",
+                   "{path}: zero-sized frame or retina axis: shape (1, 4, 0, 2)"),
 }
 
 
