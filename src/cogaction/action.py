@@ -27,17 +27,25 @@ form's matrix G, (K*K*m + 1)^2, once, straight from the flow one frame pair
 at a time (``_motion_gram``), and its steps take M and M's tap gradient from
 G alone: no step holds a transport residual or gathers and scatters along
 the flow.
+
+Every tap-space term reads the bank's affine rows x = [flipped flat taps,
+1/n] (``FilterBank._row``): M from x G, the spatial parsimony from the
+differences x E along both kernel axes, the temporal parsimony from
+x - x_prev.  ``spatial_parsimony``, ``spatial_parsimony_gradient`` and
+``temporal_parsimony`` are their forms on the (n, m, K, K) taps, which the
+tests hold the step to; the step calls none of them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-# The step computes the probability map, its adjoint and the entropies in
-# place: it calls none of probability_vjp, to_probabilities,
-# conditional_entropy and symbol_marginal, and the package builds no
-# _WarpPlan.  The benchmark under perfbench/ still uses them by name: its
-# tracer patches these four and _WarpPlan's __init__, gather and scatter in
+# The step computes the probability map, its adjoint, the entropies and the
+# parsimony terms in place: it calls none of probability_vjp,
+# to_probabilities, conditional_entropy, symbol_marginal, spatial_parsimony,
+# spatial_parsimony_gradient and temporal_parsimony, and the package builds
+# no _WarpPlan.  The benchmark under perfbench/ still uses them by name: its
+# tracer patches these seven and _WarpPlan's __init__, gather and scatter in
 # this module, and cognitive_action, action_value_and_gradient,
 # term_gradients and cli._windowed_eval in theirs; its output checks call
 # evaluate_bank and stack_layers.  All of them stay until the benchmark
@@ -353,13 +361,21 @@ def temporal_parsimony(bank_now, bank_prev, dtau: float) -> float:
     return 0.5 * float(np.add.reduce(delta * delta, axis=None))
 
 
-def _sum_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The sum over the first axis, into ``out``, adding the rows in order:
-    faster than numpy's reduction over that axis."""
-    np.add(rows[0], rows[1], out=out)
-    for row in rows[2:]:
-        out += row
-    return out
+def _difference_matrix(kernel: int, channels: int) -> np.ndarray:
+    """The fixed matrix E, (K*K*m + 1, 2*K*(K-1)*m), whose columns hold one
+    -1 and one +1: x E is the first difference of each neighbour pair of
+    taps along both kernel axes, once, for affine rows x.  The bias entry
+    meets only zeros.  So the spatial parsimony is half the sum of squares
+    of x E and its gradient in x is (x E) E^T; E's entries are exact, so each
+    difference is rounded once, as ``spatial_parsimony`` rounds it."""
+    index = np.arange(kernel * kernel * channels).reshape(kernel, kernel, channels)
+    lower = np.concatenate([index[:-1].ravel(), index[:, :-1].ravel()])
+    upper = np.concatenate([index[1:].ravel(), index[:, 1:].ravel()])
+    diff = np.zeros((index.size + 1, lower.size))
+    pairs = np.arange(lower.size)
+    diff[lower, pairs] = -1.0
+    diff[upper, pairs] = 1.0
+    return diff
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +386,7 @@ def _constraint_penalty(act: np.ndarray, measure: np.ndarray, site: np.ndarray) 
     overwrites the activations in ``act`` with their excess a - clip(a, 0, 1),
     for ``_constraint_penalty_act_gradient``; ``site[1]`` is scratch."""
     sum_dev, clipped = site[:2]
-    _sum_rows(act, sum_dev)
+    np.add.reduce(act, axis=0, out=sum_dev)
     sum_dev -= 1.0
     for row in act:
         np.minimum(np.maximum(row, 0.0, out=clipped), 1.0, out=clipped)  # np.clip
@@ -393,9 +409,10 @@ def _constraint_penalty_act_gradient(excess: np.ndarray, sum_dev: np.ndarray,
 # Composite objective and its analytic tap gradient.
 #
 # ``ActionInputs`` holds what stays fixed while a layer learns: its inputs,
-# the motion term's matrix G, the grid's patch matrix when the clip is kept,
-# and the step's workspace.  One step (``_evaluate``) runs in place on
-# feature-major (n, T, H, W) buffers: activations and probabilities.  In
+# the motion term's matrix G, the spatial parsimony's difference matrix E,
+# the grid's patch matrix when the clip is kept, and the step's workspace.
+# One step (``_evaluate``) runs in place on feature-major (n, T, H, W)
+# buffers: activations and probabilities.  In
 # softmax mode ``act`` keeps a' = a - max a and ``probs`` measure * p, made
 # from exp(a') by one multiply with s = measure / Z; the entropies read
 # sum_i p_i log p_i as sum_i p_i a'_i - log Z, and no log p is written.  The
@@ -404,17 +421,19 @@ def _constraint_penalty_act_gradient(excess: np.ndarray, sum_dev: np.ndarray,
 # the constraint penalty, last, turns ``act`` into the activations' excess
 # and adds its gradient, from the same excess and sum over the features,
 # into ``probs``.  ``probs`` is zeroed when -I is left out.  One convolution
-# adjoint maps the buffer to the taps, and the tap-space terms are added
-# after it: the motion term's 2 x G, and the parsimony gradients.  The
-# returned breakdown and tap gradient never alias the workspace, which the
-# next evaluation overwrites.
+# adjoint maps the buffer to the taps, and the tap-space terms' gradients,
+# summed in the layout of the affine rows x, are added after it in one
+# unflattened view.  The returned breakdown and tap gradient never alias the
+# workspace, which the next evaluation overwrites.
 
 class ActionInputs:
     """The fixed inputs of one objective, checked and built once for banks
     of ``bank``'s shape (n, K): the input grid, its ``frame_measure`` under
-    ``weights``, the motion term's matrix ``gram`` (``_motion_gram`` of
-    ``flow``, one frame pair at a time), the grid's ``patches``, and
-    the step's workspace.  ``patches`` is None when the clip exceeds the
+    ``weights`` and that measure's ``_inverse``, the motion term's matrix
+    ``gram`` (``_motion_gram`` of ``flow``, one frame pair at a time), the
+    spatial parsimony's ``differences`` (``_difference_matrix``), the grid's
+    ``patches`` (``clip_patches``, with their ones row), and the step's
+    workspace.  ``patches`` is None when the clip exceeds the
     patch budget; the convolution of such a streamed clip builds its row
     patches frame by frame on every step.  The workspace is ``act`` and
     ``probs``, (n, T, H, W), and ``site``, three (T, H, W) arrays.
@@ -431,10 +450,12 @@ class ActionInputs:
         if not np.all(np.isfinite(self.grid)):
             raise ValueError("input grid must be finite")
         self.frame_measure = weights.frame_measure(height, width)
+        self.inverse_measure = _inverse(self.frame_measure)
         n, kernel = bank.n, bank.kernel
         self.bank_shape = (n, kernel)
         # G before the step's buffers: its build's temporaries are freed first
         self.gram = _motion_gram(self.grid, flow, kernel, weights.residual_measure(height, width))
+        self.differences = _difference_matrix(kernel, self.grid.shape[3])
         self.patches = clip_patches(self.grid, kernel)
         self.act = np.empty((n, frames, height, width))
         self.probs = np.empty((n, frames, height, width))
@@ -457,21 +478,20 @@ def _entropies(act: np.ndarray, probs: np.ndarray, site: np.ndarray, measure: np
     ``probs``, and in ``site`` c = sum_i p_i (log q_i - log p_i) and the
     clamped sum.
     """
-    n, frames = act.shape[:2]
+    # each sum over the features adds the rows in order, one reduction over
+    # the contiguous rows; each measure-weighted site sum is one einsum
+    n = len(act)
     if mode == "softmax":
         mean_a, total, scale = site
-        # row by row, as in _sum_rows
-        np.maximum(act[0], act[1], out=mean_a)
-        for row in act[2:]:
-            np.maximum(mean_a, row, out=mean_a)
+        np.maximum.reduce(act, axis=0, out=mean_a)
         act -= mean_a
         np.exp(act, out=probs)
-        _sum_rows(probs, total)
+        np.add.reduce(probs, axis=0, out=total)
         np.divide(measure[:, None, None], total, out=scale)
         probs *= scale
         log_z = np.log(total, out=total)
         np.einsum("i...,i...->...", probs, act, out=mean_a)
-        s_cond = (float(np.dot(measure, np.einsum("thw->t", log_z)))
+        s_cond = (float(np.einsum("t,thw->", measure, log_z))
                   - float(np.add.reduce(mean_a, axis=None)))
         q = _simplex_marginal(np.add.reduce(probs.reshape(n, -1), axis=1))
         log_q = np.log(np.where(q > 0.0, q, 1.0))
@@ -479,9 +499,9 @@ def _entropies(act: np.ndarray, probs: np.ndarray, site: np.ndarray, measure: np
     cross, total, plogp = site
     # np.clip(act, CLAMP_EPS, 1.0), as two ufuncs: a fraction of its call overhead
     np.minimum(np.maximum(act, CLAMP_EPS, out=probs), 1.0, out=probs)
-    _sum_rows(probs, total)
+    np.add.reduce(probs, axis=0, out=total)
     probs /= total
-    q = _simplex_marginal(np.add.reduce(probs.reshape(n, frames, -1), axis=2) @ measure)
+    q = _simplex_marginal(np.einsum("ithw,t->i", probs, measure))
     log_q = np.log(np.where(q > 0.0, q, 1.0))
     np.matmul(log_q, probs.reshape(n, -1), out=cross.reshape(-1))
     plogp.fill(0.0)
@@ -491,7 +511,7 @@ def _entropies(act: np.ndarray, probs: np.ndarray, site: np.ndarray, measure: np
         plogp += row
         row[...] = log_row
     cross -= plogp
-    s_cond = -float(np.dot(measure, np.add.reduce(plogp.reshape(frames, -1), axis=1)))
+    s_cond = -float(np.einsum("t,thw->", measure, plogp))
     return log_q, -float(np.add.reduce(q * log_q)), s_cond
 
 
@@ -503,7 +523,8 @@ def _inverse(measure: np.ndarray) -> np.ndarray:
 
 
 def _neg_index_act_gradient(act: np.ndarray, probs: np.ndarray, site: np.ndarray,
-                            log_q: np.ndarray, measure: np.ndarray, mode: str) -> np.ndarray:
+                            log_q: np.ndarray, measure: np.ndarray, inverse_measure: np.ndarray,
+                            mode: str) -> np.ndarray:
     """Activation-space gradient of -I, in place on what ``_entropies`` left.
 
     In probability space d(-I)/dp_i = measure * (log q_i - log p_i).  Through
@@ -512,17 +533,18 @@ def _neg_index_act_gradient(act: np.ndarray, probs: np.ndarray, site: np.ndarray
     (measure p_i) (log q_i - a'_i + k) for k = log Z - c
     = sum_i p_i (a'_i - log q_i), written over a' in ``act`` in three
     sweeps.  ``probs`` and ``site[0]`` hold measure * p and
-    measure * sum_i p_i a'_i, so k is measure * k over the measure
-    (``_inverse``).  Through the clamp-and-renormalize projection it is
-    measure * (log q_i - log p_i - c) / sum(clamp) where the clamp is
-    inactive and 0 elsewhere, written over log p in ``probs``.  Returns the
+    measure * sum_i p_i a'_i, so k is measure * k times
+    ``inverse_measure``, the measure's ``_inverse``.  Through the
+    clamp-and-renormalize projection it is measure * (log q_i - log p_i - c)
+    / sum(clamp) where the clamp is inactive and 0 elsewhere, written over
+    log p in ``probs``.  Returns the
     buffer that holds it.
     """
     if mode == "softmax":
         k, cross = site[:2]
         np.matmul(log_q, probs.reshape(len(probs), -1), out=cross.reshape(-1))
         k -= cross
-        k *= _inverse(measure)[:, None, None]
+        k *= inverse_measure[:, None, None]
         np.subtract(k, act, out=act)
         act += log_q[:, None, None, None]
         act *= probs
@@ -536,16 +558,36 @@ def _neg_index_act_gradient(act: np.ndarray, probs: np.ndarray, site: np.ndarray
     return probs
 
 
-def _motion_form(bank: FilterBank, gram: np.ndarray) -> tuple[float, np.ndarray]:
-    """M = sum_i x_i^T G x_i over the rows x_i = [flat taps_i, 1/n], and x G.
+def _tap_terms(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
+               dtau: float) -> tuple[tuple[float, float, float], tuple[np.ndarray, ...]]:
+    """The motion and parsimony terms from the affine rows x = ``bank._row``:
+    M = sum_i x_i G x_i^T, P half the sum of squares of the differences
+    x E, K half the sum of squares of x - x_prev over dtau^2.  Returns
+    (M, P, K) and (x G, x E, x - x_prev), for ``_tap_row_gradients``.
 
-    A sum of squares cannot be negative, but the form can round below 0 on
+    A sum of squares cannot be negative, but M's form can round below 0 on
     a nearly invariant bank; M is held at 0 there."""
-    x = np.empty((bank.n, len(gram)))
-    x[:, :-1] = bank._flat
-    x[:, -1] = 1.0 / bank.n
-    gx = x @ gram
-    return max(float(np.add.reduce(x * gx, axis=None)), 0.0), gx
+    if dtau <= 0.0:
+        raise ValueError(f"temporal-parsimony step must be > 0, got {dtau}")
+    if bank_prev.taps.shape != bank.taps.shape:
+        raise ValueError(f"bank shapes differ: {bank.taps.shape} vs {bank_prev.taps.shape}")
+    x = bank._row
+    gx = x @ inputs.gram
+    diffs = x @ inputs.differences
+    step = x - bank_prev._row
+    values = (max(float(np.add.reduce(x * gx, axis=None)), 0.0),
+              0.5 * float(np.add.reduce(diffs * diffs, axis=None)),
+              0.5 * float(np.add.reduce(step * step, axis=None)) / (dtau * dtau))
+    return values, (gx, diffs, step)
+
+
+def _tap_row_gradients(products: tuple[np.ndarray, ...], inputs: ActionInputs,
+                       dtau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unweighted gradients of M, P and K in the layout of the affine
+    rows, from what ``_tap_terms`` returned: 2 x G, (x E) E^T and
+    (x - x_prev) / dtau^2.  Their last column, the bias's, is not a tap."""
+    gx, diffs, step = products
+    return 2.0 * gx, diffs @ inputs.differences.T, step / (dtau * dtau)
 
 
 def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
@@ -558,7 +600,7 @@ def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
     ``inputs`` checked the grid, flow and weights, and a bank of another n or
     K than it was built for is rejected first.  The calls below reject the
     other bad inputs where they first use them: the convolution a channel
-    count that differs from the bank's, the temporal parsimony a previous bank
+    count that differs from the bank's, the tap-space terms a previous bank
     of another shape and ``dtau <= 0``.
     """
     if (bank.n, bank.kernel) != inputs.bank_shape:
@@ -568,15 +610,14 @@ def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
     measure = inputs.frame_measure
     convolve_features(bank, inputs.grid, out=act.transpose(1, 2, 3, 0), patches=patches)
 
-    motion, gram_taps = _motion_form(bank, inputs.gram)
+    (motion, spatial, temporal), products = _tap_terms(bank, bank_prev, inputs, dtau)
     log_q, s_marg, s_cond = _entropies(act, probs, site, measure, bank.mode)
     info = s_marg - s_cond
-    spatial = spatial_parsimony(bank)
-    temporal = temporal_parsimony(bank, bank_prev, dtau)
 
     act_grad = None
     if grad and index:
-        act_grad = _neg_index_act_gradient(act, probs, site, log_q, measure, bank.mode)
+        act_grad = _neg_index_act_gradient(act, probs, site, log_q, measure,
+                                           inputs.inverse_measure, bank.mode)
     elif grad:
         act_grad = probs
         act_grad.fill(0.0)
@@ -596,9 +637,9 @@ def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
 
     tap_grad = convolution_tap_gradient(inputs.grid, act_grad.transpose(1, 2, 3, 0),
                                         bank.kernel, patches=patches)
-    tap_grad += _unflat_view((2.0 * lam.motion) * gram_taps[:, :-1], bank.kernel)
-    tap_grad += lam.spatial * spatial_parsimony_gradient(bank.taps)
-    tap_grad += lam.temporal * (bank.taps - bank_prev.taps) / (dtau * dtau)
+    motion_grad, spatial_grad, temporal_grad = _tap_row_gradients(products, inputs, dtau)
+    row_grad = lam.motion * motion_grad + lam.spatial * spatial_grad + lam.temporal * temporal_grad
+    tap_grad += _unflat_view(row_grad[:, :-1], bank.kernel)
     return breakdown, tap_grad
 
 
@@ -620,17 +661,18 @@ def term_gradients(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs
 
     Keys: info_index, motion, spatial, temporal, penalty.  Intended for
     oracle comparisons against finite differences of the breakdown fields.
-    The motion gradient is 2 x G, with no step of its own.
+    The motion and parsimony gradients are the step's
+    (``_tap_row_gradients``), with no step of their own.
     """
     def tap_gradient(lam: Multipliers, index: bool = False) -> np.ndarray:
         return _evaluate(bank, bank_prev, inputs, lam, dtau, grad=True, index=index)[1]
 
+    info_index = -tap_gradient(Multipliers(), index=True)
+    row_grads = _tap_row_gradients(_tap_terms(bank, bank_prev, inputs, dtau)[1], inputs, dtau)
     return {
-        "info_index": -tap_gradient(Multipliers(), index=True),
-        "motion": _unflat_view(2.0 * _motion_form(bank, inputs.gram)[1][:, :-1],
-                               bank.kernel).copy(),
-        "spatial": spatial_parsimony_gradient(bank.taps),
-        "temporal": (bank.taps - bank_prev.taps) / (dtau * dtau),
+        "info_index": info_index,
+        **{name: _unflat_view(row_grad[:, :-1], bank.kernel).copy()
+           for name, row_grad in zip(("motion", "spatial", "temporal"), row_grads)},
         "penalty": (tap_gradient(Multipliers(constraint=1.0))
                     if bank.mode == "linear-penalty" else np.zeros_like(bank.taps)),
     }

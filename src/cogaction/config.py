@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .action import Multipliers
 from .features import MODES
-from .flow import VelocityField, constant_flow, horn_schunck
+from .flow import VelocityField, check_horn_schunck, constant_flow, horn_schunck
 from .optimizer import LayerPlan, TrainConfig
 from .video import (
     PATTERN_KINDS,
@@ -228,8 +228,11 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
                     velocity=flow_sec.vector2("velocity", (0.0, 0.0)))
     if flow.source == "ground-truth" and data.source != "synth":
         raise ConfigError("[flow] source = ground-truth requires [data] source = synth")
-    if flow.source == "horn-schunck" and (flow.alpha <= 0.0 or flow.iters < 1):
-        raise ConfigError("[flow] horn-schunck needs alpha > 0 and iters >= 1")
+    if flow.source == "horn-schunck":
+        try:
+            check_horn_schunck(flow.alpha, flow.iters)
+        except ValueError as exc:
+            raise ConfigError(f"[flow] {exc}") from None
     flow_sec.reject_unknown()
 
     train_sec = sections.get("train", _Section("train", {}))

@@ -16,8 +16,10 @@ and the motion term's matrix (``action._motion_gram``), read comes from
 ``_frame_rows``, one wrap-padded frame at a time: only the kernel's column
 offsets are expanded, and its row offsets are column slices of the frame's
 rows.  A clip whose whole patch matrix fits PATCH_CHUNK_BYTES keeps it
-(``clip_patches``) and takes one product per call; a larger clip is
-streamed frame by frame, and no call copies the whole clip.
+(``clip_patches``), with a last row of ones, and its convolution is the one
+product ``x @ [P; 1]`` of the bank's affine rows ``x = [flat taps, 1/n]``
+(``FilterBank._row``); a larger clip is streamed frame by frame, and no
+call copies the whole clip.
 """
 
 import re
@@ -40,13 +42,14 @@ PATCH_CHUNK_BYTES = 2 * 1024 * 1024
 class FilterBank:
     """Learnable taps (n, m_in, K, K) plus the constraint mode and layer index.
 
-    ``_flat`` is the taps as ``_flat_taps`` lays them out, built once per
-    bank for the convolution and the motion form."""
+    ``_row`` is the bank's affine rows (``_affine_rows``), built once per
+    bank: the convolution and every tap-space term of the objective read
+    them."""
 
     taps: np.ndarray
     mode: str = "softmax"
     layer: int = 1
-    _flat: np.ndarray = field(init=False, repr=False, compare=False)
+    _row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.taps, dtype=np.float64))
@@ -67,7 +70,7 @@ class FilterBank:
             raise ValueError(f"layer index must be >= 1, got {self.layer}")
         arr.setflags(write=False)
         object.__setattr__(self, "taps", arr)
-        object.__setattr__(self, "_flat", _flat_taps(arr))
+        object.__setattr__(self, "_row", _affine_rows(arr))
 
     @property
     def n(self) -> int:
@@ -92,7 +95,7 @@ class FilterBank:
         taps.setflags(write=False)
         bank = object.__new__(FilterBank)
         bank.__dict__.update(taps=taps, mode=self.mode, layer=self.layer,
-                             _flat=_flat_taps(taps))
+                             _row=_affine_rows(taps))
         return bank
 
 
@@ -179,37 +182,46 @@ def _patch_blocks(rows: np.ndarray, kernel: int, height: int, width: int) -> np.
 
 
 def clip_patches(grid: np.ndarray, kernel: int) -> np.ndarray | None:
-    """The patch matrix of the whole (T, H, W, m) grid, to pass as
-    ``patches=`` to ``convolve_features`` and ``convolution_tap_gradient``;
-    None when it exceeds PATCH_CHUNK_BYTES, so that those stream the row
-    patches frame by frame.  Row ``(u, v, j)``, column ``(t, r, c)`` holds
+    """The patch matrix of the whole (T, H, W, m) grid and a last row of
+    ones, (K*K*m + 1, T*H*W), to pass as ``patches=`` to
+    ``convolve_features`` and ``convolution_tap_gradient``; None when it
+    exceeds PATCH_CHUNK_BYTES, so that those stream the row patches frame by
+    frame.  Row ``(u, v, j)``, column ``(t, r, c)`` holds
     ``grid[t, r + u - reach, c + v - reach, j]``, wrapped."""
-    if 8 * kernel * kernel * grid.size > PATCH_CHUNK_BYTES:
-        return None
     frames, height, width, channels = grid.shape
-    patches = np.empty((kernel, kernel * channels, frames, height, width))
+    shape = (kernel * kernel * channels + 1, frames * height * width)
+    if 8 * shape[0] * shape[1] > PATCH_CHUNK_BYTES:
+        return None
+    patches = np.empty(shape)
+    blocks = patches[:-1].reshape(kernel, kernel * channels, frames, height, width)
     for t, rows in enumerate(_frame_rows(grid, kernel)):
-        patches[:, :, t] = _patch_blocks(rows, kernel, height, width)
-    return patches.reshape(kernel * kernel * channels, -1)
+        blocks[:, :, t] = _patch_blocks(rows, kernel, height, width)
+    patches[-1] = 1.0
+    return patches
 
 
 def _check_patches(patches: np.ndarray, grid: np.ndarray, kernel: int) -> None:
-    if patches.shape != (kernel * kernel * grid.shape[3], grid[..., 0].size):
+    if patches.shape != (kernel * kernel * grid.shape[3] + 1, grid[..., 0].size):
         raise ValueError(f"patches of shape {patches.shape} are not the K={kernel} "
                          f"patch matrix of a {grid.shape} grid")
 
 
-def _flat_taps(taps: np.ndarray) -> np.ndarray:
-    """Taps (n, m_in, K, K) as the read-only (n, K*K*m_in) matrix that
-    multiplies a patch matrix: flipped on both kernel axes, columns in the
-    patch rows' (u, v, j) order."""
-    flat = taps[:, :, ::-1, ::-1].transpose(0, 3, 2, 1).reshape(len(taps), -1)
-    flat.setflags(write=False)
-    return flat
+def _affine_rows(taps: np.ndarray) -> np.ndarray:
+    """Taps (n, m_in, K, K) as the read-only affine rows x = [flat taps, 1/n],
+    (n, K*K*m_in + 1), that multiply a kept patch matrix and its ones row:
+    the flat taps are flipped on both kernel axes, in the patch rows'
+    (u, v, j) order (``_unflat_view`` is the inverse)."""
+    n, m_in, kernel = taps.shape[:3]
+    rows = np.empty((n, kernel * kernel * m_in + 1))
+    _unflat_view(rows[:, :-1], kernel)[...] = taps
+    rows[:, -1] = 1.0 / n
+    rows.setflags(write=False)
+    return rows
 
 
 def _unflat_view(flat: np.ndarray, kernel: int) -> np.ndarray:
-    """Inverse of ``_flat_taps``: an (n, m_in, K, K) view of ``flat``."""
+    """An (n, m_in, K, K) view of the flat taps ``flat``, (n, K*K*m_in),
+    such as ``_affine_rows`` without its last column."""
     return flat.reshape(len(flat), kernel, kernel, -1)[:, ::-1, ::-1].transpose(0, 3, 2, 1)
 
 
@@ -220,11 +232,12 @@ def convolve_features(bank: FilterBank, data, out: np.ndarray | None = None,
     The field is held feature-major: it is a (T, H, W, n) view of (n, T, H, W)
     storage, new unless ``out`` (such a view) is given to write into.
     Toroidal boundary.  Given ``patches`` (the ``clip_patches`` of ``data``),
-    the field is one matrix product of the flipped taps with them.  Without,
-    each frame's field is the sum over kernel row offsets u of taps_u
-    (n, K*m) times its ``_frame_rows`` from column u*Wp on, less the pad
-    columns.  Repeated evaluations are bit-identical; the two paths sum in
-    another order and agree to about 1e-15.
+    the field is one matrix product of the bank's affine rows with them, the
+    bias included.  Without, each frame's field is the sum over kernel row
+    offsets u of the flat taps_u (n, K*m) times its ``_frame_rows`` from
+    column u*Wp on, less the pad columns, plus 1/n.  Repeated evaluations
+    are bit-identical; the two paths sum in another order and agree to
+    about 1e-15.
     """
     grid = as_grid(data)
     if grid.shape[3] != bank.m_in:
@@ -232,7 +245,6 @@ def convolve_features(bank: FilterBank, data, out: np.ndarray | None = None,
             f"layer {bank.layer} bank expects {bank.m_in} input channels, grid has {grid.shape[3]}"
         )
     n, kernel = bank.n, bank.kernel
-    taps = bank._flat
     if out is None:
         out = np.empty((n,) + grid.shape[:3]).transpose(1, 2, 3, 0)
     dest = out.transpose(3, 0, 1, 2)
@@ -240,14 +252,12 @@ def convolve_features(bank: FilterBank, data, out: np.ndarray | None = None,
         raise ValueError("out must be a (T, H, W, n) view of (n, T, H, W) storage")
     if patches is not None:
         _check_patches(patches, grid, kernel)
-        flat = dest.reshape(n, -1)
-        np.matmul(taps, patches, out=flat)
-        flat += 1.0 / n
+        np.matmul(bank._row, patches, out=dest.reshape(n, -1))
         return out
     height, width = grid.shape[1:3]
     wide = width + kernel - 1
     span = height * wide
-    row_taps = taps.reshape(n, kernel, -1).transpose(1, 0, 2)
+    row_taps = bank._row[:, :-1].reshape(n, kernel, -1).transpose(1, 0, 2)
     acc, part = np.empty((2, n, span))
     for t, rows in enumerate(_frame_rows(grid, kernel)):
         np.matmul(row_taps[0], rows[:, :span], out=acc)
@@ -280,7 +290,7 @@ def convolution_tap_gradient(data, act_grad: np.ndarray, kernel: int,
     total = np.zeros((kernel * kernel * grid.shape[3], n))
     if patches is not None:
         _check_patches(patches, grid, kernel)
-        total += patches @ grad.reshape(n, -1).T
+        total += patches[:-1] @ grad.reshape(n, -1).T
         return _unflat_view(total.T, kernel).copy()
     height, width = grid.shape[1:3]
     wide = width + kernel - 1

@@ -181,7 +181,8 @@ def test_a2_exact_transport(monkeypatch):
     # once whether to keep it, so each budget gets its own inputs and G
     zero = 0
     for m_in, kernel in ((3, 5), (8, 3)):
-        frame_bytes = 64 * 64 * m_in * kernel * kernel * 8
+        # a frame's patch rows and its ones row
+        frame_bytes = 64 * 64 * (m_in * kernel * kernel + 1) * 8
         for velocity in ((1, 0), (-1, 1)):
             clip, flow = synth_translating_clip(
                 PatternSpec("random-texture", 16, seed=m_in, channels=m_in), velocity, 16, 64, 64)

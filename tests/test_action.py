@@ -30,7 +30,7 @@ from cogaction.action import (
     symbol_marginal,
     term_gradients,
 )
-from cogaction import features
+from cogaction import action, features
 from cogaction.features import FilterBank, stack_layers, to_probabilities
 from cogaction.optimizer import build_weights, finite_diff_breakdowns, gradient_check_instances
 from identity_probe import identity_probe
@@ -419,6 +419,90 @@ class TestParsimony:
             temporal_parsimony(bank, bank, 0.0)
 
 
+def a3_descent_pair():
+    """The A3 instance's clip and flow, its initial bank and that bank after
+    the first step of its descent (lambda_m 1, lambda_p = lambda_k = 1e-3,
+    step size and dtau 1)."""
+    clip, flow = synth_translating_clip(PatternSpec("random-texture", 8, seed=7), (1.0, 0.0),
+                                        16, 32, 32)
+    lam = Multipliers(motion=1.0, spatial=1e-3, temporal=1e-3)
+    first = init_bank(4, 1, 3, "softmax", seed=12345, scale=0.1)
+    inputs = ActionInputs(clip, flow, TemporalWeights.uniform(16), first)
+    grad = action_value_and_gradient(first, first, inputs, lam, 1.0)[1]
+    return inputs, first.with_taps(first.taps - grad), first, 1.0
+
+
+def tap_term_cases():
+    """(inputs, bank, previous bank, dtau) of the 20 check-grad instances and
+    the A3 descent's first step."""
+    for instance in gradient_check_instances(20):
+        bank = instance["bank"]
+        inputs = ActionInputs(instance["data"], instance["flow"], instance["weights"], bank)
+        yield inputs, bank, instance["bank_prev"], instance["dtau"]
+    yield a3_descent_pair()
+
+
+def assert_close(got, want):
+    """Agreement to 1e-15 of max(1, |value|), entry by entry."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+
+class TestStepTapTerms:
+    """The step's parsimony terms, taken from the bank's affine rows, against
+    their forms on the (n, m, K, K) taps."""
+
+    @staticmethod
+    def step_terms(inputs, bank, prev, dtau):
+        values, products = action._tap_terms(bank, prev, inputs, dtau)
+        grads = [features._unflat_view(g[:, :-1], bank.kernel)
+                 for g in action._tap_row_gradients(products, inputs, dtau)]
+        return values, grads
+
+    def test_match_tap_forms(self):
+        cases = 0
+        for inputs, bank, prev, dtau in tap_term_cases():
+            (_, spatial, temporal), (_, spatial_grad, temporal_grad) = self.step_terms(
+                inputs, bank, prev, dtau)
+            assert_close(spatial, spatial_parsimony(bank))
+            assert_close(spatial_grad, spatial_parsimony_gradient(bank.taps))
+            assert_close(temporal, temporal_parsimony(bank, prev, dtau))
+            assert_close(temporal_grad, (bank.taps - prev.taps) / (dtau * dtau))
+            assert spatial > 0.0 and temporal > 0.0
+            cases += 1
+        assert cases == 21
+
+    @pytest.mark.parametrize("m_in,kernel", [(1, 1), (2, 1), (1, 5), (3, 5), (2, 7)])
+    def test_match_tap_forms_other_kernels(self, m_in, kernel):
+        # E for every kernel side, K = 1 (no neighbour pairs) included
+        rng = np.random.default_rng(kernel * 10 + m_in)
+        clip, flow = synth_translating_clip(
+            PatternSpec("random-texture", 4, seed=kernel, channels=m_in), (0.5, 0.25), 3, 9, 8)
+        bank = init_bank(3, m_in, kernel, "softmax", seed=kernel, scale=0.5)
+        prev = bank.with_taps(bank.taps + rng.uniform(-0.1, 0.1, size=bank.taps.shape))
+        inputs = ActionInputs(clip, flow, TemporalWeights.uniform(3), bank)
+        (_, spatial, temporal), (_, spatial_grad, temporal_grad) = self.step_terms(
+            inputs, bank, prev, 0.4)
+        assert_close(spatial, spatial_parsimony(bank))
+        assert_close(spatial_grad, spatial_parsimony_gradient(bank.taps))
+        assert_close(temporal, temporal_parsimony(bank, prev, 0.4))
+        assert_close(temporal_grad, (bank.taps - prev.taps) / 0.16)
+
+    def test_feature_sums_add_rows_in_order(self):
+        # the step sums and maximizes over the features with one reduction
+        # each; on every workspace tried it adds the rows in order, as a
+        # loop over them does
+        for inputs, *_ in tap_term_cases():
+            rows = np.random.default_rng(1).standard_normal(inputs.act.shape)
+            rows *= np.exp(np.random.default_rng(2).uniform(-20, 20, rows.shape))
+            looped = rows[0] + rows[1]
+            for row in rows[2:]:
+                looped += row
+            assert np.array_equal(np.add.reduce(rows, axis=0, out=np.empty(rows.shape[1:])),
+                                  looped)
+
+
 class TestCompositeAction:
     def _instance(self, mode="softmax", seed=0):
         rng = np.random.default_rng(seed)
@@ -535,7 +619,7 @@ class TestWorkspaceReuse:
         clip, flow, lam, a, b, c, d = self._banks()
         b = {"same-n": b, "other-n": c, "same-n-other-k": d, "same-n-streamed-k": d}[other]
         if other == "same-n-streamed-k":
-            # a budget that keeps a's K=3 patches (25,920 bytes), not d's K=5
+            # a budget that keeps a's K=3 patches (28,800 bytes), not d's K=5
             monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 40_000)
         inputs = ActionInputs(clip, flow, TemporalWeights.uniform(5), a)
         assert inputs.gram is not None

@@ -438,6 +438,20 @@ class TestTrainCommand:
         assert f"config error: [data] {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flow, message", [
+        ("alpha = 0\niters = 5", "smoothness weight alpha must be finite and > 0, got 0.0"),
+        ("alpha = 1.0\niters = 0", "iteration count must be >= 1, got 0"),
+    ], ids=["alpha-0", "iters-0"])
+    def test_horn_schunck_parameters_exit_1(self, tmp_path, capsys, flow, message):
+        # flow.check_horn_schunck, the rule horn_schunck itself keeps
+        body = BASE.format(steps=1, save_features="false").replace(
+            "source = ground-truth", f"source = horn-schunck\n{flow}")
+        path = write_config(tmp_path / "flow.ini", body)
+        out = tmp_path / "x"
+        assert main(["train", "--config", path, "--out", str(out)]) == 1
+        assert f"config error: [flow] {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("velocity", ["1.0 0.0", "0.5 0.25"], ids=["integer", "subpixel"])
     def test_constant_flow_matches_ground_truth(self, tmp_path, velocity):
         body = BASE.format(steps=4, save_features="true").replace("velocity = 1.0 0.0",
@@ -805,18 +819,31 @@ ONE_CHUNK = BASE.format(steps=20, save_features="true").replace(
 
 
 class TestBlasThreadsAreInert:
+    @staticmethod
+    def run_cli(args, threads):
+        """Run ``cogaction`` in a fresh process with ``threads`` BLAS threads;
+        returns its standard output."""
+        src = str(Path(cogaction.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run([sys.executable, "-m", "cogaction.cli"] + args, env=env,
+                              check=True, capture_output=True).stdout
+
     @pytest.mark.parametrize("body", [BASE.format(steps=3, save_features="true"), TWO_LAYER_RGB,
                                       ONE_CHUNK],
                              ids=["m1-k3", "two-layer-m3-k5", "one-chunk-32x32x16"])
     def test_train_tree_independent_of_blas_threads(self, tmp_path, body):
         path = write_config(tmp_path / "exp.ini", body)
-        src = str(Path(cogaction.__file__).parents[1])
         trees = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
             out = tmp_path / f"threads{threads}"
-            subprocess.run([sys.executable, "-m", "cogaction.cli", "train", "--config", path,
-                            "--out", str(out)], env=env, check=True, capture_output=True)
+            self.run_cli(["train", "--config", path, "--out", str(out)], threads)
             trees.append(read_tree(out))
         assert trees[0] == trees[1]
+
+    def test_check_grad_report_independent_of_blas_threads(self):
+        # every reduction the finite-difference probes' values depend on
+        reports = [self.run_cli(["check-grad", "--instances", "4"], threads)
+                   for threads in ("1", "2")]
+        assert reports[0].count(b" ok\n") == 4
+        assert reports[0] == reports[1]

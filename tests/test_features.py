@@ -168,8 +168,10 @@ class TestPatchKernels:
         grid = np.random.default_rng(m_in * 100 + kernel + 3).uniform(
             size=(frames, height, width, m_in))
         monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 1 << 40)
-        # both only copy grid entries
-        assert np.array_equal(features.clip_patches(grid, kernel), rolled_patches(grid, kernel))
+        kept = features.clip_patches(grid, kernel)
+        # the patch rows only copy grid entries; the last row is the bias's ones
+        assert np.array_equal(kept[:-1], rolled_patches(grid, kernel))
+        assert np.array_equal(kept[-1], np.ones(grid[..., 0].size))
 
     @pytest.mark.parametrize("kept", [True, False], ids=["kept", "streamed"])
     def test_gradient_of_another_shape_rejected(self, kept):
@@ -187,10 +189,11 @@ class TestPatchKernels:
             convolution_tap_gradient(grid, np.zeros((2, 5, 6, 3)), kernel)
 
     def test_patches_over_budget_not_kept(self, monkeypatch):
+        # 18 patch rows and the ones row, of 120 sites
         grid = np.zeros((4, 5, 6, 2))
-        monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 8 * 9 * grid.size)
-        assert features.clip_patches(grid, 3).shape == (18, 120)
-        monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 8 * 9 * grid.size - 1)
+        monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 8 * 19 * 120)
+        assert features.clip_patches(grid, 3).shape == (19, 120)
+        monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 8 * 19 * 120 - 1)
         assert features.clip_patches(grid, 3) is None
 
     def test_patches_of_another_kernel_rejected(self):
@@ -411,8 +414,8 @@ class TestBankValidation:
         checked, unchecked = bank.with_taps(taps), bank._next(taps.copy())
         assert (unchecked.mode, unchecked.layer) == (checked.mode, checked.layer)
         assert unchecked.taps.tobytes() == checked.taps.tobytes()
-        assert unchecked._flat.tobytes() == checked._flat.tobytes()
-        assert not unchecked.taps.flags.writeable and not unchecked._flat.flags.writeable
+        assert unchecked._row.tobytes() == checked._row.tobytes()
+        assert not unchecked.taps.flags.writeable and not unchecked._row.flags.writeable
 
 
 # bank files and what loading them gives: the taps, or the error message with
