@@ -591,11 +591,9 @@ def _tap_row_gradients(products: tuple[np.ndarray, ...], inputs: ActionInputs,
 
 
 def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
-              lam: Multipliers, dtau: float, grad: bool = False, index: bool = True):
+              lam: Multipliers, dtau: float, grad: bool = False):
     """One objective step on the workspace of ``inputs``: the breakdown, and
-    with ``grad`` the gradient in the taps (else None).  ``index = False``
-    leaves -I out of the gradient, so that a term's gradient can be taken
-    alone.
+    with ``grad`` the gradient in the taps (else None).
 
     ``inputs`` checked the grid, flow and weights, and a bank of another n or
     K than it was built for is rejected first.  The calls below reject the
@@ -615,12 +613,9 @@ def _evaluate(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
     info = s_marg - s_cond
 
     act_grad = None
-    if grad and index:
+    if grad:
         act_grad = _neg_index_act_gradient(act, probs, site, log_q, measure,
                                            inputs.inverse_measure, bank.mode)
-    elif grad:
-        act_grad = probs
-        act_grad.fill(0.0)
     penalty = 0.0
     if bank.mode == "linear-penalty":
         # last, as it overwrites the activations
@@ -662,17 +657,18 @@ def term_gradients(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs
     Keys: info_index, motion, spatial, temporal, penalty.  Intended for
     oracle comparisons against finite differences of the breakdown fields.
     The motion and parsimony gradients are the step's
-    (``_tap_row_gradients``), with no step of their own.
+    (``_tap_row_gradients``), with no step of their own; the penalty's is the
+    step's at ``lambda_c = 1`` less -I's.
     """
-    def tap_gradient(lam: Multipliers, index: bool = False) -> np.ndarray:
-        return _evaluate(bank, bank_prev, inputs, lam, dtau, grad=True, index=index)[1]
+    def tap_gradient(lam: Multipliers) -> np.ndarray:
+        return _evaluate(bank, bank_prev, inputs, lam, dtau, grad=True)[1]
 
-    info_index = -tap_gradient(Multipliers(), index=True)
+    info_index = -tap_gradient(Multipliers())
     row_grads = _tap_row_gradients(_tap_terms(bank, bank_prev, inputs, dtau)[1], inputs, dtau)
     return {
         "info_index": info_index,
         **{name: _unflat_view(row_grad[:, :-1], bank.kernel).copy()
            for name, row_grad in zip(("motion", "spatial", "temporal"), row_grads)},
-        "penalty": (tap_gradient(Multipliers(constraint=1.0))
+        "penalty": (tap_gradient(Multipliers(constraint=1.0)) + info_index
                     if bank.mode == "linear-penalty" else np.zeros_like(bank.taps)),
     }

@@ -144,9 +144,13 @@ def cmd_eval(experiment: ExperimentConfig, bank_paths: list[str], out_dir: Path)
         if index > len(plans):
             raise ConfigError(f"bank {index} ({path}) has no [layer{index}] section; "
                               f"the config defines {len(plans)} layer(s)")
-        if bank.layer != index:
-            raise ConfigError(f"bank {index} ({path}) is a layer {bank.layer} bank, "
-                              f"given at layer position {index}")
+        plan = plans[index - 1]
+        want = (index, plan.features, plan.kernel, plan.config.mode)
+        if (bank.layer, bank.n, bank.kernel, bank.mode) != want:
+            raise ConfigError(f"bank {index} ({path}) is a layer {bank.layer} bank with n = "
+                              f"{bank.n}, K = {bank.kernel}, mode {bank.mode}; [layer{index}] "
+                              f"needs a layer {index} bank with n = {plan.features}, "
+                              f"K = {plan.kernel}, mode {plan.config.mode}")
     clip, truth = experiment.build_clip()
     flow = experiment.build_flow(clip, truth)
     del truth  # only build_flow reads a synthetic clip's true flow
@@ -185,9 +189,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment file")
         p.add_argument("--out", default=None, help="output directory (overrides [output] dir)")
-        p.add_argument("--seed", type=int, default=None, help="override [train] seed")
         p.add_argument("--threads", type=int, default=None,
                        help="worker hint; accepted and ignored, outputs never depend on it")
+        if name == "train":
+            p.add_argument("--seed", type=int, default=None, help="override [train] seed")
         if name == "eval":
             p.add_argument("--bank", action="append", default=[],
                            help="bank file, repeatable in layer order")
@@ -202,7 +207,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "check-grad":
             return cmd_check_grad(args.instances)
-        experiment = parse_config(args.config, seed_override=args.seed)
+        experiment = parse_config(args.config, seed_override=getattr(args, "seed", None))
         if args.out == "":
             raise ConfigError("--out must name a directory, got ''")
         out_dir = Path(args.out if args.out is not None else experiment.out_dir)

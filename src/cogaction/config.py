@@ -5,7 +5,9 @@ Format: ``[section]`` headers with ``key = value`` pairs, no nesting.  A
 ``[train]`` the shared training settings, one ``[layerZ]`` section per layer
 (consecutive from ``[layer1]``) with the layer's feature count and kernel plus
 optional overrides of any ``[train]`` key, and an optional ``[output]``
-section.
+section.  A section accepts only the keys that some code reads: ``[flow]``
+reads ``alpha`` and ``iters`` only for horn-schunck and ``velocity`` only for
+constant, ``[data]`` reads ``seed`` only for random-texture.
 
 Randomness: every layer's tap initialization derives from the single
 ``[train] seed`` as ``seed XOR layer-index``, feeding a PCG64 stream.
@@ -97,31 +99,45 @@ def _pair(text: str) -> tuple[float, float]:
 
 
 class _Section:
-    """Typed accessors over one INI section with key-level error context."""
+    """Typed accessors over one INI section, used as a context manager: a
+    ``ValueError`` raised in the block, by an accessor, a value type or a
+    check, leaves it as a ``ConfigError`` that names the section, and a block
+    that ends cleanly rejects every key it did not read."""
 
     def __init__(self, name: str, items: dict[str, str]):
         self.name = name
         self.items = items
         self.seen: set[str] = set()
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback):
+        if exc is None:
+            unknown = sorted(set(self.items) - self.seen)
+            if unknown:
+                raise ConfigError(f"[{self.name}] unknown key '{unknown[0]}'")
+        elif isinstance(exc, ValueError) and not isinstance(exc, ConfigError):
+            raise ConfigError(f"[{self.name}] {exc}") from None
+
     def _read(self, key: str, default, required: bool, convert, expected: str):
         """The key's value through ``convert``, or ``default`` when absent."""
         self.seen.add(key)
         if key not in self.items:
             if required:
-                raise ConfigError(f"[{self.name}] missing required key '{key}'")
+                raise ValueError(f"missing required key '{key}'")
             return default
         value = self.items[key]
         try:
             return convert(value)
         except (KeyError, ValueError) as exc:
             why = "not a finite number" if isinstance(exc, _NotFinite) else expected
-            raise ConfigError(f"[{self.name}] {key} = {value!r}: {why}") from None
+            raise ValueError(f"{key} = {value!r}: {why}") from None
 
     def text(self, key: str, default=None, required=False, choices=None):
         value = self._read(key, default, required, str, "")
         if value is not None and choices is not None and value not in choices:
-            raise ConfigError(f"[{self.name}] {key} = {value!r}: expected one of {sorted(choices)}")
+            raise ValueError(f"{key} = {value!r}: expected one of {sorted(choices)}")
         return value
 
     def integer(self, key: str, default=None, required=False):
@@ -137,11 +153,6 @@ class _Section:
 
     def vector2(self, key: str, default=None, required=False):
         return self._read(key, default, required, _pair, "expected two numbers")
-
-    def reject_unknown(self):
-        unknown = set(self.items) - self.seen
-        if unknown:
-            raise ConfigError(f"[{self.name}] unknown key '{sorted(unknown)[0]}'")
 
 
 def _train_settings(section: _Section, defaults: dict) -> dict:
@@ -161,18 +172,6 @@ _TRAIN_DEFAULTS = {
 }
 
 
-def _build_train_config(values: dict, seed: int, where: str) -> TrainConfig:
-    try:
-        lam = Multipliers(motion=values["lambda_m"], spatial=values["lambda_p"],
-                          temporal=values["lambda_k"], constraint=values["lambda_c"])
-        return TrainConfig(step_size=values["step_size"], steps=values["steps"], lam=lam,
-                           mode=values["mode"], dtau=values["dtau"], window=values["window"],
-                           seed=seed, init_scale=values["init_scale"],
-                           weighting=values["weights"])
-    except ValueError as exc:
-        raise ConfigError(f"[{where}] {exc}") from None
-
-
 def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """Parse and validate an experiment file; all referenced paths must exist."""
     path = Path(path)
@@ -189,79 +188,68 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
     if "data" not in sections:
         raise ConfigError("missing [data] section")
 
-    data_sec = sections["data"]
-    source = data_sec.text("source", required=True, choices={"synth", "files"})
-    if source == "synth":
-        kind = data_sec.text("pattern", required=True, choices=PATTERN_KINDS)
-        try:
-            pattern = PatternSpec(kind, period=data_sec.integer("period", 8),
-                                  seed=data_sec.integer("seed", 0),
-                                  channels=data_sec.integer("channels", 1))
-        except ValueError as exc:
-            raise ConfigError(f"[data] {exc}") from None
-        data = DataSpec("synth", pattern=pattern,
-                        frames=data_sec.integer("frames", required=True),
-                        height=data_sec.integer("height", required=True),
-                        width=data_sec.integer("width", required=True),
-                        velocity=data_sec.vector2("velocity", (0.0, 0.0)))
-        try:
+    with sections["data"] as data_sec:
+        source = data_sec.text("source", required=True, choices={"synth", "files"})
+        if source == "synth":
+            kind = data_sec.text("pattern", required=True, choices=PATTERN_KINDS)
+            period = data_sec.integer("period", 8)
+            seed = data_sec.integer("seed", 0) if kind == "random-texture" else 0
+            pattern = PatternSpec(kind, period, seed, data_sec.integer("channels", 1))
+            data = DataSpec("synth", pattern=pattern,
+                            frames=data_sec.integer("frames", required=True),
+                            height=data_sec.integer("height", required=True),
+                            width=data_sec.integer("width", required=True),
+                            velocity=data_sec.vector2("velocity", (0.0, 0.0)))
             check_synth_geometry(data.velocity, data.frames, data.height, data.width)
-        except ValueError as exc:
-            raise ConfigError(f"[data] {exc}") from None
-    else:
-        pattern_str = data_sec.text("path_pattern", required=True)
-        try:
+        else:
+            pattern_str = data_sec.text("path_pattern", required=True)
             first = expand_path_pattern(pattern_str, 0)
-        except ValueError as exc:
-            raise ConfigError(f"[data] {exc}") from None
-        if not first.exists():
-            raise ConfigError(f"[data] path_pattern: first frame {first} does not exist")
-        data = DataSpec("files", path_pattern=pattern_str)
-    data_sec.reject_unknown()
+            if not first.exists():
+                raise ValueError(f"path_pattern: first frame {first} does not exist")
+            data = DataSpec("files", path_pattern=pattern_str)
 
-    flow_sec = sections.get("flow", _Section("flow", {}))
-    flow_source = flow_sec.text("source", default="ground-truth",
-                                choices={"ground-truth", "horn-schunck", "constant"})
-    flow = FlowSpec(flow_source,
-                    alpha=flow_sec.real("alpha", 1.0),
-                    iters=flow_sec.integer("iters", 100),
-                    velocity=flow_sec.vector2("velocity", (0.0, 0.0)))
-    if flow.source == "ground-truth" and data.source != "synth":
-        raise ConfigError("[flow] source = ground-truth requires [data] source = synth")
-    if flow.source == "horn-schunck":
-        try:
+    with sections.get("flow", _Section("flow", {})) as flow_sec:
+        flow = FlowSpec(flow_sec.text("source", default="ground-truth",
+                                      choices={"ground-truth", "horn-schunck", "constant"}))
+        if flow.source == "ground-truth" and data.source != "synth":
+            raise ValueError("source = ground-truth requires [data] source = synth")
+        if flow.source == "horn-schunck":
+            flow = FlowSpec(flow.source, alpha=flow_sec.real("alpha", 1.0),
+                            iters=flow_sec.integer("iters", 100))
             check_horn_schunck(flow.alpha, flow.iters)
-        except ValueError as exc:
-            raise ConfigError(f"[flow] {exc}") from None
-    flow_sec.reject_unknown()
+        elif flow.source == "constant":
+            flow = FlowSpec(flow.source, velocity=flow_sec.vector2("velocity", (0.0, 0.0)))
 
-    train_sec = sections.get("train", _Section("train", {}))
-    master_seed = train_sec.integer("seed", 0)
-    if seed_override is not None:
-        master_seed = seed_override
-    if master_seed < 0:
-        where = "[train] seed" if seed_override is None else "--seed"
-        raise ConfigError(f"{where} must be >= 0, got {master_seed}")
-    shared = _train_settings(train_sec, _TRAIN_DEFAULTS)
-    train_sec.reject_unknown()
+    with sections.get("train", _Section("train", {})) as train_sec:
+        master_seed = train_sec.integer("seed", 0)
+        if seed_override is not None:
+            master_seed = seed_override
+        if master_seed < 0:
+            where = "[train] seed" if seed_override is None else "--seed"
+            raise ConfigError(f"{where} must be >= 0, got {master_seed}")
+        shared = _train_settings(train_sec, _TRAIN_DEFAULTS)
 
     layers: list[LayerPlan] = []
     index = 1
     while f"layer{index}" in sections:
-        sec = sections[f"layer{index}"]
-        features = sec.integer("n", required=True)
-        kernel = sec.integer("k", required=True)
-        if features < 2:
-            raise ConfigError(f"[layer{index}] n must be >= 2, got {features}")
-        if kernel < 1 or kernel % 2 == 0:
-            raise ConfigError(f"[layer{index}] k must be odd and >= 1, got {kernel}")
-        values = _train_settings(sec, shared)
-        sec.reject_unknown()
-        config = _build_train_config(values, master_seed ^ index, f"layer{index}")
-        # a file sequence's frame count is known only once it is loaded
-        if data.source == "synth" and config.window is not None and config.window > data.frames:
-            raise ConfigError(f"[layer{index}] window = {config.window} exceeds the clip's "
-                              f"{data.frames} frames")
+        with sections[f"layer{index}"] as sec:
+            features = sec.integer("n", required=True)
+            kernel = sec.integer("k", required=True)
+            if features < 2:
+                raise ValueError(f"n must be >= 2, got {features}")
+            if kernel < 1 or kernel % 2 == 0:
+                raise ValueError(f"k must be odd and >= 1, got {kernel}")
+            values = _train_settings(sec, shared)
+            lam = Multipliers(motion=values["lambda_m"], spatial=values["lambda_p"],
+                              temporal=values["lambda_k"], constraint=values["lambda_c"])
+            config = TrainConfig(step_size=values["step_size"], steps=values["steps"], lam=lam,
+                                 mode=values["mode"], dtau=values["dtau"],
+                                 window=values["window"], seed=master_seed ^ index,
+                                 init_scale=values["init_scale"], weighting=values["weights"])
+            # a file sequence's frame count is known only once it is loaded
+            if data.source == "synth" and config.window is not None and config.window > data.frames:
+                raise ValueError(f"window = {config.window} exceeds the clip's "
+                                 f"{data.frames} frames")
         layers.append(LayerPlan(features, kernel, config))
         index += 1
     if not layers:
@@ -272,12 +260,11 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
             raise ConfigError(f"layer sections must be consecutive from layer1; found [{name}]"
                               if name.startswith("layer") else f"unknown section [{name}]")
 
-    out_sec = sections.get("output", _Section("output", {}))
-    out_dir = out_sec.text("dir", "out")
-    if not out_dir:
-        raise ConfigError("[output] dir must name a directory, got ''")
-    save_features = out_sec.flag("save_features", True)
-    out_sec.reject_unknown()
+    with sections.get("output", _Section("output", {})) as out_sec:
+        out_dir = out_sec.text("dir", "out")
+        if not out_dir:
+            raise ValueError("dir must name a directory, got ''")
+        save_features = out_sec.flag("save_features", True)
 
     return ExperimentConfig(data=data, flow=flow, layers=layers, out_dir=out_dir,
                             save_features=save_features)

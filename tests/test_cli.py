@@ -12,7 +12,8 @@ import pytest
 from flow_oracle import roll_horn_schunck
 
 import cogaction
-from cogaction import cli, features, init_bank, load_bank, load_flow, parse_config, train_layer
+from cogaction import (cli, features, init_bank, load_bank, load_flow, parse_config, save_bank,
+                       train_layer)
 from cogaction.cli import main
 from cogaction.config import ConfigError
 
@@ -246,6 +247,21 @@ class TestSynthCommand:
         assert read_tree(a) == read_tree(b)
 
 
+# Every key that a [flow] source does not read, and [data] seed under a
+# pattern that draws no noise: the BASE line replaced, its replacement, and
+# the key that nothing reads.
+UNREAD_KEYS = [pytest.param(*row, id=f"{row[2].split()[2]}-{row[3]}") for row in (
+    ("flow", "source = ground-truth", "source = ground-truth\nalpha = 1.0", "alpha"),
+    ("flow", "source = ground-truth", "source = ground-truth\niters = 5", "iters"),
+    ("flow", "source = ground-truth", "source = ground-truth\nvelocity = 1.0 0.0", "velocity"),
+    ("flow", "source = ground-truth", "source = horn-schunck\nvelocity = 1.0 0.0", "velocity"),
+    ("flow", "source = ground-truth", "source = constant\nalpha = 1.0", "alpha"),
+    ("flow", "source = ground-truth", "source = constant\niters = 5", "iters"),
+    ("data", "pattern = random-texture", "pattern = checkerboard", "seed"),
+    ("data", "pattern = random-texture", "pattern = sinusoid", "seed"),
+)]
+
+
 class TestTrainCommand:
     def test_outputs_present(self, tmp_path, config_path):
         out = tmp_path / "run"
@@ -452,6 +468,24 @@ class TestTrainCommand:
         assert f"config error: [flow] {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, old, new, key", UNREAD_KEYS)
+    def test_unread_key_exit_1(self, tmp_path, capsys, section, old, new, key):
+        body = BASE.format(steps=1, save_features="false").replace(old, new)
+        path = write_config(tmp_path / "unread.ini", body)
+        out = tmp_path / "x"
+        assert main(["train", "--config", path, "--out", str(out)]) == 1
+        assert f"config error: [{section}] unknown key '{key}'\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "eval"])
+    def test_seed_flag_is_train_only(self, tmp_path, config_path, capsys, command):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", config_path, "--out", str(out), "--seed", "7"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("velocity", ["1.0 0.0", "0.5 0.25"], ids=["integer", "subpixel"])
     def test_constant_flow_matches_ground_truth(self, tmp_path, velocity):
         body = BASE.format(steps=4, save_features="true").replace("velocity = 1.0 0.0",
@@ -542,7 +576,7 @@ class TestEvalCommand:
     def test_eval_mismatched_bank_exit_2(self, tmp_path, config_path, capsys):
         from cogaction import init_bank, save_bank
 
-        bank = init_bank(3, 5, 3, "softmax", seed=0, scale=0.1)  # clip has 1 channel
+        bank = init_bank(4, 5, 3, "softmax", seed=0, scale=0.1)  # clip has 1 channel
         path = tmp_path / "bad_bank.txt"
         save_bank(bank, path)
         assert main(["eval", "--config", config_path, "--bank", str(path),
@@ -574,6 +608,20 @@ class TestEvalCommand:
         assert "bank 1" in err and str(path) in err and "layer 7" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, kernel, mode", [(3, 3, "softmax"), (4, 5, "softmax"),
+                                                 (4, 3, "linear-penalty")],
+                             ids=["n", "k", "mode"])
+    def test_bank_must_match_its_section(self, tmp_path, config_path, capsys, n, kernel, mode):
+        path = tmp_path / "b1.txt"
+        save_bank(init_bank(n, 1, kernel, mode, seed=0), path)
+        out = tmp_path / "x"
+        assert main(["eval", "--config", config_path, "--bank", str(path),
+                     "--out", str(out)]) == 1
+        assert (f"config error: bank 1 ({path}) is a layer 1 bank with n = {n}, K = {kernel}, "
+                f"mode {mode}; [layer1] needs a layer 1 bank with n = 4, K = 3, mode softmax\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_window_beyond_clip_same_error_as_train(self, tmp_path, capsys):
         from cogaction import init_bank, save_bank
 
@@ -596,7 +644,7 @@ class TestFailedRunOutput:
         window = files_config(tmp_path, "window.ini", WINDOW_9)
         base = write_config(tmp_path / "exp.ini", BASE.format(steps=1, save_features="false"))
         bank = tmp_path / "bad_bank.txt"
-        save_bank(init_bank(3, 5, 3, "softmax", seed=0, scale=0.1), bank)  # clip has 1 channel
+        save_bank(init_bank(4, 5, 3, "softmax", seed=0, scale=0.1), bank)  # clip has 1 channel
         deep = files_config(tmp_path, "deep.ini", "[train]\nsteps = 1\n[layer1]\nn = 4\nk = 3\n"
                             "[layer2]\nn = 3\nk = 3\nwindow = 9\n")
         banks = [tmp_path / "b1.txt", tmp_path / "b2.txt"]
@@ -847,3 +895,24 @@ class TestBlasThreadsAreInert:
                    for threads in ("1", "2")]
         assert reports[0].count(b" ok\n") == 4
         assert reports[0] == reports[1]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks(language):
+    return re.findall(rf"```{language}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+class TestReadmeExamples:
+    def test_experiment_file_parses(self, tmp_path):
+        (body,) = readme_blocks("ini")
+        experiment = parse_config(write_config(tmp_path / "readme.ini", body))
+        assert (experiment.data.source, experiment.flow.source) == ("synth", "ground-truth")
+        assert [(plan.features, plan.kernel) for plan in experiment.layers] == [(4, 3)]
+
+    def test_python_blocks_run(self, capsys):
+        namespace = {}
+        for block in readme_blocks("python"):
+            exec(block, namespace)
+        assert capsys.readouterr().out
