@@ -8,11 +8,10 @@ Subcommands::
     cogaction check-grad [--instances N]
 
 Exit codes: 0 success, 1 configuration error, 2 runtime or divergence error.
-Outputs are deterministic: identical configs produce bit-identical trees (a
-``--threads`` hint is accepted for interface compatibility and ignored; no
-output depends on it).  An output directory is guarded by a ``.lock`` file
-against concurrent runs; it records the owning run's pid, host and UTC start
-time, is removed when the run ends, and is never broken automatically.
+Outputs are deterministic: identical configs produce bit-identical trees.  An
+output directory is guarded by a ``.lock`` file against concurrent runs; it
+records the owning run's pid, host and UTC start time, is removed when the run
+ends, and is never broken automatically.
 """
 
 import argparse
@@ -145,12 +144,12 @@ def cmd_eval(experiment: ExperimentConfig, bank_paths: list[str], out_dir: Path)
             raise ConfigError(f"bank {index} ({path}) has no [layer{index}] section; "
                               f"the config defines {len(plans)} layer(s)")
         plan = plans[index - 1]
-        want = (index, plan.features, plan.kernel, plan.config.mode)
+        want = (index, plan.features, plan.kernel, plan.mode)
         if (bank.layer, bank.n, bank.kernel, bank.mode) != want:
             raise ConfigError(f"bank {index} ({path}) is a layer {bank.layer} bank with n = "
                               f"{bank.n}, K = {bank.kernel}, mode {bank.mode}; [layer{index}] "
                               f"needs a layer {index} bank with n = {plan.features}, "
-                              f"K = {plan.kernel}, mode {plan.config.mode}")
+                              f"K = {plan.kernel}, mode {plan.mode}")
     clip, truth = experiment.build_clip()
     flow = experiment.build_flow(clip, truth)
     del truth  # only build_flow reads a synthetic clip's true flow
@@ -189,8 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment file")
         p.add_argument("--out", default=None, help="output directory (overrides [output] dir)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker hint; accepted and ignored, outputs never depend on it")
         if name == "train":
             p.add_argument("--seed", type=int, default=None, help="override [train] seed")
         if name == "eval":

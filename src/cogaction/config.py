@@ -5,9 +5,11 @@ Format: ``[section]`` headers with ``key = value`` pairs, no nesting.  A
 ``[train]`` the shared training settings, one ``[layerZ]`` section per layer
 (consecutive from ``[layer1]``) with the layer's feature count and kernel plus
 optional overrides of any ``[train]`` key, and an optional ``[output]``
-section.  A section accepts only the keys that some code reads: ``[flow]``
-reads ``alpha`` and ``iters`` only for horn-schunck and ``velocity`` only for
-constant, ``[data]`` reads ``seed`` only for random-texture.
+section.  Each layer becomes one ``LayerPlan``: ``mode``, ``init_scale`` and
+the layer's seed set its starting bank, the other keys its ``TrainConfig``.  A
+section accepts only the keys that some code reads: ``[flow]`` reads ``alpha``
+and ``iters`` only for horn-schunck and ``velocity`` only for constant,
+``[data]`` reads ``seed`` only for random-texture.
 
 Randomness: every layer's tap initialization derives from the single
 ``[train] seed`` as ``seed XOR layer-index``, feeding a PCG64 stream.
@@ -156,7 +158,7 @@ class _Section:
 
 
 def _train_settings(section: _Section, defaults: dict) -> dict:
-    """Read the TrainConfig-shaped keys of a section, each over its default."""
+    """Read the keys a layer shares with ``[train]``, each over its default."""
     return {key: read(key, defaults[key]) for key, read in (
         ("steps", section.integer), ("step_size", section.real), ("dtau", section.real),
         ("lambda_m", section.real), ("lambda_p", section.real), ("lambda_k", section.real),
@@ -235,22 +237,18 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
         with sections[f"layer{index}"] as sec:
             features = sec.integer("n", required=True)
             kernel = sec.integer("k", required=True)
-            if features < 2:
-                raise ValueError(f"n must be >= 2, got {features}")
-            if kernel < 1 or kernel % 2 == 0:
-                raise ValueError(f"k must be odd and >= 1, got {kernel}")
             values = _train_settings(sec, shared)
             lam = Multipliers(motion=values["lambda_m"], spatial=values["lambda_p"],
                               temporal=values["lambda_k"], constraint=values["lambda_c"])
             config = TrainConfig(step_size=values["step_size"], steps=values["steps"], lam=lam,
-                                 mode=values["mode"], dtau=values["dtau"],
-                                 window=values["window"], seed=master_seed ^ index,
-                                 init_scale=values["init_scale"], weighting=values["weights"])
+                                 dtau=values["dtau"], window=values["window"],
+                                 weighting=values["weights"])
             # a file sequence's frame count is known only once it is loaded
             if data.source == "synth" and config.window is not None and config.window > data.frames:
                 raise ValueError(f"window = {config.window} exceeds the clip's "
                                  f"{data.frames} frames")
-        layers.append(LayerPlan(features, kernel, config))
+            layers.append(LayerPlan(features, kernel, config, mode=values["mode"],
+                                    seed=master_seed ^ index, init_scale=values["init_scale"]))
         index += 1
     if not layers:
         raise ConfigError("no [layer1] section: at least one layer is required")

@@ -38,6 +38,16 @@ CLAMP_EPS = 1e-6
 PATCH_CHUNK_BYTES = 2 * 1024 * 1024
 
 
+def check_bank_shape(n: int, m_in: int, ka: int, kb: int) -> None:
+    """Reject a tap shape (n, m_in, K, K) that no bank may have, built or drawn."""
+    if n < 2:
+        raise ValueError(f"need at least 2 output features, got n={n}")
+    if m_in < 1:
+        raise ValueError(f"need at least 1 input channel, got m_in={m_in}")
+    if ka != kb or ka < 1 or ka % 2 == 0:
+        raise ValueError(f"kernel must be square with an odd side >= 1, got {ka}x{kb}")
+
+
 @dataclass(frozen=True)
 class FilterBank:
     """Learnable taps (n, m_in, K, K) plus the constraint mode and layer index.
@@ -55,13 +65,7 @@ class FilterBank:
         arr = np.ascontiguousarray(np.asarray(self.taps, dtype=np.float64))
         if arr.ndim != 4:
             raise ValueError(f"taps must be (n, m_in, K, K), got shape {arr.shape}")
-        n, m_in, ka, kb = arr.shape
-        if n < 2:
-            raise ValueError(f"need at least 2 output features, got n={n}")
-        if m_in < 1:
-            raise ValueError(f"need at least 1 input channel, got m_in={m_in}")
-        if ka != kb or ka % 2 == 0:
-            raise ValueError(f"kernel must be square with odd side, got {ka}x{kb}")
+        check_bank_shape(*arr.shape)
         if not np.all(np.isfinite(arr)):
             raise ValueError("taps must be finite")
         if self.mode not in MODES:

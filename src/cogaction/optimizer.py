@@ -22,8 +22,8 @@ from .action import (
 )
 # nothing here calls to_probabilities; the benchmark under perfbench/ patches
 # it in this module by name
-from .features import (CLAMP_EPS, MODES, FilterBank, as_grid, convolve_features,  # noqa: F401
-                       stack_layers, to_probabilities)
+from .features import (CLAMP_EPS, FilterBank, as_grid, check_bank_shape,  # noqa: F401
+                       convolve_features, stack_layers, to_probabilities)
 from .flow import VelocityField
 from .video import PatternSpec, synth_translating_clip
 
@@ -34,7 +34,7 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Settings of one layer's gradient-flow run.
+    """Settings of one layer's gradient-flow run, each read by ``train_layer``.
 
     ``dtau`` (the tap-velocity time step) defaults to the step size; ``window``
     restricts evaluation to the first ``window`` frames and defaults to the
@@ -45,11 +45,8 @@ class TrainConfig:
     step_size: float
     steps: int
     lam: Multipliers = field(default_factory=Multipliers)
-    mode: str = "softmax"
     dtau: float | None = None
     window: int | None = None
-    seed: int = 0
-    init_scale: float = 0.1
     weighting: str = "uniform"
 
     def __post_init__(self):
@@ -57,16 +54,10 @@ class TrainConfig:
             raise ValueError(f"step size must be finite and > 0, got {self.step_size}")
         if self.steps < 0:
             raise ValueError(f"step count must be >= 0, got {self.steps}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown constraint mode {self.mode!r}, expected one of {MODES}")
         if self.dtau is not None and not (math.isfinite(self.dtau) and self.dtau > 0.0):
             raise ValueError(f"dtau must be finite and > 0, got {self.dtau}")
         if self.window is not None and self.window < 2:
             raise ValueError(f"evaluation window must cover >= 2 frames, got {self.window}")
-        if not (math.isfinite(self.init_scale) and self.init_scale >= 0.0):
-            raise ValueError(f"init scale must be finite and >= 0, got {self.init_scale}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         build_weights(self.weighting, 2)  # validate eagerly
 
     def effective_dtau(self) -> float:
@@ -75,11 +66,23 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class LayerPlan:
-    """One layer of a deep run: feature count, kernel side, training settings."""
+    """One layer of a deep run: feature count, kernel side, training settings,
+    and its starting bank's mode, seed and scale, checked by drawing it once."""
 
     features: int
     kernel: int
     config: TrainConfig
+    mode: str = "softmax"
+    seed: int = 0
+    init_scale: float = 0.1
+
+    def __post_init__(self):
+        self.initial_bank(1)  # validate eagerly
+
+    def initial_bank(self, m_in: int, layer: int = 1) -> FilterBank:
+        """The layer's starting bank over ``m_in`` input channels."""
+        return init_bank(self.features, m_in, self.kernel, self.mode, self.seed,
+                         self.init_scale, layer)
 
 
 @dataclass
@@ -116,10 +119,9 @@ def init_bank(n: int, m_in: int, kernel: int, mode: str, seed: int,
     PCG64 is seeded with the given integer, so equal seeds give bit-identical
     banks on every platform.
     """
-    if n < 2 or m_in < 1 or kernel < 1 or kernel % 2 == 0:
-        raise ValueError(f"invalid bank dimensions n={n}, m_in={m_in}, K={kernel}")
-    if scale < 0.0:
-        raise ValueError(f"init scale must be >= 0, got {scale}")
+    check_bank_shape(n, m_in, kernel, kernel)
+    if not (math.isfinite(scale) and scale >= 0.0):
+        raise ValueError(f"init scale must be finite and >= 0, got {scale}")
     rng = np.random.Generator(np.random.PCG64(seed))
     taps = rng.uniform(-scale, scale, size=(n, m_in, kernel, kernel))
     return FilterBank(taps, mode=mode, layer=layer)
@@ -183,11 +185,9 @@ def train_deep(clip, flow: VelocityField, plans: list[LayerPlan]) -> list[TrainT
     for index, plan in enumerate(plans, start=1):
         if traces:
             current = traces[-1].field = stack_layers([traces[-1].final_bank], current)[0]
-        config = plan.config
-        bank = init_bank(plan.features, current.shape[3], plan.kernel, config.mode,
-                         config.seed, config.init_scale, layer=index)
         try:
-            trace = train_layer(bank, current, flow, config)
+            trace = train_layer(plan.initial_bank(current.shape[3], index), current, flow,
+                                plan.config)
         except (ValueError, DivergenceError) as exc:
             raise type(exc)(f"layer {index}: {exc}") from exc
         traces.append(trace)

@@ -241,9 +241,8 @@ def a4_clip(seed):
 def a4_train(lam_m, steps=A3_STEPS):
     """The A4 softmax run at ``lambda_m``: the trace of ``steps`` steps."""
     lam = Multipliers(motion=lam_m, spatial=1e-3, temporal=1e-3)
-    config = TrainConfig(step_size=FROZEN_STEP_SIZE, steps=steps, lam=lam,
-                         mode="softmax", seed=12345, init_scale=0.1)
-    bank = init_bank(4, 1, 3, "softmax", seed=config.seed, scale=config.init_scale)
+    config = TrainConfig(step_size=FROZEN_STEP_SIZE, steps=steps, lam=lam)
+    bank = init_bank(4, 1, 3, "softmax", seed=12345, scale=0.1)
     return train_layer(bank, *a4_clip(7), config)
 
 
@@ -387,9 +386,8 @@ LINEAR_STEP_SIZE = 0.03
 def linear_penalty_run(steps):
     """A linear-penalty run on the A4 training clip, at step 0.03 with
     lambda_c = 1."""
-    config = TrainConfig(step_size=LINEAR_STEP_SIZE, steps=steps, lam=LINEAR_LAM,
-                         mode="linear-penalty", seed=12345, init_scale=0.1)
-    bank = init_bank(4, 1, 3, "linear-penalty", seed=config.seed, scale=config.init_scale)
+    config = TrainConfig(step_size=LINEAR_STEP_SIZE, steps=steps, lam=LINEAR_LAM)
+    bank = init_bank(4, 1, 3, "linear-penalty", seed=12345, scale=0.1)
     return train_layer(bank, *a4_clip(7), config)
 
 
@@ -435,12 +433,10 @@ def a4_streamed_motion_train(lam_m):
     The same descent as ``train_layer``; a ``TrainTrace`` without grad_norms."""
     lam = Multipliers(motion=lam_m, spatial=1e-3, temporal=1e-3)
     rest = Multipliers(spatial=lam.spatial, temporal=lam.temporal)
-    config = TrainConfig(step_size=FROZEN_STEP_SIZE, steps=A3_STEPS, lam=lam,
-                         mode="softmax", seed=12345, init_scale=0.1)
+    config = TrainConfig(step_size=FROZEN_STEP_SIZE, steps=A3_STEPS, lam=lam)
     clip, flow = a4_clip(7)
     weights = TemporalWeights.uniform(16)
-    current = previous = init_bank(4, 1, 3, "softmax", seed=config.seed,
-                                   scale=config.init_scale)
+    current = previous = init_bank(4, 1, 3, "softmax", seed=12345, scale=0.1)
     inputs = ActionInputs(clip, flow, weights, current)
     plan = _WarpPlan(flow)
     measure = weights.residual_measure(32, 32)
@@ -583,7 +579,7 @@ def test_motion_term_beats_equal_m_frontier():
         return breakdown.info_index, breakdown.motion
 
     off = TrainConfig(step_size=FROZEN_STEP_SIZE, steps=FRONTIER_EVERY,
-                      lam=Multipliers(spatial=1e-3, temporal=1e-3), seed=12345)
+                      lam=Multipliers(spatial=1e-3, temporal=1e-3))
     checkpoints = [(*held_out(initial), 0)]
     bank = initial
     for step in range(FRONTIER_EVERY, A3_STEPS + 1, FRONTIER_EVERY):

@@ -89,7 +89,7 @@ class TestConfigParsing:
         experiment = parse_config(config_path)
         assert experiment.data.frames == 6
         assert len(experiment.layers) == 1
-        assert experiment.layers[0].config.seed == 12345 ^ 1
+        assert experiment.layers[0].seed == 12345 ^ 1
 
     def test_missing_key_reports_section_and_key(self, tmp_path):
         path = write_config(tmp_path / "bad.ini", "[data]\nsource = synth\n")
@@ -131,7 +131,7 @@ class TestConfigParsing:
 
     def test_seed_override(self, config_path):
         experiment = parse_config(config_path, seed_override=999)
-        assert experiment.layers[0].config.seed == 999 ^ 1
+        assert experiment.layers[0].seed == 999 ^ 1
 
     def test_negative_seed_in_file_rejected(self, tmp_path):
         body = BASE.format(steps=4, save_features="true").replace("seed = 12345", "seed = -5")
@@ -141,25 +141,27 @@ class TestConfigParsing:
 
 
 # Every [train] key, which any [layerZ] section may override: how a layer's
-# TrainConfig reads it, the default when no section names it, a [train] value
+# plan reads it (its TrainConfig's or its starting bank's), the default when no section names it, a [train] value
 # and what it reads as, a [layer2] value and what it reads as, and a bad value
 # with today's reason (None: TrainConfig rejects it, naming the layer).
 TrainKey = namedtuple("TrainKey", "key read default shared shared_value own own_value bad why")
 TRAIN_KEYS = [TrainKey(*row) for row in (
-    ("steps", lambda c: c.steps, 100, "7", 7, "9", 9, "x", "not an integer"),
-    ("step_size", lambda c: c.step_size, 0.1, "0.25", 0.25, "0.75", 0.75, "x", "not a number"),
-    ("dtau", lambda c: c.dtau, None, "0.5", 0.5, "2", 2.0, "inf", "not a finite number"),
-    ("lambda_m", lambda c: c.lam.motion, 1.0, "0.3", 0.3, "0.7", 0.7, "x", "not a number"),
-    ("lambda_p", lambda c: c.lam.spatial, 1e-3, "0.02", 0.02, "0.05", 0.05, "nan",
+    ("steps", lambda p: p.config.steps, 100, "7", 7, "9", 9, "x", "not an integer"),
+    ("step_size", lambda p: p.config.step_size, 0.1, "0.25", 0.25, "0.75", 0.75, "x", "not a number"),
+    ("dtau", lambda p: p.config.dtau, None, "0.5", 0.5, "2", 2.0, "inf", "not a finite number"),
+    ("lambda_m", lambda p: p.config.lam.motion, 1.0, "0.3", 0.3, "0.7", 0.7, "x", "not a number"),
+    ("lambda_p", lambda p: p.config.lam.spatial, 1e-3, "0.02", 0.02, "0.05", 0.05, "nan",
      "not a finite number"),
-    ("lambda_k", lambda c: c.lam.temporal, 1e-3, "0.04", 0.04, "0.06", 0.06, "x", "not a number"),
-    ("lambda_c", lambda c: c.lam.constraint, 0.0, "0.5", 0.5, "1.5", 1.5, "x", "not a number"),
-    ("window", lambda c: c.window, None, "3", 3, "4", 4, "2.5", "not an integer"),
-    ("init_scale", lambda c: c.init_scale, 0.1, "0.2", 0.2, "0.3", 0.3, "-inf",
+    ("lambda_k", lambda p: p.config.lam.temporal, 1e-3, "0.04", 0.04, "0.06", 0.06, "x",
+     "not a number"),
+    ("lambda_c", lambda p: p.config.lam.constraint, 0.0, "0.5", 0.5, "1.5", 1.5, "x",
+     "not a number"),
+    ("window", lambda p: p.config.window, None, "3", 3, "4", 4, "2.5", "not an integer"),
+    ("init_scale", lambda p: p.init_scale, 0.1, "0.2", 0.2, "0.3", 0.3, "-inf",
      "not a finite number"),
-    ("mode", lambda c: c.mode, "softmax", "linear-penalty", "linear-penalty", "softmax",
+    ("mode", lambda p: p.mode, "softmax", "linear-penalty", "linear-penalty", "softmax",
      "softmax", "x", "expected one of ['linear-penalty', 'softmax']"),
-    ("weights", lambda c: c.weighting, "uniform", "exp:0.5", "exp:0.5", "exp:0.25", "exp:0.25",
+    ("weights", lambda p: p.config.weighting, "uniform", "exp:0.5", "exp:0.5", "exp:0.25", "exp:0.25",
      "x", None),
 )]
 
@@ -171,7 +173,7 @@ TWO_LAYERS = ("[data]\nsource = synth\npattern = checkerboard\nframes = 6\nheigh
 class TestTrainKeys:
     def read(self, tmp_path, row, train="", layer2=""):
         path = write_config(tmp_path / "k.ini", TWO_LAYERS.format(train=train, layer2=layer2))
-        return [row.read(plan.config) for plan in parse_config(path).layers]
+        return [row.read(plan) for plan in parse_config(path).layers]
 
     def test_absent_key_gives_default(self, tmp_path, row):
         assert self.read(tmp_path, row) == [row.default, row.default]
@@ -287,9 +289,8 @@ class TestTrainCommand:
         experiment = parse_config(config_path)
         clip, truth = experiment.build_clip()
         plan = experiment.layers[0]
-        bank = init_bank(plan.features, 1, plan.kernel, plan.config.mode, plan.config.seed,
-                         plan.config.init_scale)
-        trace = train_layer(bank, clip, experiment.build_flow(clip, truth), plan.config)
+        trace = train_layer(plan.initial_bank(1), clip, experiment.build_flow(clip, truth),
+                            plan.config)
         assert len(trace.grad_norms) == 4 and min(trace.grad_norms) > 0.0
         assert [float(row.rsplit(",", 1)[1]) for row in rows] == trace.grad_norms
         assert [row.rsplit(",", 1)[0] for row in rows] == [
@@ -466,6 +467,21 @@ class TestTrainCommand:
         out = tmp_path / "x"
         assert main(["train", "--config", path, "--out", str(out)]) == 1
         assert f"config error: [flow] {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("n = 4", "n = 1", "need at least 2 output features, got n=1"),
+        ("k = 3", "k = 2", "kernel must be square with an odd side >= 1, got 2x2"),
+        ("k = 3", "k = -1", "kernel must be square with an odd side >= 1, got -1x-1"),
+        ("k = 3", "k = 3\ninit_scale = -0.5", "init scale must be finite and >= 0, got -0.5"),
+    ], ids=["n-1", "k-2", "k-minus-1", "init-scale-negative"])
+    def test_layer_rule_exit_1(self, tmp_path, capsys, old, new, message):
+        # the rules of a layer's starting bank, kept by init_bank and FilterBank
+        body = BASE.format(steps=1, save_features="false").replace(old, new)
+        path = write_config(tmp_path / "layer.ini", body)
+        out = tmp_path / "x"
+        assert main(["train", "--config", path, "--out", str(out)]) == 1
+        assert f"config error: [layer1] {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("section, old, new, key", UNREAD_KEYS)
@@ -815,12 +831,16 @@ def test_benchmark_only_names_are_dead_for_the_package(tmp_path, monkeypatch):
     assert main(["check-grad", "--instances", "2"]) == 0
 
 
-class TestThreadsFlagIsInert:
-    def test_outputs_independent_of_threads(self, tmp_path, config_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["train", "--config", config_path, "--out", str(a)]) == 0
-        assert main(["train", "--config", config_path, "--out", str(b), "--threads", "8"]) == 0
-        assert read_tree(a) == read_tree(b)
+class TestThreadsFlagIsGone:
+    def test_threads_flag_is_rejected(self, tmp_path, config_path, capsys):
+        # no code read it; TestBlasThreadsAreInert keeps outputs free of thread counts
+        for command in ("synth", "train", "eval"):
+            out = tmp_path / command
+            with pytest.raises(SystemExit) as info:
+                main([command, "--config", config_path, "--out", str(out), "--threads", "8"])
+            assert info.value.code == 2
+            assert "unrecognized arguments: --threads 8" in capsys.readouterr().err
+            assert not out.exists()
 
 
 # two layers on a 32x32 RGB clip: layer 1 has m=3, K=5, layer 2 m=8, K=3

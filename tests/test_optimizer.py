@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -54,6 +58,15 @@ class TestInitBank:
             init_bank(1, 1, 3, "softmax", seed=0)
         with pytest.raises(ValueError):
             init_bank(2, 1, 4, "softmax", seed=0)
+        # a negative side is odd, but no bank has one
+        with pytest.raises(ValueError, match="odd side >= 1, got -1x-1"):
+            init_bank(2, 1, -1, "softmax", seed=0)
+
+    @pytest.mark.parametrize("scale", [-0.5, math.inf, -math.inf, math.nan])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match=re.escape(f"init scale must be finite and >= 0, "
+                                                       f"got {scale}")):
+            init_bank(2, 1, 3, "softmax", seed=0, scale=scale)
 
 
 class TestTrainLayer:
@@ -63,7 +76,7 @@ class TestTrainLayer:
         clip = VideoClip(np.full((4, 8, 8, 1), 0.5))
         flow = constant_flow((0, 0), 4, 8, 8)
         bank = init_bank(4, 1, 3, "softmax", seed=0, scale=0.0)
-        config = TrainConfig(step_size=0.5, steps=5, lam=Multipliers(), seed=0)
+        config = TrainConfig(step_size=0.5, steps=5, lam=Multipliers())
         trace = train_layer(bank, clip, flow, config)
         assert np.array_equal(trace.final_bank.taps, bank.taps)
         assert all(norm == 0.0 for norm in trace.grad_norms)
@@ -72,7 +85,7 @@ class TestTrainLayer:
         clip, flow = texture_instance
         bank = init_bank(3, 1, 3, "softmax", seed=5, scale=0.1)
         lam = Multipliers(motion=1.0, spatial=1e-3, temporal=1e-3)
-        config = TrainConfig(step_size=0.2, steps=1, lam=lam, seed=5)
+        config = TrainConfig(step_size=0.2, steps=1, lam=lam)
         trace = train_layer(bank, clip, flow, config)
         w = TemporalWeights.uniform(6)
         grad = action_value_and_gradient(bank, bank, ActionInputs(clip.data, flow, w, bank), lam,
@@ -82,7 +95,7 @@ class TestTrainLayer:
     def test_trace_shape_and_finiteness(self, texture_instance):
         clip, flow = texture_instance
         bank = init_bank(3, 1, 3, "softmax", seed=6, scale=0.1)
-        config = TrainConfig(step_size=0.1, steps=7, lam=Multipliers(motion=1.0), seed=6)
+        config = TrainConfig(step_size=0.1, steps=7, lam=Multipliers(motion=1.0))
         trace = train_layer(bank, clip, flow, config)
         assert len(trace.breakdowns) == 7
         assert len(trace.grad_norms) == 7
@@ -105,8 +118,7 @@ class TestTrainLayer:
         for mode, lam, weighting, streamed, scale in cases:
             monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 1 if streamed else kept_budget)
             bank = init_bank(3, 1, 3, mode, seed=7, scale=scale)
-            config = TrainConfig(step_size=0.1, steps=3, lam=lam, mode=mode, seed=7,
-                                 weighting=weighting)
+            config = TrainConfig(step_size=0.1, steps=3, lam=lam, weighting=weighting)
             trace = train_layer(bank, clip, flow, config)
             inputs = ActionInputs(clip.data, flow, build_weights(weighting, 6), bank)
             assert (inputs.patches is None) == streamed
@@ -126,15 +138,15 @@ class TestTrainLayer:
     def test_divergence_aborts_with_step_index(self, texture_instance):
         clip, flow = texture_instance
         bank = init_bank(4, 1, 3, "softmax", seed=8, scale=0.1)
-        config = TrainConfig(step_size=1e9, steps=50, lam=Multipliers(motion=1.0), seed=8)
+        config = TrainConfig(step_size=1e9, steps=50, lam=Multipliers(motion=1.0))
         with pytest.raises(DivergenceError, match=r"step \d+"):
             train_layer(bank, clip, flow, config)
 
     def test_linear_penalty_divergence_aborts_with_step_index(self, texture_instance):
         clip, flow = texture_instance
         bank = init_bank(4, 1, 3, "linear-penalty", seed=8, scale=0.1)
-        config = TrainConfig(step_size=1e9, steps=50, mode="linear-penalty",
-                             lam=Multipliers(motion=1.0, constraint=1.0), seed=8)
+        config = TrainConfig(step_size=1e9, steps=50,
+                             lam=Multipliers(motion=1.0, constraint=1.0))
         with pytest.raises(DivergenceError, match=r"step \d+"):
             train_layer(bank, clip, flow, config)
 
@@ -144,13 +156,13 @@ class TestTrainLayer:
         clip, flow = texture_instance
         overflow_at_step(2)
         bank = init_bank(4, 1, 3, "softmax", seed=8, scale=0.1)
-        config = TrainConfig(step_size=4.0, steps=3, lam=Multipliers(motion=1.0), seed=8)
+        config = TrainConfig(step_size=4.0, steps=3, lam=Multipliers(motion=1.0))
         with pytest.raises(DivergenceError, match="non-finite taps after the update at step 2"):
             train_layer(bank, clip, flow, config)
 
     def test_reproducible_bit_identical(self, texture_instance):
         clip, flow = texture_instance
-        config = TrainConfig(step_size=0.1, steps=10, lam=Multipliers(motion=1.0), seed=9)
+        config = TrainConfig(step_size=0.1, steps=10, lam=Multipliers(motion=1.0))
         runs = []
         for _ in range(2):
             bank = init_bank(3, 1, 3, "softmax", seed=9, scale=0.1)
@@ -162,18 +174,18 @@ class TestTrainLayer:
     def test_window_restricts_horizon(self, texture_instance):
         clip, flow = texture_instance
         bank = init_bank(3, 1, 3, "softmax", seed=10, scale=0.1)
-        config = TrainConfig(step_size=0.1, steps=2, lam=Multipliers(), seed=10, window=3)
+        config = TrainConfig(step_size=0.1, steps=2, lam=Multipliers(), window=3)
         trace = train_layer(bank, clip, flow, config)
         short = VideoClip(clip.data[:3])
         short_flow = constant_flow((0.5, 0.25), 3, 12, 12)
-        config_full = TrainConfig(step_size=0.1, steps=2, lam=Multipliers(), seed=10)
+        config_full = TrainConfig(step_size=0.1, steps=2, lam=Multipliers())
         trace_short = train_layer(bank, short, short_flow, config_full)
         assert np.array_equal(trace.final_bank.taps, trace_short.final_bank.taps)
 
     def test_zero_steps_returns_init(self, texture_instance):
         clip, flow = texture_instance
         bank = init_bank(3, 1, 3, "softmax", seed=11, scale=0.1)
-        config = TrainConfig(step_size=0.1, steps=0, lam=Multipliers(), seed=11)
+        config = TrainConfig(step_size=0.1, steps=0, lam=Multipliers())
         trace = train_layer(bank, clip, flow, config)
         assert trace.breakdowns == []
         assert np.array_equal(trace.final_bank.taps, bank.taps)
@@ -181,7 +193,7 @@ class TestTrainLayer:
     def test_window_longer_than_clip_rejected(self, texture_instance):
         clip, flow = texture_instance
         bank = init_bank(3, 1, 3, "softmax", seed=12, scale=0.1)
-        config = TrainConfig(step_size=0.1, steps=1, lam=Multipliers(), seed=12, window=99)
+        config = TrainConfig(step_size=0.1, steps=1, lam=Multipliers(), window=99)
         with pytest.raises(ValueError, match="window"):
             train_layer(bank, clip, flow, config)
 
@@ -189,7 +201,7 @@ class TestTrainLayer:
         # G is built once, straight from the flow: no warp plan
         clip, flow = texture_instance
         bank = init_bank(3, 1, 3, "softmax", seed=13, scale=0.1)
-        config = TrainConfig(step_size=0.1, steps=5, lam=Multipliers(motion=1.0), seed=13)
+        config = TrainConfig(step_size=0.1, steps=5, lam=Multipliers(motion=1.0))
         train_layer(bank, clip, flow, config)
         assert len(gram_builds) == 1
         assert plan_builds == []
@@ -205,7 +217,7 @@ class TestTrainLayer:
     def test_one_patch_fill_per_layer(self, texture_instance, patch_fills):
         clip, flow = texture_instance
         bank = init_bank(3, 1, 3, "softmax", seed=13, scale=0.1)
-        config = TrainConfig(step_size=0.1, steps=5, lam=Multipliers(motion=1.0), seed=13)
+        config = TrainConfig(step_size=0.1, steps=5, lam=Multipliers(motion=1.0))
         train_layer(bank, clip, flow, config)
         # G's build and the kept matrix, both in the layer's constructor,
         # each filling frames 0..5 once, in order; no fill for 5 steps and
@@ -217,7 +229,7 @@ class TestTrainLayer:
         frame_bytes = 8 * 3 * 3 * clip.height * clip.width
         monkeypatch.setattr(features, "PATCH_CHUNK_BYTES", 2 * frame_bytes)
         bank = init_bank(3, 1, 3, "softmax", seed=13, scale=0.1)
-        config = TrainConfig(step_size=0.1, steps=5, lam=Multipliers(motion=1.0), seed=13)
+        config = TrainConfig(step_size=0.1, steps=5, lam=Multipliers(motion=1.0))
         train_layer(bank, clip, flow, config)
         # G's build, then a convolve and a tap adjoint per step and the final
         # convolve: each fills frames 0..5 once, in order
@@ -240,7 +252,7 @@ class TestFinalBreakdown:
         clip, flow = texture_instance
         bank = init_bank(3, 1, 3, "softmax", seed=15, scale=0.1)
         lam = Multipliers(motion=1.0, spatial=1e-3, temporal=1e-3)
-        config = TrainConfig(step_size=0.1, steps=steps, lam=lam, seed=15, window=window,
+        config = TrainConfig(step_size=0.1, steps=steps, lam=lam, window=window,
                              weighting=weighting)
         trace = train_layer(bank, clip, flow, config)
         expected = standalone_breakdown(trace.final_bank, clip.data, flow, config)
@@ -250,9 +262,9 @@ class TestFinalBreakdown:
     def test_second_layer_of_deep_run(self, texture_instance):
         clip, flow = texture_instance
         lam = Multipliers(motion=1.0, spatial=1e-3, temporal=1e-3)
-        plans = [LayerPlan(3, 3, TrainConfig(step_size=0.1, steps=2, lam=lam, seed=16)),
-                 LayerPlan(4, 3, TrainConfig(step_size=0.1, steps=2, lam=lam, seed=17,
-                                             mode="linear-penalty", window=4))]
+        plans = [LayerPlan(3, 3, TrainConfig(step_size=0.1, steps=2, lam=lam), seed=16),
+                 LayerPlan(4, 3, TrainConfig(step_size=0.1, steps=2, lam=lam, window=4),
+                           mode="linear-penalty", seed=17)]
         traces = train_deep(clip, flow, plans)
         field = stack_layers([traces[0].final_bank], clip)[0]
         expected = standalone_breakdown(traces[1].final_bank, field, flow, plans[1].config)
@@ -263,23 +275,22 @@ class TestTrainDeep:
     def _plans(self, steps2=3):
         lam = Multipliers(motion=1.0, spatial=1e-3, temporal=1e-3)
         return [
-            LayerPlan(3, 3, TrainConfig(step_size=0.1, steps=4, lam=lam, seed=100 ^ 1)),
-            LayerPlan(4, 3, TrainConfig(step_size=0.1, steps=steps2, lam=lam, seed=100 ^ 2)),
+            LayerPlan(3, 3, TrainConfig(step_size=0.1, steps=4, lam=lam), seed=100 ^ 1),
+            LayerPlan(4, 3, TrainConfig(step_size=0.1, steps=steps2, lam=lam), seed=100 ^ 2),
         ]
 
     def test_single_layer_equals_train_layer(self, texture_instance):
         clip, flow = texture_instance
         plan = self._plans()[0]
         traces = train_deep(clip, flow, [plan])
-        bank = init_bank(3, 1, 3, plan.config.mode, plan.config.seed, plan.config.init_scale)
-        direct = train_layer(bank, clip, flow, plan.config)
+        direct = train_layer(plan.initial_bank(1), clip, flow, plan.config)
         assert np.array_equal(traces[0].final_bank.taps, direct.final_bank.taps)
 
     def test_zero_step_second_layer_keeps_init(self, texture_instance):
         clip, flow = texture_instance
         plans = self._plans(steps2=0)
         traces = train_deep(clip, flow, plans)
-        expected = init_bank(4, 3, 3, "softmax", plans[1].config.seed, 0.1, layer=2)
+        expected = init_bank(4, 3, 3, "softmax", plans[1].seed, 0.1, layer=2)
         assert np.array_equal(traces[1].final_bank.taps, expected.taps)
 
     def test_matches_manual_freeze_then_train(self, texture_instance):
@@ -289,10 +300,10 @@ class TestTrainDeep:
 
         from cogaction import convolve_features, to_probabilities
 
-        bank1 = init_bank(3, 1, 3, "softmax", plans[0].config.seed, 0.1)
+        bank1 = init_bank(3, 1, 3, "softmax", plans[0].seed, 0.1)
         trace1 = train_layer(bank1, clip, flow, plans[0].config)
         field1 = to_probabilities(convolve_features(trace1.final_bank, clip.data), "softmax")
-        bank2 = init_bank(4, 3, 3, "softmax", plans[1].config.seed, 0.1, layer=2)
+        bank2 = init_bank(4, 3, 3, "softmax", plans[1].seed, 0.1, layer=2)
         trace2 = train_layer(bank2, field1, flow, plans[1].config)
 
         assert np.array_equal(traces[0].final_bank.taps, trace1.final_bank.taps)
@@ -317,11 +328,19 @@ class TestTrainDeep:
         solo = train_deep(clip, flow, self._plans()[:1])
         assert np.array_equal(traces[0].final_bank.taps, solo[0].final_bank.taps)
 
+    def test_bank_starts_from_plan(self, texture_instance):
+        clip, flow = texture_instance
+        plan = LayerPlan(3, 3, TrainConfig(step_size=0.1, steps=0), mode="linear-penalty",
+                         seed=9, init_scale=0.5)
+        (trace,) = train_deep(clip, flow, [plan])
+        assert trace.final_bank.mode == "linear-penalty"
+        assert np.array_equal(trace.final_bank.taps,
+                              init_bank(3, 1, 3, "linear-penalty", seed=9, scale=0.5).taps)
+
     def test_error_reports_layer(self, texture_instance):
         clip, flow = texture_instance
         plans = self._plans()
-        bad = LayerPlan(3, 3, TrainConfig(step_size=1e9, steps=50,
-                                          lam=Multipliers(motion=1.0), seed=0))
+        bad = LayerPlan(3, 3, TrainConfig(step_size=1e9, steps=50, lam=Multipliers(motion=1.0)))
         with pytest.raises(DivergenceError, match="layer 2"):
             train_deep(clip, flow, [plans[0], bad])
 
@@ -338,11 +357,27 @@ class TestConfigValidation:
             TrainConfig(step_size=0.1, steps=1, window=1)
         with pytest.raises(ValueError):
             TrainConfig(step_size=0.1, steps=1, weighting="exp:2.0")
-        with pytest.raises(ValueError):
-            TrainConfig(step_size=0.1, steps=1, mode="relu")
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            TrainConfig(step_size=0.1, steps=1, seed=-1)
+
+    def test_every_field_is_read_by_train_layer(self):
+        # where a bank starts is its LayerPlan's
+        names = {item.name for item in dataclasses.fields(TrainConfig)}
+        assert names == {"step_size", "steps", "lam", "dtau", "window", "weighting"}
 
     def test_dtau_defaults_to_step_size(self):
         config = TrainConfig(step_size=0.25, steps=1)
         assert config.effective_dtau() == 0.25
+
+
+class TestLayerPlan:
+    def test_rejects_bad_values(self):
+        config = TrainConfig(step_size=0.1, steps=1)
+        with pytest.raises(ValueError, match="unknown constraint mode 'relu'"):
+            LayerPlan(2, 3, config, mode="relu")
+        with pytest.raises(ValueError):
+            LayerPlan(2, 3, config, seed=-1)
+        with pytest.raises(ValueError, match="init scale must be finite and >= 0, got -0.5"):
+            LayerPlan(2, 3, config, init_scale=-0.5)
+        with pytest.raises(ValueError, match="at least 2 output features, got n=1"):
+            LayerPlan(1, 3, config)
+        with pytest.raises(ValueError, match="odd side >= 1, got 4x4"):
+            LayerPlan(2, 4, config)
