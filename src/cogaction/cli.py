@@ -118,11 +118,10 @@ def cmd_train(experiment: ExperimentConfig, out_dir: Path) -> int:
             last.field = stack_layers([last.final_bank], below)[0]
         summary_rows = []
         for index, trace in enumerate(traces, start=1):
-            bank = trace.final_bank
             rows = [f"{b.csv_row(step)},{norm:.17g}"
                     for step, (b, norm) in enumerate(zip(trace.breakdowns, trace.grad_norms))]
             _write_rows(out_dir / f"layer{index}_trace.csv", TRACE_HEADER, rows)
-            save_bank(bank, out_dir / f"layer{index}_bank.txt")
+            save_bank(trace.final_bank, out_dir / f"layer{index}_bank.txt")
             final = trace.final_breakdown
             initial = trace.breakdowns[0] if trace.breakdowns else final
             summary_rows.append(initial.csv_row(index, "initial"))

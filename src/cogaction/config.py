@@ -223,9 +223,8 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
             flow = FlowSpec(flow.source, velocity=flow_sec.vector2("velocity", (0.0, 0.0)))
 
     with sections.get("train", _Section("train", {})) as train_sec:
-        master_seed = train_sec.integer("seed", 0)
-        if seed_override is not None:
-            master_seed = seed_override
+        file_seed = train_sec.integer("seed", 0)  # read even when overridden
+        master_seed = file_seed if seed_override is None else seed_override
         if master_seed < 0:
             where = "[train] seed" if seed_override is None else "--seed"
             raise ConfigError(f"{where} must be >= 0, got {master_seed}")

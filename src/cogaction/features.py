@@ -38,14 +38,16 @@ CLAMP_EPS = 1e-6
 PATCH_CHUNK_BYTES = 2 * 1024 * 1024
 
 
-def check_bank_shape(n: int, m_in: int, ka: int, kb: int) -> None:
-    """Reject a tap shape (n, m_in, K, K) that no bank may have, built or drawn."""
+def check_bank_spec(n: int, m_in: int, ka: int, kb: int, mode: str) -> None:
+    """Reject a tap shape (n, m_in, K, K) or a mode that no bank may have."""
     if n < 2:
         raise ValueError(f"need at least 2 output features, got n={n}")
     if m_in < 1:
         raise ValueError(f"need at least 1 input channel, got m_in={m_in}")
     if ka != kb or ka < 1 or ka % 2 == 0:
         raise ValueError(f"kernel must be square with an odd side >= 1, got {ka}x{kb}")
+    if mode not in MODES:
+        raise ValueError(f"unknown constraint mode {mode!r}, expected one of {MODES}")
 
 
 @dataclass(frozen=True)
@@ -65,11 +67,9 @@ class FilterBank:
         arr = np.ascontiguousarray(np.asarray(self.taps, dtype=np.float64))
         if arr.ndim != 4:
             raise ValueError(f"taps must be (n, m_in, K, K), got shape {arr.shape}")
-        check_bank_shape(*arr.shape)
+        check_bank_spec(*arr.shape, self.mode)
         if not np.all(np.isfinite(arr)):
             raise ValueError("taps must be finite")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown constraint mode {self.mode!r}, expected one of {MODES}")
         if self.layer < 1:
             raise ValueError(f"layer index must be >= 1, got {self.layer}")
         arr.setflags(write=False)

@@ -22,7 +22,7 @@ from .action import (
 )
 # nothing here calls to_probabilities; the benchmark under perfbench/ patches
 # it in this module by name
-from .features import (CLAMP_EPS, FilterBank, as_grid, check_bank_shape,  # noqa: F401
+from .features import (CLAMP_EPS, FilterBank, as_grid, check_bank_spec,  # noqa: F401
                        convolve_features, stack_layers, to_probabilities)
 from .flow import VelocityField
 from .video import PatternSpec, synth_translating_clip
@@ -66,8 +66,7 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class LayerPlan:
-    """One layer of a deep run: feature count, kernel side, training settings,
-    and its starting bank's mode, seed and scale, checked by drawing it once."""
+    """One layer of a deep run: its bank's shape, start and training settings."""
 
     features: int
     kernel: int
@@ -77,7 +76,7 @@ class LayerPlan:
     init_scale: float = 0.1
 
     def __post_init__(self):
-        self.initial_bank(1)  # validate eagerly
+        check_bank_start(self.features, 1, self.kernel, self.mode, self.seed, self.init_scale)
 
     def initial_bank(self, m_in: int, layer: int = 1) -> FilterBank:
         """The layer's starting bank over ``m_in`` input channels."""
@@ -112,16 +111,20 @@ def build_weights(spec: str, frames: int) -> TemporalWeights:
     raise ValueError(f"unknown temporal weighting {spec!r}, expected 'uniform' or 'exp:<gamma>'")
 
 
-def init_bank(n: int, m_in: int, kernel: int, mode: str, seed: int,
-              scale: float = 0.1, layer: int = 1) -> FilterBank:
-    """Taps i.i.d. uniform in [-scale, scale] from a PCG64 stream.
-
-    PCG64 is seeded with the given integer, so equal seeds give bit-identical
-    banks on every platform.
-    """
-    check_bank_shape(n, m_in, kernel, kernel)
+def check_bank_start(n: int, m_in: int, kernel: int, mode: str, seed: int, scale: float) -> None:
+    """Reject what ``init_bank`` would draw no bank from, without drawing."""
+    check_bank_spec(n, m_in, kernel, kernel, mode)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not (math.isfinite(scale) and scale >= 0.0):
         raise ValueError(f"init scale must be finite and >= 0, got {scale}")
+
+
+def init_bank(n: int, m_in: int, kernel: int, mode: str, seed: int,
+              scale: float = 0.1, layer: int = 1) -> FilterBank:
+    """Taps i.i.d. uniform in [-scale, scale] from a PCG64 stream seeded with
+    ``seed``, so equal seeds give bit-identical banks on every platform."""
+    check_bank_start(n, m_in, kernel, mode, seed, scale)
     rng = np.random.Generator(np.random.PCG64(seed))
     taps = rng.uniform(-scale, scale, size=(n, m_in, kernel, kernel))
     return FilterBank(taps, mode=mode, layer=layer)
@@ -148,8 +151,7 @@ def train_layer(bank: FilterBank, data, flow: VelocityField, config: TrainConfig
     """
     inputs = ActionInputs(*_windowed(as_grid(data), flow, config), bank)
     dtau = config.effective_dtau()
-    current = bank
-    previous = bank
+    current = previous = bank
     breakdowns: list[ActionBreakdown] = []
     grad_norms: list[float] = []
     # divergence is detected explicitly below; silence the float warnings a

@@ -141,13 +141,15 @@ class TestConfigParsing:
 
 
 # Every [train] key, which any [layerZ] section may override: how a layer's
-# plan reads it (its TrainConfig's or its starting bank's), the default when no section names it, a [train] value
-# and what it reads as, a [layer2] value and what it reads as, and a bad value
-# with today's reason (None: TrainConfig rejects it, naming the layer).
+# plan reads it (its TrainConfig's or its starting bank's), the default when
+# no section names it, a [train] value and what it reads as, a [layer2] value
+# and what it reads as, and a bad value with today's reason (None:
+# TrainConfig rejects it, naming the layer).
 TrainKey = namedtuple("TrainKey", "key read default shared shared_value own own_value bad why")
 TRAIN_KEYS = [TrainKey(*row) for row in (
     ("steps", lambda p: p.config.steps, 100, "7", 7, "9", 9, "x", "not an integer"),
-    ("step_size", lambda p: p.config.step_size, 0.1, "0.25", 0.25, "0.75", 0.75, "x", "not a number"),
+    ("step_size", lambda p: p.config.step_size, 0.1, "0.25", 0.25, "0.75", 0.75, "x",
+     "not a number"),
     ("dtau", lambda p: p.config.dtau, None, "0.5", 0.5, "2", 2.0, "inf", "not a finite number"),
     ("lambda_m", lambda p: p.config.lam.motion, 1.0, "0.3", 0.3, "0.7", 0.7, "x", "not a number"),
     ("lambda_p", lambda p: p.config.lam.spatial, 1e-3, "0.02", 0.02, "0.05", 0.05, "nan",
@@ -161,8 +163,8 @@ TRAIN_KEYS = [TrainKey(*row) for row in (
      "not a finite number"),
     ("mode", lambda p: p.mode, "softmax", "linear-penalty", "linear-penalty", "softmax",
      "softmax", "x", "expected one of ['linear-penalty', 'softmax']"),
-    ("weights", lambda p: p.config.weighting, "uniform", "exp:0.5", "exp:0.5", "exp:0.25", "exp:0.25",
-     "x", None),
+    ("weights", lambda p: p.config.weighting, "uniform", "exp:0.5", "exp:0.5", "exp:0.25",
+     "exp:0.25", "x", None),
 )]
 
 TWO_LAYERS = ("[data]\nsource = synth\npattern = checkerboard\nframes = 6\nheight = 8\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -23,7 +22,7 @@ from cogaction import (
     train_layer,
 )
 from cogaction.action import TemporalWeights, action_value_and_gradient
-from cogaction import features
+from cogaction import features, optimizer
 from cogaction.optimizer import build_weights, finite_diff_breakdowns
 
 
@@ -67,6 +66,10 @@ class TestInitBank:
         with pytest.raises(ValueError, match=re.escape(f"init scale must be finite and >= 0, "
                                                        f"got {scale}")):
             init_bank(2, 1, 3, "softmax", seed=0, scale=scale)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            init_bank(2, 1, 3, "softmax", seed=-1)
 
 
 class TestTrainLayer:
@@ -358,11 +361,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(step_size=0.1, steps=1, weighting="exp:2.0")
 
-    def test_every_field_is_read_by_train_layer(self):
-        # where a bank starts is its LayerPlan's
-        names = {item.name for item in dataclasses.fields(TrainConfig)}
-        assert names == {"step_size", "steps", "lam", "dtau", "window", "weighting"}
-
     def test_dtau_defaults_to_step_size(self):
         config = TrainConfig(step_size=0.25, steps=1)
         assert config.effective_dtau() == 0.25
@@ -373,7 +371,7 @@ class TestLayerPlan:
         config = TrainConfig(step_size=0.1, steps=1)
         with pytest.raises(ValueError, match="unknown constraint mode 'relu'"):
             LayerPlan(2, 3, config, mode="relu")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             LayerPlan(2, 3, config, seed=-1)
         with pytest.raises(ValueError, match="init scale must be finite and >= 0, got -0.5"):
             LayerPlan(2, 3, config, init_scale=-0.5)
@@ -381,3 +379,11 @@ class TestLayerPlan:
             LayerPlan(1, 3, config)
         with pytest.raises(ValueError, match="odd side >= 1, got 4x4"):
             LayerPlan(2, 4, config)
+
+    def test_checks_without_drawing(self, monkeypatch):
+        # a plan is checked where it is built; its bank is drawn only to train
+        def no_draw(*args, **kwargs):
+            raise AssertionError("LayerPlan drew a bank")
+
+        monkeypatch.setattr(optimizer, "init_bank", no_draw)
+        LayerPlan(2, 3, TrainConfig(step_size=0.1, steps=1), mode="linear-penalty", seed=3)
