@@ -75,7 +75,8 @@ class TemporalWeights:
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
         if arr.ndim != 1 or arr.size < 2:
-            raise ValueError(f"temporal weights must be a 1-D array of length >= 2, got shape {arr.shape}")
+            raise ValueError("temporal weights must be a 1-D array of length >= 2, "
+                             f"got shape {arr.shape}")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
             raise ValueError("temporal weights must be finite and non-negative")
         if arr.sum() <= 0.0:

@@ -6,10 +6,11 @@ Format: ``[section]`` headers with ``key = value`` pairs, no nesting.  A
 (consecutive from ``[layer1]``) with the layer's feature count and kernel plus
 optional overrides of any ``[train]`` key, and an optional ``[output]``
 section.  Each layer becomes one ``LayerPlan``: ``mode``, ``init_scale`` and
-the layer's seed set its starting bank, the other keys its ``TrainConfig``.  A
-section accepts only the keys that some code reads: ``[flow]`` reads ``alpha``
-and ``iters`` only for horn-schunck and ``velocity`` only for constant,
-``[data]`` reads ``seed`` only for random-texture.
+the layer's seed set its starting bank, the other keys its ``TrainConfig``.  An
+omitted key takes the field default of the value type it sets.  A section
+accepts only the keys that some code reads: ``[flow]`` reads ``alpha`` and
+``iters`` only for horn-schunck and ``velocity`` only for constant, ``[data]``
+reads ``seed`` only for random-texture.
 
 Randomness: every layer's tap initialization derives from the single
 ``[train] seed`` as ``seed XOR layer-index``, feeding a PCG64 stream.
@@ -18,7 +19,6 @@ Randomness: every layer's tap initialization derives from the single
 import configparser
 import math
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 from .action import Multipliers
@@ -157,21 +157,20 @@ class _Section:
         return self._read(key, default, required, _pair, "expected two numbers")
 
 
-def _train_settings(section: _Section, defaults: dict) -> dict:
-    """Read the keys a layer shares with ``[train]``, each over its default."""
-    return {key: read(key, defaults[key]) for key, read in (
-        ("steps", section.integer), ("step_size", section.real), ("dtau", section.real),
-        ("lambda_m", section.real), ("lambda_p", section.real), ("lambda_k", section.real),
-        ("lambda_c", section.real), ("window", section.integer), ("init_scale", section.real),
-        ("mode", partial(section.text, choices=set(MODES))), ("weights", section.text),
-    )}
-
-
-_TRAIN_DEFAULTS = {
-    "steps": 100, "step_size": 0.1, "dtau": None, "lambda_m": 1.0, "lambda_p": 1e-3,
-    "lambda_k": 1e-3, "lambda_c": 0.0, "window": None, "init_scale": 0.1,
-    "mode": "softmax", "weights": "uniform",
-}
+def _layer_settings(section: _Section, base: TrainConfig, mode: str, init_scale: float):
+    """A TrainConfig, mode and init scale: each key of ``section`` read over the given one."""
+    mode = section.text("mode", mode, choices=set(MODES))
+    init_scale = section.real("init_scale", init_scale)
+    config = TrainConfig(
+        step_size=section.real("step_size", base.step_size),
+        steps=section.integer("steps", base.steps),
+        lam=Multipliers(motion=section.real("lambda_m", base.lam.motion),
+                        spatial=section.real("lambda_p", base.lam.spatial),
+                        temporal=section.real("lambda_k", base.lam.temporal),
+                        constraint=section.real("lambda_c", base.lam.constraint)),
+        dtau=section.real("dtau", base.dtau), window=section.integer("window", base.window),
+        weighting=section.text("weights", base.weighting))
+    return config, mode, init_scale
 
 
 def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
@@ -194,14 +193,15 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
         source = data_sec.text("source", required=True, choices={"synth", "files"})
         if source == "synth":
             kind = data_sec.text("pattern", required=True, choices=PATTERN_KINDS)
-            period = data_sec.integer("period", 8)
-            seed = data_sec.integer("seed", 0) if kind == "random-texture" else 0
-            pattern = PatternSpec(kind, period, seed, data_sec.integer("channels", 1))
+            pattern = PatternSpec(kind, data_sec.integer("period", PatternSpec.period),
+                                  seed=(data_sec.integer("seed", PatternSpec.seed)
+                                        if kind == "random-texture" else PatternSpec.seed),
+                                  channels=data_sec.integer("channels", PatternSpec.channels))
             data = DataSpec("synth", pattern=pattern,
                             frames=data_sec.integer("frames", required=True),
                             height=data_sec.integer("height", required=True),
                             width=data_sec.integer("width", required=True),
-                            velocity=data_sec.vector2("velocity", (0.0, 0.0)))
+                            velocity=data_sec.vector2("velocity", DataSpec.velocity))
             check_synth_geometry(data.velocity, data.frames, data.height, data.width)
         else:
             pattern_str = data_sec.text("path_pattern", required=True)
@@ -216,11 +216,11 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
         if flow.source == "ground-truth" and data.source != "synth":
             raise ValueError("source = ground-truth requires [data] source = synth")
         if flow.source == "horn-schunck":
-            flow = FlowSpec(flow.source, alpha=flow_sec.real("alpha", 1.0),
-                            iters=flow_sec.integer("iters", 100))
+            flow = FlowSpec(flow.source, alpha=flow_sec.real("alpha", flow.alpha),
+                            iters=flow_sec.integer("iters", flow.iters))
             check_horn_schunck(flow.alpha, flow.iters)
         elif flow.source == "constant":
-            flow = FlowSpec(flow.source, velocity=flow_sec.vector2("velocity", (0.0, 0.0)))
+            flow = FlowSpec(flow.source, velocity=flow_sec.vector2("velocity", flow.velocity))
 
     with sections.get("train", _Section("train", {})) as train_sec:
         file_seed = train_sec.integer("seed", 0)  # read even when overridden
@@ -228,7 +228,7 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
         if master_seed < 0:
             where = "[train] seed" if seed_override is None else "--seed"
             raise ConfigError(f"{where} must be >= 0, got {master_seed}")
-        shared = _train_settings(train_sec, _TRAIN_DEFAULTS)
+        shared = _layer_settings(train_sec, TrainConfig(), LayerPlan.mode, LayerPlan.init_scale)
 
     layers: list[LayerPlan] = []
     index = 1
@@ -236,18 +236,13 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
         with sections[f"layer{index}"] as sec:
             features = sec.integer("n", required=True)
             kernel = sec.integer("k", required=True)
-            values = _train_settings(sec, shared)
-            lam = Multipliers(motion=values["lambda_m"], spatial=values["lambda_p"],
-                              temporal=values["lambda_k"], constraint=values["lambda_c"])
-            config = TrainConfig(step_size=values["step_size"], steps=values["steps"], lam=lam,
-                                 dtau=values["dtau"], window=values["window"],
-                                 weighting=values["weights"])
+            config, mode, init_scale = _layer_settings(sec, *shared)
             # a file sequence's frame count is known only once it is loaded
             if data.source == "synth" and config.window is not None and config.window > data.frames:
                 raise ValueError(f"window = {config.window} exceeds the clip's "
                                  f"{data.frames} frames")
-            layers.append(LayerPlan(features, kernel, config, mode=values["mode"],
-                                    seed=master_seed ^ index, init_scale=values["init_scale"]))
+            layers.append(LayerPlan(features, kernel, config, mode=mode,
+                                    seed=master_seed ^ index, init_scale=init_scale))
         index += 1
     if not layers:
         raise ConfigError("no [layer1] section: at least one layer is required")
@@ -258,10 +253,10 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
                               if name.startswith("layer") else f"unknown section [{name}]")
 
     with sections.get("output", _Section("output", {})) as out_sec:
-        out_dir = out_sec.text("dir", "out")
+        out_dir = out_sec.text("dir", ExperimentConfig.out_dir)
         if not out_dir:
             raise ValueError("dir must name a directory, got ''")
-        save_features = out_sec.flag("save_features", True)
+        save_features = out_sec.flag("save_features", ExperimentConfig.save_features)
 
     return ExperimentConfig(data=data, flow=flow, layers=layers, out_dir=out_dir,
                             save_features=save_features)

@@ -8,7 +8,7 @@ filters are frozen before the next layer sees its feature field.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,15 +36,15 @@ class DivergenceError(RuntimeError):
 class TrainConfig:
     """Settings of one layer's gradient-flow run, each read by ``train_layer``.
 
-    ``dtau`` (the tap-velocity time step) defaults to the step size; ``window``
-    restricts evaluation to the first ``window`` frames and defaults to the
-    whole clip.  ``weighting`` selects the temporal factor: "uniform" or
-    "exp:<gamma>".
+    Each default is what an experiment file's omitted key parses to.  ``dtau``
+    (the tap-velocity time step) defaults to the step size; ``window`` restricts
+    evaluation to the first ``window`` frames and defaults to the whole clip.
+    ``weighting`` selects the temporal factor: "uniform" or "exp:<gamma>".
     """
 
-    step_size: float
-    steps: int
-    lam: Multipliers = field(default_factory=Multipliers)
+    step_size: float = 0.1
+    steps: int = 100
+    lam: Multipliers = Multipliers(motion=1.0, spatial=1e-3, temporal=1e-3)
     dtau: float | None = None
     window: int | None = None
     weighting: str = "uniform"
@@ -121,7 +121,7 @@ def check_bank_start(n: int, m_in: int, kernel: int, mode: str, seed: int, scale
 
 
 def init_bank(n: int, m_in: int, kernel: int, mode: str, seed: int,
-              scale: float = 0.1, layer: int = 1) -> FilterBank:
+              scale: float = LayerPlan.init_scale, layer: int = 1) -> FilterBank:
     """Taps i.i.d. uniform in [-scale, scale] from a PCG64 stream seeded with
     ``seed``, so equal seeds give bit-identical banks on every platform."""
     check_bank_start(n, m_in, kernel, mode, seed, scale)
@@ -206,7 +206,8 @@ def evaluate_bank(bank: FilterBank, data, flow: VelocityField, weights: Temporal
 # Finite-difference oracle.
 
 def finite_diff_breakdowns(bank: FilterBank, bank_prev: FilterBank, inputs: ActionInputs,
-                           lam: Multipliers, dtau: float, eps: float = 1e-5) -> dict[str, np.ndarray]:
+                           lam: Multipliers, dtau: float,
+                           eps: float = 1e-5) -> dict[str, np.ndarray]:
     """Central-difference gradients of every breakdown field from
     ``info_index`` on, at once, one pair of evaluations per tap.  O(#taps)
     action evaluations; meant for small banks."""
@@ -255,7 +256,8 @@ def gradient_check_instances(count: int = 20) -> list[dict]:
         lam = Multipliers(motion=float(rng.uniform(0.0, 2.0)),
                           spatial=float(rng.uniform(0.0, 2.0)),
                           temporal=float(rng.uniform(0.0, 2.0)),
-                          constraint=float(rng.uniform(0.0, 2.0)) if mode == "linear-penalty" else 0.0)
+                          constraint=(float(rng.uniform(0.0, 2.0))
+                                      if mode == "linear-penalty" else 0.0))
         instances.append({
             "bank": bank,
             "bank_prev": prev,

@@ -12,8 +12,8 @@ import pytest
 from flow_oracle import roll_horn_schunck
 
 import cogaction
-from cogaction import (cli, features, init_bank, load_bank, load_flow, parse_config, save_bank,
-                       train_layer)
+from cogaction import (LayerPlan, TrainConfig, cli, features, init_bank, load_bank, load_flow,
+                       parse_config, save_bank, train_layer)
 from cogaction.cli import main
 from cogaction.config import ConfigError
 
@@ -144,7 +144,7 @@ class TestConfigParsing:
 # plan reads it (its TrainConfig's or its starting bank's), the default when
 # no section names it, a [train] value and what it reads as, a [layer2] value
 # and what it reads as, and a bad value with today's reason (None:
-# TrainConfig rejects it, naming the layer).
+# TrainConfig rejects it, naming the section).
 TrainKey = namedtuple("TrainKey", "key read default shared shared_value own own_value bad why")
 TRAIN_KEYS = [TrainKey(*row) for row in (
     ("steps", lambda p: p.config.steps, 100, "7", 7, "9", 9, "x", "not an integer"),
@@ -178,7 +178,9 @@ class TestTrainKeys:
         return [row.read(plan) for plan in parse_config(path).layers]
 
     def test_absent_key_gives_default(self, tmp_path, row):
-        assert self.read(tmp_path, row) == [row.default, row.default]
+        # a file's omitted key and the library's TrainConfig() and LayerPlan agree
+        library = row.read(LayerPlan(2, 1, TrainConfig()))
+        assert self.read(tmp_path, row) + [library] == [row.default] * 3
 
     def test_train_value_reaches_each_layer(self, tmp_path, row):
         values = self.read(tmp_path, row, train=f"{row.key} = {row.shared}\n")
@@ -196,8 +198,7 @@ class TestTrainKeys:
                                  layer2=line if section == "layer2" else "")
         expected = f"[{section}] {row.key} = {row.bad!r}: {row.why}"
         if row.why is None:
-            layer = "layer1" if section == "train" else section
-            expected = (f"[{layer}] unknown temporal weighting {row.bad!r}, "
+            expected = (f"[{section}] unknown temporal weighting {row.bad!r}, "
                         "expected 'uniform' or 'exp:<gamma>'")
         with pytest.raises(ConfigError) as info:
             parse_config(write_config(tmp_path / "bad.ini", body))
@@ -476,14 +477,36 @@ class TestTrainCommand:
         ("k = 3", "k = 2", "kernel must be square with an odd side >= 1, got 2x2"),
         ("k = 3", "k = -1", "kernel must be square with an odd side >= 1, got -1x-1"),
         ("k = 3", "k = 3\ninit_scale = -0.5", "init scale must be finite and >= 0, got -0.5"),
-    ], ids=["n-1", "k-2", "k-minus-1", "init-scale-negative"])
+        ("init_scale = 0.1", "init_scale = -0.5", "init scale must be finite and >= 0, got -0.5"),
+    ], ids=["n-1", "k-2", "k-minus-1", "init-scale-negative", "train-init-scale-negative"])
     def test_layer_rule_exit_1(self, tmp_path, capsys, old, new, message):
-        # the rules of a layer's starting bank, kept by init_bank and FilterBank
+        # the rules of a layer's starting bank, kept by LayerPlan: a value set
+        # in [train] is checked where it reaches the first layer
         body = BASE.format(steps=1, save_features="false").replace(old, new)
         path = write_config(tmp_path / "layer.ini", body)
         out = tmp_path / "x"
         assert main(["train", "--config", path, "--out", str(out)]) == 1
         assert f"config error: [layer1] {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("steps = 1", "steps = -1", "step count must be >= 0, got -1"),
+        ("step_size = 0.5", "step_size = 0", "step size must be finite and > 0, got 0.0"),
+        ("seed = 12345", "seed = 12345\ndtau = -1", "dtau must be finite and > 0, got -1.0"),
+        ("seed = 12345", "seed = 12345\nwindow = 1",
+         "evaluation window must cover >= 2 frames, got 1"),
+        ("lambda_m = 1.0", "lambda_m = -1",
+         "multiplier motion must be finite and >= 0, got -1.0"),
+        ("seed = 12345", "seed = 12345\nweights = x",
+         "unknown temporal weighting 'x', expected 'uniform' or 'exp:<gamma>'"),
+    ], ids=["steps", "step_size", "dtau", "window", "lambda_m", "weights"])
+    def test_train_value_rule_exit_1(self, tmp_path, capsys, old, new, message):
+        # TrainConfig's and Multipliers' rules name [train], which builds its own
+        body = BASE.format(steps=1, save_features="false").replace(old, new)
+        path = write_config(tmp_path / "train.ini", body)
+        out = tmp_path / "x"
+        assert main(["train", "--config", path, "--out", str(out)]) == 1
+        assert f"config error: [train] {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("section, old, new, key", UNREAD_KEYS)
