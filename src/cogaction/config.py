@@ -13,7 +13,10 @@ accepts only the keys that some code reads: ``[flow]`` reads ``alpha`` and
 reads ``seed`` only for random-texture.
 
 Randomness: every layer's tap initialization derives from the single
-``[train] seed`` as ``seed XOR layer-index``, feeding a PCG64 stream.
+``[train] seed`` as ``seed XOR layer-index``, and a random-texture from
+``[data] seed``; each seeds the package's own PCG64 stream (``_pcg64``), which
+the tests check bit for bit against numpy's ``Generator(PCG64(seed))``.  No
+command imports numpy's random subpackage.  Every seed must be >= 0.
 """
 
 import configparser

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pcg64 import PCG64, check_seed
 from .action import (
     ActionBreakdown,
     ActionInputs,
@@ -114,19 +115,19 @@ def build_weights(spec: str, frames: int) -> TemporalWeights:
 def check_bank_start(n: int, m_in: int, kernel: int, mode: str, seed: int, scale: float) -> None:
     """Reject what ``init_bank`` would draw no bank from, without drawing."""
     check_bank_spec(n, m_in, kernel, kernel, mode)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     if not (math.isfinite(scale) and scale >= 0.0):
         raise ValueError(f"init scale must be finite and >= 0, got {scale}")
 
 
 def init_bank(n: int, m_in: int, kernel: int, mode: str, seed: int,
               scale: float = LayerPlan.init_scale, layer: int = 1) -> FilterBank:
-    """Taps i.i.d. uniform in [-scale, scale] from a PCG64 stream seeded with
-    ``seed``, so equal seeds give bit-identical banks on every platform."""
+    """Taps i.i.d. uniform in [-scale, scale] from the package's PCG64 stream
+    seeded with ``seed`` (bit for bit numpy's ``Generator(PCG64(seed))``, as
+    the tests check), so equal seeds give bit-identical banks on every
+    platform without importing numpy's random subpackage."""
     check_bank_start(n, m_in, kernel, mode, seed, scale)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    taps = rng.uniform(-scale, scale, size=(n, m_in, kernel, kernel))
+    taps = PCG64(seed).uniform(-scale, scale, size=(n, m_in, kernel, kernel))
     return FilterBank(taps, mode=mode, layer=layer)
 
 
@@ -237,7 +238,7 @@ def gradient_check_instances(count: int = 20) -> list[dict]:
     both constraint modes, random per-pixel flows and random multipliers."""
     instances = []
     for index in range(count):
-        rng = np.random.Generator(np.random.PCG64(1000 + index))
+        rng = PCG64(1000 + index)
         mode = "softmax" if index % 2 == 0 else "linear-penalty"
         height = int(rng.integers(4, 9))
         width = int(rng.integers(4, 9))

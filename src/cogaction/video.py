@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._pcg64 import PCG64, check_seed
 from .flow import constant_flow
 
 PATTERN_KINDS = ("checkerboard", "sinusoid", "random-texture")
@@ -28,7 +29,7 @@ class PatternSpec:
 
     ``period`` is the spatial period in pixels (checkerboard requires an even
     period; random-texture tiles a ``period x period`` noise patch, so it is
-    periodic too).  ``seed`` is only used by random-texture.
+    periodic too).  ``seed`` is only used by random-texture and must be >= 0.
     """
 
     kind: str
@@ -45,6 +46,7 @@ class PatternSpec:
             raise ValueError("checkerboard period must be even")
         if self.channels < 1:
             raise ValueError(f"channel count must be >= 1, got {self.channels}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,10 @@ class VideoClip:
 
 
 def pattern_frame(pattern: PatternSpec, height: int, width: int) -> np.ndarray:
-    """Render the base pattern as an (H, W, m) array in [0, 1]."""
+    """Render the base pattern as an (H, W, m) array in [0, 1].  A
+    random-texture's patch is drawn from the package's PCG64 stream seeded
+    with ``pattern.seed`` (bit for bit numpy's ``Generator(PCG64(seed))``, as
+    the tests check), without importing numpy's random subpackage."""
     p = pattern.period
     cols = np.arange(width)
     rows = np.arange(height)
@@ -99,8 +104,7 @@ def pattern_frame(pattern: PatternSpec, height: int, width: int) -> np.ndarray:
         wave = np.sin(2.0 * np.pi * cols / p)[None, :] * np.sin(2.0 * np.pi * rows / p)[:, None]
         frame = np.repeat((0.5 + 0.5 * wave)[:, :, None], pattern.channels, axis=2)
     else:  # random-texture: toroidally tiled noise patch, one patch per channel
-        rng = np.random.Generator(np.random.PCG64(pattern.seed))
-        tile = rng.uniform(size=(p, p, pattern.channels))
+        tile = PCG64(pattern.seed).uniform(size=(p, p, pattern.channels))
         frame = tile[np.mod(rows, p)[:, None], np.mod(cols, p)[None, :], :]
     return np.clip(frame, 0.0, 1.0)
 

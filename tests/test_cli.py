@@ -448,7 +448,8 @@ class TestTrainCommand:
         # 6 frames on a 12x12 retina allow less than 2 pixels per frame
         ("velocity = 1.0 0.0", "velocity = 2.0 0.0",
          "velocity (2.0, 0.0) too fast for a 12x12 retina over 6 frames"),
-    ], ids=["one-frame", "zero-height", "zero-width", "too-fast"])
+        ("seed = 7", "seed = -1", "seed must be >= 0, got -1"),
+    ], ids=["one-frame", "zero-height", "zero-width", "too-fast", "negative-seed"])
     @pytest.mark.parametrize("command", ["train", "synth"])
     def test_synth_geometry_exit_1(self, tmp_path, capsys, command, old, new, message):
         body = BASE.format(steps=1, save_features="false").replace(old, new)
@@ -940,6 +941,22 @@ class TestBlasThreadsAreInert:
                    for threads in ("1", "2")]
         assert reports[0].count(b" ok\n") == 4
         assert reports[0] == reports[1]
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    # seeded draws come from cogaction._pcg64; importing numpy.random costs
+    # about 6 MiB of resident memory
+    path = write_config(tmp_path / "exp.ini", BASE.format(steps=2, save_features="true"))
+    script = ("import sys\n"
+              "from cogaction.cli import main\n"
+              f"assert main(['train', '--config', {path!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+              "assert main(['check-grad', '--instances', '2']) == 0\n"
+              "print('numpy.random' in sys.modules)\n")
+    src = str(Path(cogaction.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True,
+                         text=True)
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

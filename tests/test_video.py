@@ -80,6 +80,8 @@ class TestSynthesis:
             PatternSpec("plaid", 8)
         with pytest.raises(ValueError):
             PatternSpec("sinusoid", 1)
+        with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+            PatternSpec("random-texture", 8, seed=-1)
 
     def test_pattern_periodicity(self):
         frame = pattern_frame(PatternSpec("checkerboard", 8), 24, 24)
